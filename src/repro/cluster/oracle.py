@@ -89,32 +89,19 @@ class ClusterOracle:
         """Hand one file's bookkeeping to another shard (live migration).
 
         Called in the cutover instant, right after the router's pins
-        repoint: the acked image, its mask, and any still-uncommitted
-        pending ranges now describe a promise the *destination* must
-        keep, and future checks assert them against its durable state.
+        repoint: the acked ranges and any still-uncommitted pending
+        ranges now describe a promise the *destination* must keep, and
+        future checks assert them against its durable state.
         """
-        src = self._oracle_for(src_host)
-        dst = self._oracle_for(dst_host)
-        image = src._images.pop(ino, None)
-        mask = src._acked.pop(ino, None)
-        pending = src._pending.pop(ino, None)
-        if image is not None:
-            dst._images[ino] = image
-        if mask is not None:
-            dst._acked[ino] = mask
-        if pending:
-            dst._pending.setdefault(ino, []).extend(pending)
+        handoff = self._oracle_for(src_host).hand_off(ino)
+        self._oracle_for(dst_host).adopt(ino, handoff)
 
     def holders_of(self, ino: int) -> List[str]:
         """Shards currently tracking acked or pending ranges for ``ino``
         (the migration contract wants exactly one, ever)."""
-        holders = []
-        for host in sorted(self._per_shard):
-            oracle = self._per_shard[host]
-            mask = oracle._acked.get(ino)
-            if (mask is not None and any(mask)) or oracle._pending.get(ino):
-                holders.append(host)
-        return holders
+        return [
+            host for host in sorted(self._per_shard) if self._per_shard[host].tracks(ino)
+        ]
 
     def note_fault(self, record: dict) -> None:
         """Triage context: every shard oracle learns the latest fault, so

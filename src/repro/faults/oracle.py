@@ -1,10 +1,10 @@
 """The crash-consistency oracle: acked ⇒ durable, and no structural damage.
 
 The oracle shadows every *stable* WRITE acknowledgement a client receives
-(via :attr:`NfsClient.on_write_acked`) into a per-inode expected byte
-image.  At every check point — the instant of each simulated crash, and
-once at the end of the run — it asserts the paper's crash contract against
-the server's durable image:
+(via :attr:`NfsClient.on_write_acked`) into a per-inode ledger of acked
+byte ranges.  At every check point — the instant of each simulated crash,
+and once at the end of the run — it asserts the paper's crash contract
+against the server's durable image:
 
 1. **Durability**: every acked byte range is durably readable
    (:meth:`Ufs.durable_read` returns actual bytes, not None);
@@ -18,11 +18,115 @@ chaos campaign's report pinpoints exactly which promise broke and when.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.fs.fsck import fsck
 
 __all__ = ["Oracle"]
+
+#: One content run: ``(start, end, acked bytes of [start, end))``.
+ContentRun = Tuple[int, int, bytearray]
+
+
+class _Ledger:
+    """One inode's acked byte ranges as sorted, disjoint, non-empty runs.
+
+    Run ``i`` covers ``[starts[i], ends[i])``.  ``contents[i]`` holds the
+    bytes the last covering ack carried, or ``None`` when that ack was a
+    flyweight payload (the range is promised durable, its content is not).
+    Touching runs of the same kind are always merged, so every content run
+    is maximal.  A content run may touch a flyweight run; together they
+    form one *acked run*, the unit every check reports on.
+    """
+
+    __slots__ = ("starts", "ends", "contents")
+
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.contents: List[Optional[bytearray]] = []
+
+    def record(self, offset: int, end: int, content) -> None:
+        """Ack ``[offset, end)``; ``content`` is its bytes or ``None``.
+
+        The new run replaces whatever it overlaps (the last writer wins)
+        and merges with a touching or overlapping neighbour of its kind.
+        """
+        if end <= offset:
+            return
+        starts, ends, contents = self.starts, self.ends, self.contents
+        lo = bisect_left(ends, offset)
+        hi = bisect_right(starts, end)  # runs [lo, hi) touch [offset, end)
+        right = None
+        if lo < hi and ends[hi - 1] > end:
+            tail = contents[hi - 1]
+            if tail is not None:
+                tail = tail[end - starts[hi - 1] :]
+            right = (end, ends[hi - 1], tail)
+        left = None
+        start, buf = offset, None
+        if lo < hi and starts[lo] < offset:
+            head = contents[lo]
+            if head is not None:
+                del head[offset - starts[lo] :]  # a sole owner: trim in place
+            if (head is None) == (content is None):
+                start, buf = starts[lo], head
+            else:
+                left = (starts[lo], offset, head)
+        if content is not None:
+            if buf is None:
+                buf = bytearray(content)
+            else:
+                buf += content
+        stop = end
+        if right is not None and (right[2] is None) == (buf is None):
+            stop = right[1]
+            if buf is not None:
+                buf += right[2]
+            right = None
+        pieces = [piece for piece in (left, (start, stop, buf), right) if piece]
+        starts[lo:hi] = [piece[0] for piece in pieces]
+        ends[lo:hi] = [piece[1] for piece in pieces]
+        contents[lo:hi] = [piece[2] for piece in pieces]
+
+    def acked_runs(self) -> Iterator[Tuple[int, int, List[ContentRun]]]:
+        """Maximal acked runs, each with the content runs inside it."""
+        starts, ends, contents = self.starts, self.ends, self.contents
+        index, count = 0, len(starts)
+        while index < count:
+            start = starts[index]
+            inner: List[ContentRun] = []
+            while True:
+                if contents[index] is not None:
+                    inner.append((starts[index], ends[index], contents[index]))
+                index += 1
+                if index == count or starts[index] != ends[index - 1]:
+                    break
+            yield start, ends[index - 1], inner
+
+    def content_within(self, low: int, high: int) -> Iterator[ContentRun]:
+        """Content runs clipped to ``[low, high)``."""
+        starts, ends, contents = self.starts, self.ends, self.contents
+        for index in range(bisect_right(ends, low), len(starts)):
+            start = starts[index]
+            if start >= high:
+                return
+            content = contents[index]
+            if content is None:
+                continue
+            sub_start, sub_end = max(start, low), min(ends[index], high)
+            yield sub_start, sub_end, content[sub_start - start : sub_end - start]
+
+    def byte_total(self) -> int:
+        return sum(self.ends) - sum(self.starts)
+
+
+class InoHandoff(NamedTuple):
+    """One inode's oracle state in transit (see :meth:`Oracle.hand_off`)."""
+
+    ledger: Optional[_Ledger]
+    pending: Set[Tuple[int, int]]
 
 
 class Oracle:
@@ -39,24 +143,17 @@ class Oracle:
         self.testbed = testbed
         self.env = env if env is not None else testbed.env
         self.server = server if server is not None else testbed.server
-        #: Per-ino expected content, densely indexed from byte 0.
-        self._images: Dict[int, bytearray] = {}
-        #: Per-ino mask of which bytes have actually been acked (an image
-        #: may have unwritten gaps that carry no promise).  Flag values:
-        #: 0 = never acked, 1 = acked with known content (byte compare),
-        #: 2 = acked via a flyweight payload (content unknown — only the
-        #: range's durability is promised).  Both nonzero flags count
-        #: identically toward acked runs and byte totals, so accounting is
-        #: mode-independent.
-        self._acked: Dict[int, bytearray] = {}
+        #: Per-ino acked byte ranges (an ino acked only with zero-length
+        #: writes has an empty ledger: listed, but promising nothing).
+        self._ledgers: Dict[int, _Ledger] = {}
         self.acked_writes = 0
         #: Async-commit bookkeeping: unstable acks carry *no* durability
-        #: promise — the range sits here until a COMMIT under the right
-        #: verifier promotes it to a hard ack.  An un-COMMITted write may
-        #: legally be absent from a post-crash image; the client's replay
-        #: obligation is what eventually lands it (checked as a hard ack
-        #: once the COMMIT succeeds).
-        self._pending: Dict[int, List[Tuple[int, int]]] = {}
+        #: promise — the ``(offset, length)`` range sits here until a
+        #: COMMIT under the right verifier promotes it to a hard ack.  An
+        #: un-COMMITted write may legally be absent from a post-crash
+        #: image; the client's replay obligation is what eventually lands
+        #: it (checked as a hard ack once the COMMIT succeeds).
+        self._pending: Dict[int, Set[Tuple[int, int]]] = {}
         self.unstable_acks = 0
         self.committed_acks = 0
         self.checks = 0
@@ -90,21 +187,17 @@ class Oracle:
         client.on_commit_acked = self.record_commit
 
     def record_ack(self, fhandle, offset: int, data: bytes) -> None:
-        """One stable WRITE was acked: remember the promise it binds."""
-        ino = fhandle[0]
-        end = offset + len(data)
-        image = self._images.setdefault(ino, bytearray())
-        mask = self._acked.setdefault(ino, bytearray())
-        if len(image) < end:
-            image.extend(b"\x00" * (end - len(image)))
-            mask.extend(b"\x00" * (end - len(mask)))
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            image[offset:end] = data
-            mask[offset:end] = b"\x01" * len(data)
-        else:
-            # Flyweight payload: the range is promised durable, its
-            # content is not — flag 2 so checks skip the byte compare.
-            mask[offset:end] = b"\x02" * len(data)
+        """One stable WRITE was acked: remember the promise it binds.
+
+        A flyweight payload promises the range durable but not its
+        content, so it is recorded without bytes and checks skip the
+        byte compare there.
+        """
+        ledger = self._ledgers.get(fhandle[0])
+        if ledger is None:
+            ledger = self._ledgers[fhandle[0]] = _Ledger()
+        content = data if isinstance(data, (bytes, bytearray, memoryview)) else None
+        ledger.record(offset, offset + len(data), content)
         self.acked_writes += 1
 
     def record_unstable(self, fhandle, offset: int, data) -> None:
@@ -112,10 +205,11 @@ class Oracle:
 
         The range is tracked only so reports can show how much data was
         in flight under the async-commit contract; a crash may legally
-        drop it (the client resends under the new verifier).
+        drop it (the client resends under the new verifier).  A resend
+        re-acks a range that is already pending and adds nothing.
         """
         self.unstable_acks += 1
-        self._pending.setdefault(fhandle[0], []).append((offset, len(data)))
+        self._pending.setdefault(fhandle[0], set()).add((offset, len(data)))
 
     def record_commit(self, fhandle, offset: int, data) -> None:
         """A COMMIT under the matching verifier covered this range: the
@@ -123,10 +217,7 @@ class Oracle:
         self.committed_acks += 1
         pending = self._pending.get(fhandle[0])
         if pending is not None:
-            try:
-                pending.remove((offset, len(data)))
-            except ValueError:
-                pass  # a replayed range re-recorded under a new verifier
+            pending.discard((offset, len(data)))
             if not pending:
                 del self._pending[fhandle[0]]
         self.record_ack(fhandle, offset, data)
@@ -143,18 +234,13 @@ class Oracle:
         if not isinstance(data, (bytes, bytearray, memoryview)):
             return
         ino = fhandle[0]
-        image = self._images.get(ino)
-        mask = self._acked.get(ino)
-        if image is None or mask is None:
-            return
-        upper = min(offset + len(data), len(mask))
-        if upper <= offset:
+        ledger = self._ledgers.get(ino)
+        if ledger is None:
             return
         now = self.env.now
         suffix = self._context_suffix()
-        for sub_start, sub_end in self._content_runs(mask, offset, upper):
+        for sub_start, sub_end, want in ledger.content_within(offset, offset + len(data)):
             got = bytes(data[sub_start - offset : sub_end - offset])
-            want = bytes(image[sub_start:sub_end])
             if got != want:
                 message = (
                     f"[read t={now:.6f}] ino {ino} bytes [{sub_start},{sub_end}): "
@@ -197,47 +283,36 @@ class Oracle:
             parts.append(f"last_fault={kind}{at}")
         return f" [{', '.join(parts)}]" if parts else ""
 
+    # -- the ledger -------------------------------------------------------------
+
     def pending_byte_total(self) -> int:
         """Bytes acked unstable and not yet promoted by a COMMIT."""
         return sum(
             length for ranges in self._pending.values() for _offset, length in ranges
         )
 
-    def _acked_runs(self, ino: int) -> List[Tuple[int, int]]:
+    def acked_runs(self, ino: int) -> List[Tuple[int, int]]:
         """Maximal contiguous byte ranges of ``ino`` covered by acks."""
-        mask = self._acked[ino]
-        runs: List[Tuple[int, int]] = []
-        start = None
-        for position, flag in enumerate(mask):
-            if flag and start is None:
-                start = position
-            elif not flag and start is not None:
-                runs.append((start, position))
-                start = None
-        if start is not None:
-            runs.append((start, len(mask)))
-        return runs
+        ledger = self._ledgers.get(ino)
+        if ledger is None:
+            return []
+        return [(start, end) for start, end, _inner in ledger.acked_runs()]
 
-    @staticmethod
-    def _content_runs(mask: bytearray, start: int, end: int) -> List[Tuple[int, int]]:
-        """Sub-runs of [start, end) whose bytes were acked *with content*
-        (flag 1); flyweight-acked bytes (flag 2) carry no content promise."""
-        runs: List[Tuple[int, int]] = []
-        run_start = None
-        for position in range(start, end):
-            if mask[position] == 1:
-                if run_start is None:
-                    run_start = position
-            elif run_start is not None:
-                runs.append((run_start, position))
-                run_start = None
-        if run_start is not None:
-            runs.append((run_start, end))
-        return runs
+    def content_runs(self, ino: int) -> List[Tuple[int, int]]:
+        """Maximal byte ranges of ``ino`` acked *with content*; flyweight
+        acks promise durability only and appear in :meth:`acked_runs`."""
+        ledger = self._ledgers.get(ino)
+        if ledger is None:
+            return []
+        return [
+            (start, end)
+            for start, end, content in zip(ledger.starts, ledger.ends, ledger.contents)
+            if content is not None
+        ]
 
     def acked_inos(self) -> List[int]:
         """Inodes with at least one acked write (sorted)."""
-        return sorted(self._images)
+        return sorted(self._ledgers)
 
     def acked_byte_total(self) -> int:
         """Total bytes currently covered by stable-write acknowledgements.
@@ -246,7 +321,25 @@ class Oracle:
         *promised* (acked stably), not merely work clients offered —
         retransmitted duplicates and timed-out attempts never count.
         """
-        return sum(sum(1 for flag in mask if flag) for mask in self._acked.values())
+        return sum(ledger.byte_total() for ledger in self._ledgers.values())
+
+    def tracks(self, ino: int) -> bool:
+        """Does this oracle hold acked bytes or pending ranges for ``ino``?"""
+        ledger = self._ledgers.get(ino)
+        return bool((ledger is not None and ledger.starts) or self._pending.get(ino))
+
+    def hand_off(self, ino: int) -> InoHandoff:
+        """Remove and return everything recorded for ``ino`` (for
+        :meth:`adopt` on another oracle when a file moves shards)."""
+        return InoHandoff(self._ledgers.pop(ino, None), self._pending.pop(ino, set()))
+
+    def adopt(self, ino: int, handoff: InoHandoff) -> None:
+        """Take over a handed-off ino: its acked ledger replaces ours, its
+        pending ranges join ours."""
+        if handoff.ledger is not None:
+            self._ledgers[ino] = handoff.ledger
+        if handoff.pending:
+            self._pending.setdefault(ino, set()).update(handoff.pending)
 
     # -- checking ---------------------------------------------------------------
 
@@ -255,11 +348,8 @@ class Oracle:
         found: List[str] = []
         now = self.env.now
         ufs = self.server.ufs
-        for ino in sorted(self._images):
-            image = self._images[ino]
-            mask = self._acked[ino]
-            for start, end in self._acked_runs(ino):
-                content_runs = self._content_runs(mask, start, end)
+        for ino in sorted(self._ledgers):
+            for start, end, content_runs in self._ledgers[ino].acked_runs():
                 if not content_runs:
                     # Flyweight-only run: reachability is the whole promise.
                     if not ufs.durable_covered(ino, start, end - start):
@@ -275,9 +365,8 @@ class Oracle:
                         "acked but not durably readable"
                     )
                     continue
-                for sub_start, sub_end in content_runs:
+                for sub_start, sub_end, want in content_runs:
                     got = durable[sub_start - start : sub_end - start]
-                    want = bytes(image[sub_start:sub_end])
                     if got != want:
                         first_bad = next(
                             index
@@ -312,11 +401,8 @@ class Oracle:
         """
         found: List[str] = []
         now = self.env.now
-        for ino in sorted(self._images):
-            image = self._images[ino]
-            mask = self._acked[ino]
-            for start, end in self._acked_runs(ino):
-                content_runs = self._content_runs(mask, start, end)
+        for ino in sorted(self._ledgers):
+            for start, end, content_runs in self._ledgers[ino].acked_runs():
                 if not content_runs:
                     satisfied = any(
                         ufs.durable_covered(ino, start, end - start)
@@ -324,7 +410,7 @@ class Oracle:
                     )
                 else:
                     satisfied = any(
-                        self._member_holds(ufs, ino, image, start, end, content_runs)
+                        self._member_holds(ufs, ino, start, end, content_runs)
                         for _name, ufs in members
                     )
                 if not satisfied:
@@ -347,16 +433,16 @@ class Oracle:
 
     @staticmethod
     def _member_holds(
-        ufs, ino: int, image: bytearray, start: int, end: int, content_runs
+        ufs, ino: int, start: int, end: int, content_runs: List[ContentRun]
     ) -> bool:
         """Does one replica hold [start, end) durably, with the acked
-        content wherever content was promised (flag-1 sub-runs)?"""
+        content wherever content was promised?"""
         durable = ufs.durable_read(ino, start, end - start)
         if durable is None:
             return False
         return all(
-            durable[sub_start - start : sub_end - start] == bytes(image[sub_start:sub_end])
-            for sub_start, sub_end in content_runs
+            durable[sub_start - start : sub_end - start] == want
+            for sub_start, sub_end, want in content_runs
         )
 
     @property

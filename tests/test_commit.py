@@ -16,6 +16,7 @@ import pytest
 from repro.commit.experiment import CommitConfig, run_commit
 from repro.commit.path import UnstableLog
 from repro.experiments import Testbed, TestbedConfig
+from repro.faults.oracle import Oracle
 from repro.net import FDDI
 from repro.nfs.protocol import CommitArgs, WriteArgs
 from repro.overload.window import WriteWindow
@@ -155,6 +156,8 @@ class TestVerifierLifecycle:
         resent, and the file is durable and intact afterwards."""
         testbed, client = make_bed()
         env = testbed.env
+        oracle = Oracle(testbed)
+        oracle.attach(client)
 
         def driver(env):
             open_file = yield from client.create("phoenix")
@@ -174,6 +177,14 @@ class TestVerifierLifecycle:
         ino = ufs.root.entries["phoenix"]
         expected = b"".join(patterned_chunk(i) for i in range(8))
         assert ufs.durable_read(ino, 0, 64 * KB) == expected
+        # Every range was acked unstable twice (original + replay) and
+        # committed once: the COMMIT must leave nothing pending.
+        assert oracle.unstable_acks == 16
+        assert oracle.committed_acks == 8
+        assert oracle.pending_byte_total() == 0
+        assert oracle.acked_runs(ino) == [(0, 64 * KB)]
+        assert oracle.tracks(ino)
+        assert oracle.check("final") == []
 
     def test_promotion_resends_into_the_promoted_backup(self):
         """Killing the primary of a K=1 group promotes its backup, whose

@@ -137,7 +137,7 @@ class TestCrashContractAgreement:
         assert full.acked_byte_total() == fly.acked_byte_total()
         assert full.acked_inos() == fly.acked_inos()
         for ino in full.acked_inos():
-            assert full._acked_runs(ino) == fly._acked_runs(ino)
+            assert full.acked_runs(ino) == fly.acked_runs(ino)
 
     def test_chaos_campaign_clean_in_flyweight_mode(self):
         report = ChaosCampaign(

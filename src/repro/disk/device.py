@@ -30,7 +30,8 @@ class IoRequest:
     #: What the bytes are, for accounting: "data", "inode", "indirect",
     #: "presto-flush", ...
     kind: str = "data"
-    #: Completion event, filled in by the device.
+    #: Completion event, filled in by the device at submit and cleared
+    #: when it fires (the event carries no value).
     done: Optional[Event] = field(default=None, repr=False)
     #: Simulation time the request entered the device queue.
     queued_at: float = field(default=0.0, compare=False)
@@ -239,4 +240,7 @@ class DiskDevice(Storage):
                     is_write=request.is_write,
                     queued_at=request.queued_at,
                 )
-            request.done.succeed(request)
+            # Unlink before firing: an event whose value points back at
+            # its request would make every I/O a reference cycle.
+            done, request.done = request.done, None
+            done.succeed()

@@ -3,7 +3,9 @@
 The cache holds real bytes, because the reproduction checks *content*
 invariants, not just timings:
 
-* every buffer is an 8K block's in-core copy;
+* every buffer is an 8K block's in-core copy, copy-on-write: until a
+  real-byte write lands, it shares immutable ``bytes`` (the zero block,
+  the durable block it was faulted from, or its last flush snapshot);
 * delayed (dirty) buffers are what UFS clustering ([MCVO91]) coalesces into
   up-to-64K device transactions;
 * the :class:`DurableImage` records what is actually on stable storage —
@@ -28,23 +30,28 @@ __all__ = ["Buffer", "BufferCache", "DurableImage", "FlushRun"]
 
 
 class Buffer:
-    """One cached disk block."""
+    """One cached disk block, copy-on-write over immutable ``bytes``.
 
-    __slots__ = ("addr", "size", "data", "dirty", "version", "last_use", "lite")
+    ``data`` is either a shared immutable ``bytes`` object — the flyweight
+    zero block, the durable image's block, or the buffer's last flush
+    snapshot — or, once a partial real-byte write has touched it, a
+    private ``bytearray``.  Writers copy shared bytes before mutating them
+    (or replace ``data`` wholesale).
+    """
+
+    __slots__ = ("addr", "size", "data", "dirty", "version", "last_use")
 
     def __init__(self, addr: int, size: int) -> None:
         self.addr = addr
         self.size = size
-        self.data = bytearray(size)
+        #: A buffer that has only seen flyweight writes stays on the shared
+        #: zero block (all its flushes commit that one object).
+        self.data = _zero_block(size)
         self.dirty = False
         #: Bumped on every modification; flush completions only clean the
         #: buffer if the version is unchanged since the snapshot.
         self.version = 0
         self.last_use = 0.0
-        #: True while the buffer has only ever seen flyweight writes (its
-        #: content is all zeros): flush snapshots then share one immutable
-        #: zero block instead of copying 8K per flush.
-        self.lite = True
 
 
 _ZERO_BLOCKS: Dict[int, bytes] = {}
@@ -80,6 +87,8 @@ class DurableImage:
     """
 
     def __init__(self) -> None:
+        #: addr -> immutable ``bytes`` (buffers share these objects; faults
+        #: replace an entry, never mutate it).
         self.blocks: Dict[int, bytes] = {}
         self.inodes: Dict[int, InodeSnapshot] = {}
         self.indirects: Dict[int, Dict[int, int]] = {}
@@ -106,6 +115,12 @@ class DurableImage:
 
     def commit_indirect(self, ino: int, mapping: Dict[int, int]) -> None:
         self.indirects[ino] = dict(mapping)
+
+    def retire_inode(self, ino: int) -> None:
+        """Forget a removed file's committed inode and indirect mapping
+        (its blocks may now be reallocated to other files)."""
+        self.inodes.pop(ino, None)
+        self.indirects.pop(ino, None)
 
     def verify_block(self, addr: int) -> None:
         """Raise :class:`CorruptBlockError` if ``addr`` cannot be trusted.
@@ -168,15 +183,19 @@ class FlushRun:
         self.snapshots: List[Tuple[Buffer, bytes, int]] = []
 
     def snapshot(self) -> None:
-        """Capture buffer contents and versions at submit time."""
-        self.snapshots = [
-            (
-                buffer,
-                _zero_block(buffer.size) if buffer.lite else bytes(buffer.data),
-                buffer.version,
-            )
-            for buffer in self.buffers
-        ]
+        """Capture buffer contents and versions at submit time.
+
+        A private buffer is frozen into one ``bytes`` object that both the
+        durable image (at commit) and the buffer (until its next write)
+        share; an already-shared buffer is snapshotted without a copy.
+        """
+        snapshots = []
+        for buffer in self.buffers:
+            data = buffer.data
+            if isinstance(data, bytearray):
+                data = buffer.data = bytes(data)
+            snapshots.append((buffer, data, buffer.version))
+        self.snapshots = snapshots
 
 
 class BufferCache:
@@ -221,8 +240,8 @@ class BufferCache:
     def get(self, addr: int) -> Buffer:
         """Return (creating if needed) the buffer for block ``addr``.
 
-        A newly created buffer is initialized from the durable image if the
-        block has ever been written, else zero-filled (a fresh block).
+        A newly created buffer shares the durable image's bytes if the
+        block has ever been written, else the zero block (a fresh block).
         """
         buffer = self.lookup(addr)
         if buffer is None:
@@ -232,8 +251,7 @@ class BufferCache:
             self.durable.verify_block(addr)
             durable = self.durable.blocks.get(addr)
             if durable is not None:
-                buffer.data[:] = durable
-                buffer.lite = False
+                buffer.data = durable
             buffer.last_use = self.env.now
             self._buffers[addr] = buffer
             self._evict_if_needed()

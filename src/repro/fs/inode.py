@@ -63,6 +63,10 @@ class Inode:
     symlink_target: str = ""
     #: Link count; zero means removable.
     nlink: int = 1
+    #: Set when the directory write removing the last link commits: the
+    #: inode has left stable storage, and metadata writes of this in-core
+    #: copy still in flight then must not commit it back.
+    retired: bool = False
 
     # Dirty state, consulted by fsync:
     inode_dirty: bool = False

@@ -237,9 +237,16 @@ class Ufs:
                 grew_structure = True
             buffer = self._get_buffer_checked(addr)
             if not flyweight:
-                buffer.data[within : within + take] = remaining[:take]
+                if take == buffer.size:
+                    # Whole block: build it from the payload, no old bytes.
+                    buffer.data = bytes(remaining[:take])
+                else:
+                    block = buffer.data
+                    if not isinstance(block, bytearray):
+                        # Shared bytes: copy before the first write.
+                        block = buffer.data = bytearray(block)
+                    block[within : within + take] = remaining[:take]
                 remaining = remaining[take:]
-                buffer.lite = False
             self.cache.mark_dirty(buffer)
             touched.append(addr)
             pos += take
@@ -388,7 +395,10 @@ class Ufs:
             transactions += yield from self._write_inode_sync(inode)
         return transactions
 
-    def _write_inode_sync(self, inode: Inode) -> Generator:
+    def _write_inode_sync(self, inode: Inode, retire: Optional[Inode] = None) -> Generator:
+        """Synchronously write ``inode``'s block.  ``retire`` is a removed
+        inode whose committed state goes away with this write (the
+        directory write that unlinks its last name)."""
         yield from self._charge(self._device_trip_cost())
         snapshot = inode.snapshot()
         version = inode.meta_version
@@ -396,9 +406,16 @@ class Ufs:
             inode.inode_block_addr, self.block_size, is_write=True, kind="inode"
         )
         ino = inode.ino
+        durable = self.cache.durable
 
         def commit(_event: Event) -> None:
-            self.cache.durable.commit_inode(ino, snapshot)
+            # A write still in flight when its file's removal committed
+            # must not resurrect the retired inode.
+            if not inode.retired:
+                durable.commit_inode(ino, snapshot)
+            if retire is not None:
+                retire.retired = True
+                durable.retire_inode(retire.ino)
 
         done.callbacks.append(commit)
         yield done
@@ -419,7 +436,8 @@ class Ufs:
         ino = inode.ino
 
         def commit(_event: Event) -> None:
-            self.cache.durable.commit_indirect(ino, mapping)
+            if not inode.retired:
+                self.cache.durable.commit_indirect(ino, mapping)
 
         done.callbacks.append(commit)
         yield done
@@ -536,7 +554,9 @@ class Ufs:
 
     def remove(self, directory: Inode, name: str) -> Generator:
         """Remove a name: frees the file's blocks, bumps its generation so
-        outstanding file handles go stale, and syncs the directory."""
+        outstanding file handles go stale, and syncs the directory.  When
+        that directory write commits, the removed inode leaves the durable
+        image too (a crash before then keeps it, blocks and all)."""
         if directory.ftype != FileType.DIRECTORY:
             raise FsError("ENOTDIR", f"inode {directory.ino} is not a directory")
         ino = directory.entries.get(name)
@@ -548,7 +568,9 @@ class Ufs:
         directory.mtime = self.env.now
         self._mark_meta_dirty(directory)
         inode.nlink -= 1
+        retire = None
         if inode.nlink <= 0:
+            retire = inode
             for fblock in inode.mapped_blocks():
                 addr = inode.block_addr(fblock)
                 if addr is not None:
@@ -557,7 +579,7 @@ class Ufs:
                 self.allocator.free(inode.indirect_addr)
             inode.generation += 1
             del self.inodes[ino]
-        yield from self._write_inode_sync(directory)
+        yield from self._write_inode_sync(directory, retire=retire)
 
     def readdir(self, directory: Inode) -> Generator:
         if directory.ftype != FileType.DIRECTORY:

@@ -32,6 +32,9 @@ class Request(Event):
         with resource.request() as req:
             yield req
             ... hold the resource ...
+
+    A grant carries no value: succeeding with the request itself would
+    make every claim a reference cycle, left for the cycle collector.
     """
 
     __slots__ = ("resource", "priority", "_granted")
@@ -86,7 +89,7 @@ class Resource:
         if self._idle() and len(self.users) < self.capacity:
             request._granted = True
             self.users.append(request)
-            request._finish_now(request)
+            request._finish_now()
         else:
             self._enqueue(request)
             self._grant()
@@ -124,7 +127,7 @@ class Resource:
             request = self._pop_next()
             request._granted = True
             self.users.append(request)
-            request.succeed(request)
+            request.succeed()
 
 
 class PriorityResource(Resource):

@@ -1,6 +1,9 @@
 """Tests for the disk model, device, and stripe set — including calibration
 checks against the paper's RZ26 throughput anchors."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,3 +272,21 @@ def test_property_device_time_positive_and_additive(lengths):
     assert total > 0
     assert device.stats.transactions.value == len(lengths)
     assert device.stats.busy.busy_time == pytest.approx(total, rel=1e-9)
+
+
+def test_completed_io_request_is_freed_by_refcount():
+    """A completed I/O is not a reference cycle (its event carries no
+    value and the request drops the event), with the cycle collector off."""
+    env = Environment()
+    disk = DiskDevice(env, RZ26)
+    gc.disable()
+    try:
+        first = disk.submit(0, 8192)
+        ref = weakref.ref(disk._pending[-1])
+        env.run(until=first)
+        # The serve loop holds its last request until it picks the next.
+        env.run(until=disk.submit(8192, 8192))
+        assert first.value is None
+        assert ref() is None
+    finally:
+        gc.enable()

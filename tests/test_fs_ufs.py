@@ -16,6 +16,7 @@ from repro.fs import (
     Ufs,
     VnodeTable,
 )
+from repro.fs.fsck import fsck
 from repro.nvram import PrestoCache
 from repro.sim import Environment
 
@@ -343,6 +344,51 @@ class TestDurability:
         assert ufs.durable_read(inode.ino, offset, 8192) is None
         run(env, ufs.fsync(inode, metadata_only=True))
         assert ufs.durable_read(inode.ino, offset, 8192) == b"p" * 8192
+
+    def test_removed_inode_leaves_image_before_its_blocks_are_reused(self):
+        env = Environment()
+        # One cylinder group, so the next file reuses the freed blocks.
+        ufs = Ufs(env, DiskDevice(env, RZ26), fs_bytes=32 * MB)
+        victim = make_file(env, ufs, "victim")
+        run(env, ufs.write(victim, 0, b"v" * 16384, IO_DELAYDATA))
+        run(env, ufs.fsync(victim))
+        freed = {victim.block_addr(0), victim.block_addr(1)}
+        run(env, ufs.remove(ufs.root, "victim"))
+        assert victim.ino not in ufs.cache.durable.inodes
+        heir = make_file(env, ufs, "heir")
+        run(env, ufs.write(heir, 0, b"h" * 16384, IO_SYNC))
+        assert {heir.block_addr(0), heir.block_addr(1)} == freed
+        report = fsck(ufs, strict=True)
+        assert report.clean, report.errors
+
+    def test_late_inode_write_does_not_resurrect_removed_inode(self):
+        env = Environment()
+        ufs, _disk = make_fs(env)
+        victim = make_file(env, ufs, "victim")
+        run(env, ufs.write(victim, 0, b"w" * (NDIRECT + 1) * 8192, IO_DELAYDATA))
+        assert victim.inode_dirty and victim.indirect_dirty
+        env.process(ufs.remove(ufs.root, "victim"))
+        # An nfsd that resolved the file before the remove still syncs it;
+        # its indirect and inode writes land after the unlink has committed.
+        env.process(ufs.fsync(victim, metadata_only=True))
+        env.run()
+        assert victim.ino not in ufs.cache.durable.inodes
+        assert victim.ino not in ufs.cache.durable.indirects
+        assert fsck(ufs, strict=True).clean
+
+    def test_crash_before_unlink_commits_keeps_removed_inode_durable(self):
+        env = Environment()
+        ufs, _disk = make_fs(env)
+        victim = make_file(env, ufs, "victim")
+        payload = b"k" * 8192
+        run(env, ufs.write(victim, 0, payload, IO_SYNC))
+        remover = env.process(ufs.remove(ufs.root, "victim"))
+        env.run(until=env.now + 0.0001)  # directory write submitted, not done
+        assert not remover.triggered
+        ufs.reset_volatile()
+        assert victim.ino in ufs.cache.durable.inodes
+        assert ufs.durable_read(victim.ino, 0, 8192) == payload
+        assert fsck(ufs, strict=True).clean
 
     def test_sync_all_flushes_everything(self):
         env = Environment()

@@ -1,10 +1,14 @@
 """Tests for Resource / PriorityResource / Store / Container."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Container, Environment, PriorityResource, Resource, SimError, Store
+from repro.sim import resources
 
 
 def test_resource_serializes_access():
@@ -256,3 +260,32 @@ def test_property_resource_never_exceeds_capacity(capacity, holds):
     env.run()
     assert max_seen[0] <= capacity
     assert active[0] == 0
+
+
+class _TrackedRequest(resources.Request):
+    __slots__ = ("__weakref__",)
+
+
+def test_grants_are_freed_by_refcount(monkeypatch):
+    """A granted-and-released claim is not a reference cycle: it dies with
+    its last reference, with the cycle collector off."""
+    monkeypatch.setattr(resources, "Request", _TrackedRequest)
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    refs = []
+
+    def user(env):
+        with resource.request() as grant:
+            refs.append(weakref.ref(grant))
+            yield grant
+            yield env.timeout(1)
+
+    gc.disable()
+    try:
+        env.process(user(env))  # uncontended: granted synchronously
+        env.process(user(env))  # queued: granted on the first release
+        env.run()
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

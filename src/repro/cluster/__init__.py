@@ -19,16 +19,12 @@ Layout:
   router-driven ack dispatch;
 * :mod:`~repro.cluster.failover` — scripted shard crashes with outage
   windows and mount-map redirect;
-* :mod:`~repro.cluster.experiment` — :func:`run_cluster` and the
-  servers × clients :func:`run_scaling_sweep`.
+* :mod:`~repro.cluster.experiment` — the sharded write workload and the
+  servers × clients scaling sweep, run through
+  ``repro.experiments.run(ExperimentSpec(kind="cluster", ...))``.
 """
 
-from repro.cluster.experiment import (
-    ClusterRunResult,
-    ScalingSweepResult,
-    run_cluster,
-    run_scaling_sweep,
-)
+from repro.cluster.experiment import ClusterRunResult, ScalingSweepResult
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig, build_cluster
 from repro.cluster.oracle import ClusterOracle
@@ -47,6 +43,4 @@ __all__ = [
     "ShardCrash",
     "ShardMap",
     "build_cluster",
-    "run_cluster",
-    "run_scaling_sweep",
 ]

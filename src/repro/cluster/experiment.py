@@ -1,14 +1,17 @@
 """Cluster-wide experiments: the sharded write workload and scaling sweeps.
 
-:func:`run_cluster` is the fleet analogue of the paper's file copy: every
-client writes its own set of files, the shard map spreads those files
-across the fleet, and the result records aggregate throughput next to
-*per-shard* gathering efficacy — the tension this subsystem exists to
-measure.  Sharding multiplies spindles and nfsd pools, but it also thins
-each server's request stream, and write gathering (§5-§6) feeds on a
-busy server: fewer same-file companions in the socket buffer means more
-singleton batches.  :func:`run_scaling_sweep` quantifies exactly that
-trade as servers × clients grow.
+The ``cluster`` experiment (:func:`_run_cluster`, reached through
+``run(ExperimentSpec(kind="cluster", ...))``) is the fleet analogue of the
+paper's file copy: every client writes its own set of files, the shard
+map spreads those files across the fleet, and the result records
+aggregate throughput next to *per-shard* gathering efficacy — the tension
+this subsystem exists to measure.  Sharding multiplies spindles and nfsd
+pools, but it also thins each server's request stream, and write
+gathering (§5-§6) feeds on a busy server: fewer same-file companions in
+the socket buffer means more singleton batches.  The scaling sweep
+(:func:`_run_scaling_sweep`, ``ExperimentSpec(kind="cluster",
+server_counts=..., client_counts=...)``) quantifies exactly that trade as
+servers × clients grow.
 
 Everything is seeded: the same :class:`ClusterConfig` produces the same
 placement, the same sim timeline, and byte-identical JSON.
@@ -20,8 +23,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Sequence
 
-import warnings
-
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
@@ -30,7 +31,7 @@ from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf, Environment
 from repro.workload.sequential import write_file
 
-__all__ = ["ClusterRunResult", "ScalingSweepResult", "run_cluster", "run_scaling_sweep"]
+__all__ = ["ClusterRunResult", "ScalingSweepResult"]
 
 
 @dataclass
@@ -308,27 +309,3 @@ def _run_scaling_sweep(
         client_counts=list(client_counts),
         rows=rows,
     )
-
-
-def run_cluster(*args, **kwargs) -> ClusterRunResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cluster", ...)``."""
-    warnings.warn(
-        "run_cluster() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cluster', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cluster(*args, **kwargs)
-
-
-def run_scaling_sweep(*args, **kwargs) -> ScalingSweepResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cluster", server_counts=..., client_counts=...)``."""
-    warnings.warn(
-        "run_scaling_sweep() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cluster', server_counts=..., client_counts=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_scaling_sweep(*args, **kwargs)

@@ -4,8 +4,9 @@ A :class:`Cluster` is the multi-server analogue of
 :class:`~repro.experiments.testbed.Testbed`: one simulation environment,
 one or more shared network segments ("racks"), and N complete server
 stacks — each shard owns its own spindles, optional Presto NVRAM board,
-UFS instance, and nfsd pool, exactly as if it were a standalone testbed
-server.  Shards share nothing but the wire.
+UFS instance, and nfsd pool, built by :func:`repro.stack.build_stack`
+exactly as a standalone testbed server is.  Shards share nothing but the
+wire.
 
 Each shard's UFS gets a disjoint inode range (``ino_base``), so file
 handles are unambiguous fleet-wide — the router's pin table and the
@@ -14,25 +15,22 @@ cluster oracle both depend on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.router import ClusterRpc, MountRouter
 from repro.cluster.shardmap import ShardMap
-from repro.core.policy import GatherPolicy
-from repro.disk.device import DiskDevice, Storage
-from repro.disk.model import RZ26, DiskSpec
-from repro.disk.stripe import StripeSet
+from repro.disk.device import DiskDevice
 from repro.fs.ufs import ROOT_INO
 from repro.net.segment import Segment
 from repro.net.spec import FDDI, NetSpec
 from repro.nfs.client import NfsClient
-from repro.nvram.presto import PrestoCache
 from repro.obs import RecordingCollector, install, registry_for
 from repro.rpc.client import RpcClient
 from repro.server.base import NfsServer
-from repro.server.config import ServerConfig, WritePath
+from repro.server.config import WritePath
 from repro.sim import Environment
+from repro.stack import ServerStack, StackConfig, build_stack, make_client
 
 __all__ = ["ClusterConfig", "Cluster", "build_cluster"]
 
@@ -42,9 +40,16 @@ INO_STRIDE = 1_000_000
 
 
 @dataclass
-class ClusterConfig:
-    """One scale-out configuration: the fleet, the map, and the wire."""
+class ClusterConfig(StackConfig):
+    """One scale-out configuration: the fleet, the map, and the wire.
 
+    The per-shard hardware, server and client fields come from
+    :class:`~repro.stack.StackConfig`; ``presto_bytes`` and ``stripes``
+    are per shard.
+    """
+
+    netspec: NetSpec = FDDI
+    write_path: WritePath = WritePath.GATHER
     #: Number of server shards.
     servers: int = 2
     #: Virtual nodes per server on the consistent-hash ring.
@@ -52,23 +57,6 @@ class ClusterConfig:
     #: Network segments; servers (and client endpoints) spread round-robin
     #: across racks.  1 = the paper's single shared medium.
     racks: int = 1
-    netspec: NetSpec = FDDI
-    write_path: WritePath = WritePath.GATHER
-    nbiods: int = 4
-    #: Per-shard NVRAM accelerator: None = off, else capacity in bytes.
-    presto_bytes: Optional[int] = None
-    #: Spindles per shard.
-    stripes: int = 1
-    disk_spec: DiskSpec = RZ26
-    nfsds: int = 8
-    cpu_scale: float = 1.0
-    verify_stable: bool = True
-    gather_policy: GatherPolicy = field(default_factory=GatherPolicy)
-    client_write_cpu: float = 0.0003
-    seed: int = 0
-    loss_rate: float = 0.0
-    net_seed: Optional[int] = None
-    tracing: bool = False
     #: Per-shard retry budget for routed calls (repro.overload): the
     #: transmissions a client spends on one shard before re-resolving the
     #: route (failover redirect) or surfacing ETIMEDOUT.  None = retry
@@ -81,13 +69,6 @@ class ClusterConfig:
     replicas: int = 0
     #: Backups that must ack stable storage before a reply is released.
     quorum: int = 1
-    #: Lease TTL in seconds (repro.lease): every shard (primaries *and*
-    #: backups, so a promoted backup can keep granting) runs a
-    #: LeaseManager and every client gets a CacheStack.  None = off.
-    lease_ttl: Optional[float] = None
-    #: Memory-pressure ceiling for the async_commit path (repro.commit);
-    #: None = the ServerConfig default (512 KB).
-    unstable_limit_bytes: Optional[int] = None
     #: Heterogeneous tiers (repro.tiering): a sequence of
     #: :class:`~repro.tiering.tiers.TierConfig` hardware classes.  When
     #: set, ``servers`` is derived (the sum of tier shard counts), each
@@ -97,7 +78,7 @@ class ClusterConfig:
     tiers: Optional[List] = None
 
     def __post_init__(self) -> None:
-        self.write_path = WritePath.coerce(self.write_path)
+        super().__post_init__()
         if self.tiers:
             names = [tier.name for tier in self.tiers]
             if len(set(names)) != len(names):
@@ -129,10 +110,6 @@ class ClusterConfig:
             # dead primary unless it can give up and re-resolve.
             self.failover_attempts = 3
 
-    def variant(self, **changes) -> "ClusterConfig":
-        """A copy with some fields replaced (sweeps build on this)."""
-        return replace(self, **changes)
-
 
 class Cluster:
     """A wired-up fleet: environment, racks, shard map, servers, clients."""
@@ -158,23 +135,20 @@ class Cluster:
             )
             for rack in range(config.racks)
         ]
-        #: Per-shard tier spec, parallel to shard indices (None entries
-        #: for a homogeneous fleet) and host -> tier-name lookup.
-        self._tier_specs: List = []
+        #: Per-shard tier spec, parallel to shard indices (empty for a
+        #: homogeneous fleet; shards past its end use the flat config) and
+        #: host -> tier-name lookup.
+        self._tier_specs: List = [
+            tier for tier in config.tiers or () for _ in range(tier.shards)
+        ]
         self.tier_of: Dict[str, str] = {}
-        if config.tiers:
-            for tier in config.tiers:
-                self._tier_specs.extend([tier] * tier.shards)
-        else:
-            self._tier_specs = [None] * config.servers
         self.servers: List[NfsServer] = []
-        #: Per-shard spindles, parallel to ``servers``.
-        self.disks: List[List[DiskDevice]] = []
+        #: Per-shard member stacks, parallel to ``servers``: the primary's
+        #: first, then its backups in order.
+        self.stacks: List[List[ServerStack]] = []
         #: One replica group per shard, parallel to ``servers``
         #: (repro.replica; trivial single-member groups at K=0).
         self.groups: List = []
-        #: Per-shard backup spindles: ``backup_disks[shard][backup]``.
-        self.backup_disks: List[List[List[DiskDevice]]] = []
         self._rack_of_server: Dict[str, int] = {}
         for index in range(config.servers):
             server = self._build_server(index)
@@ -194,86 +168,54 @@ class Cluster:
         self.router = MountRouter(self.shard_map, root_fhandle=(ROOT_INO, 0))
         self.clients: List[NfsClient] = []
 
+    @property
+    def disks(self) -> List[List[DiskDevice]]:
+        """Per-shard primary spindles, parallel to ``servers``."""
+        return [shard[0].disks for shard in self.stacks]
+
+    @property
+    def backup_disks(self) -> List[List[List[DiskDevice]]]:
+        """Per-shard backup spindles: ``backup_disks[shard][backup]``."""
+        return [[stack.disks for stack in shard[1:]] for shard in self.stacks]
+
     # -- construction -------------------------------------------------------------
 
-    def _tier_spec(self, index: int):
-        if index < len(self._tier_specs):
-            return self._tier_specs[index]
-        return None
+    def _build_member(self, index: int, host: str, tag: str = "") -> ServerStack:
+        """One server stack of shard ``index`` on the shard's rack.
 
-    def _shard_hardware(self, index: int) -> tuple:
-        """(presto_bytes, disk_spec, stripes, fs_bytes-or-None) for shard
-        ``index`` — the tier's hardware class, or the flat config."""
-        config = self.config
-        tier = self._tier_spec(index)
-        if tier is None:
-            return config.presto_bytes, config.disk_spec, config.stripes, None
-        return tier.presto_bytes, tier.disk_spec, tier.stripes, tier.fs_bytes
-
-    def _build_storage(
-        self, index: int, name_infix: str
-    ) -> "tuple[List[DiskDevice], Storage]":
-        presto_bytes, disk_spec, stripes, _fs_bytes = self._shard_hardware(index)
-        disks = [
-            DiskDevice(
-                self.env,
-                disk_spec,
-                name=f"{disk_spec.name}-s{index}{name_infix}-{spindle}",
-            )
-            for spindle in range(stripes)
-        ]
-        base: Storage
-        if stripes > 1:
-            base = StripeSet(self.env, disks)
-        else:
-            base = disks[0]
-        storage: Storage = (
-            PrestoCache(self.env, base, capacity=presto_bytes)
-            if presto_bytes
-            else base
-        )
-        return disks, storage
-
-    def _server_config(self, index: int) -> ServerConfig:
-        config = self.config
-        extra = {}
-        if config.unstable_limit_bytes is not None:
-            extra["unstable_limit_bytes"] = config.unstable_limit_bytes
-        fs_bytes = self._shard_hardware(index)[3]
-        if fs_bytes is not None:
-            extra["fs_bytes"] = fs_bytes
-        return ServerConfig(
-            nfsds=config.nfsds,
-            write_path=config.write_path,
-            gather_policy=config.gather_policy,
-            verify_stable=config.verify_stable,
-            cpu_scale=config.cpu_scale,
-            ino_base=(index + 1) * INO_STRIDE,
-            lease_ttl=config.lease_ttl,
-            **extra,
-        )
-
-    def _build_server(self, index: int) -> NfsServer:
+        Its hardware is the shard's tier (or the flat config past the
+        tiers, for grown shards); every member of a shard shares the
+        shard's inode range.
+        """
         from repro.tiering.engine import ShardMigrator
 
         config = self.config
         rack = index % config.racks
-        host = f"server-{index}"
-        disks, storage = self._build_storage(index, "")
-        server = NfsServer(
+        tier = self._tier_specs[index] if index < len(self._tier_specs) else None
+        hardware = config if tier is None else tier
+        stack = build_stack(
             self.env,
             self.segments[rack],
-            storage,
-            host=host,
-            config=self._server_config(index),
+            host,
+            hardware.disk_spec,
+            hardware.stripes,
+            hardware.presto_bytes,
+            config.server_config(
+                ino_base=(index + 1) * INO_STRIDE,
+                fs_bytes=None if tier is None else tier.fs_bytes,
+            ),
+            disk_tag=f"-s{index}{tag}",
         )
-        ShardMigrator(server)
-        self.servers.append(server)
-        self.disks.append(disks)
+        ShardMigrator(stack.server)
         self._rack_of_server[host] = rack
-        tier = self._tier_spec(index)
-        self.tier_of[host] = tier.name if tier is not None else "default"
-        return server
+        self.tier_of[host] = "default" if tier is None else tier.name
+        return stack
+
+    def _build_server(self, index: int) -> NfsServer:
+        stack = self._build_member(index, f"server-{index}")
+        self.servers.append(stack.server)
+        self.stacks.append([stack])
+        return stack.server
 
     def _build_group(self, index: int, primary: NfsServer) -> None:
         """Wrap shard ``index`` in a replica group (repro.replica).
@@ -287,37 +229,22 @@ class Cluster:
         the primary's starts active.
         """
         from repro.replica.group import ReplicaGroup
-        from repro.tiering.engine import ShardMigrator
         from repro.replica.replicator import Replicator
 
         config = self.config
-        rack = self._rack_of_server[primary.host]
         members: List[NfsServer] = [primary]
-        shard_backup_disks: List[List[DiskDevice]] = []
-        for backup_index in range(config.replicas):
-            host = f"{primary.host}.b{backup_index + 1}"
-            disks, storage = self._build_storage(index, f"b{backup_index + 1}")
-            backup = NfsServer(
-                self.env,
-                self.segments[rack],
-                storage,
-                host=host,
-                config=self._server_config(index),
-            )
-            ShardMigrator(backup)
-            members.append(backup)
-            shard_backup_disks.append(disks)
-            self._rack_of_server[host] = rack
-            self.tier_of[host] = self.tier_of[primary.host]
+        for backup_index in range(1, config.replicas + 1):
+            tag = f"b{backup_index}"
+            stack = self._build_member(index, f"{primary.host}.{tag}", tag)
+            self.stacks[index].append(stack)
+            members.append(stack.server)
         group = ReplicaGroup(index=index, logical_host=primary.host, members=members)
         if config.replicas > 0:
+            segment = self.segment_of(primary.host)
             for member in members:
-                Replicator(
-                    member, group, quorum=config.quorum, segment=self.segments[rack]
-                )
+                Replicator(member, group, quorum=config.quorum, segment=segment)
             primary.replicator.activate()
         self.groups.append(group)
-        self.backup_disks.append(shard_backup_disks)
 
     def group_for_shard(self, index: int):
         """The replica group of shard ``index``."""
@@ -351,44 +278,22 @@ class Cluster:
             self._rack_of_server,
             failover_attempts=self.config.failover_attempts,
         )
-        effective_nbiods = self.config.nbiods if nbiods is None else nbiods
-        # An async-commit fleet serves NFSv3 clients: unstable WRITE +
-        # COMMIT, with a write window driving the COMMIT pressure rule.
-        is_async = self.config.write_path == WritePath.ASYNC_COMMIT
-        write_window = None
-        if is_async:
-            from repro.overload.window import WriteWindow
-
-            write_window = WriteWindow(initial=max(1, effective_nbiods))
-        client = NfsClient(
-            self.env,
-            cluster_rpc,
-            nbiods=effective_nbiods,
-            write_cpu=self.config.client_write_cpu,
-            nfs_version=3 if is_async else 2,
-            write_window=write_window,
-        )
-        if self.config.lease_ttl is not None:
-            # Mandatory with leases: CacheStack registers the CB_RECALL
-            # handler on every rack transport (set_on_call) and the
-            # reroute hook that re-registers leases after a promotion.
-            from repro.nfs.cache import CacheStack
-
-            CacheStack(self.env, client)
+        client = make_client(self.env, cluster_rpc, self.config, nbiods=nbiods)
         self.clients.append(client)
         return client
 
     # -- topology helpers ---------------------------------------------------------
 
-    def server_by_host(self, host: str) -> NfsServer:
-        for server in self.servers:
-            if server.host == host:
-                return server
-        for group in self.groups:
-            for member in group.members:
-                if member.host == host:
-                    return member
+    def stack_by_host(self, host: str) -> ServerStack:
+        """The member stack serving as ``host`` (a primary or a backup)."""
+        for shard in self.stacks:
+            for stack in shard:
+                if stack.server.host == host:
+                    return stack
         raise KeyError(f"no shard named {host!r}")
+
+    def server_by_host(self, host: str) -> NfsServer:
+        return self.stack_by_host(host).server
 
     def segment_of(self, host: str) -> Segment:
         return self.segments[self._rack_of_server[host]]

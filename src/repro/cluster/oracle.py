@@ -42,7 +42,7 @@ class ClusterOracle:
     def _oracle_for(self, host: str) -> Oracle:
         oracle = self._per_shard.get(host)
         if oracle is None:
-            oracle = Oracle(env=self.env, server=self.cluster.server_by_host(host))
+            oracle = Oracle(self.cluster.stack_by_host(host))
             # Triage context baked into every violation message: which
             # shard made the promise, and that the check ran against the
             # primary's role in its group.

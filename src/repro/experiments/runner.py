@@ -34,9 +34,7 @@ scrub    the integrity sweep: corruption × bandwidth × K      ScrubRunResult
 tiering  the placement-policy sweep + migration storm         TieringRunResult
 ======== ==================================================== =====================
 
-The old per-subsystem entry points (``run_cluster``, ``run_scaling_sweep``,
-``run_overload``, ``run_replica``, ``ChaosCampaign.run``) still work but
-emit :class:`DeprecationWarning` and delegate here.
+This is the only entry point: the old per-subsystem ones are gone.
 """
 
 from __future__ import annotations

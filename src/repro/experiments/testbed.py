@@ -3,73 +3,29 @@
 One :class:`TestbedConfig` describes a whole hardware configuration from
 the paper's Results section (network technology, spindle count, Presto
 on/off, nfsd count, write path) and :func:`build_testbed` stands it up
-inside a fresh simulation environment.
+inside a fresh simulation environment.  The server stack itself comes from
+:func:`repro.stack.build_stack`, the same builder every cluster shard uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.policy import GatherPolicy
-from repro.disk.device import DiskDevice, Storage
-from repro.disk.model import RZ26, DiskSpec
-from repro.disk.stripe import StripeSet
 from repro.net.segment import Segment
-from repro.net.spec import ETHERNET, NetSpec
 from repro.nfs.client import NfsClient
-from repro.nvram.presto import PrestoCache
 from repro.obs import RecordingCollector, install
 from repro.rpc.client import RpcClient
-from repro.server.base import NfsServer
-from repro.server.config import ServerConfig, WritePath
 from repro.sim import Environment
+from repro.stack import StackConfig, build_stack, make_client
 
-__all__ = [
-    "TestbedConfig",
-    "Testbed",
-    "build_testbed",
-    "ClusterConfig",
-    "build_cluster",
-]
-
-
-def __getattr__(name: str):
-    # Fleet construction lives in repro.cluster; re-exported here (lazily,
-    # to avoid an import cycle) so experiment code has one front door for
-    # both single-server and multi-server assembly.
-    if name in ("ClusterConfig", "build_cluster", "Cluster"):
-        import repro.cluster.fleet as fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["TestbedConfig", "Testbed", "build_testbed"]
 
 
 @dataclass
-class TestbedConfig:
+class TestbedConfig(StackConfig):
     """A full experiment configuration."""
 
-    netspec: NetSpec = ETHERNET
-    write_path: WritePath = WritePath.STANDARD
-    nbiods: int = 4
-    #: NVRAM accelerator: None = off, else capacity in bytes.
-    presto_bytes: Optional[int] = None
-    stripes: int = 1
-    disk_spec: DiskSpec = RZ26
-    nfsds: int = 8
-    cpu_scale: float = 1.0
-    verify_stable: bool = True
-    gather_policy: GatherPolicy = field(default_factory=GatherPolicy)
-    client_write_cpu: float = 0.0003
-    seed: int = 0
-    #: Per-frame network loss probability (0 = lossless wire).
-    loss_rate: float = 0.0
-    #: Seed for the segment's RNG (loss/duplication/reorder draws); None
-    #: falls back to ``seed`` so existing configs are unchanged.
-    net_seed: Optional[int] = None
-    #: When True, the testbed installs a :class:`~repro.obs.RecordingCollector`
-    #: so every layer emits lifecycle spans (off by default: zero cost).
-    tracing: bool = False
     #: Server UDP socket buffer (bytes); None = the ServerConfig default
     #: (the paper's .25M DEC OSF/1 maximum).  The overload experiment
     #: shrinks this to model period-realistic receive buffers.
@@ -80,20 +36,6 @@ class TestbedConfig:
     #: Shed policy when the admission cap is hit: "drop-newest",
     #: "drop-oldest", or "early-reply".
     shed_policy: str = "drop-newest"
-    #: Lease TTL in seconds (repro.lease): enables the server lease layer
-    #: and gives every added client a :class:`~repro.nfs.cache.CacheStack`.
-    #: None = no leases, no client caching — the pre-lease behaviour.
-    lease_ttl: Optional[float] = None
-    #: Memory-pressure ceiling for the async_commit path (repro.commit);
-    #: None = the ServerConfig default (512 KB).
-    unstable_limit_bytes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        self.write_path = WritePath.coerce(self.write_path)
-
-    def variant(self, **changes) -> "TestbedConfig":
-        """A copy with some fields replaced (sweeps build on this)."""
-        return replace(self, **changes)
 
 
 class Testbed:
@@ -113,39 +55,22 @@ class Testbed:
             loss_rate=config.loss_rate,
             seed=config.seed if config.net_seed is None else config.net_seed,
         )
-        self.disks: List[DiskDevice] = [
-            DiskDevice(self.env, config.disk_spec, name=f"{config.disk_spec.name}-{i}")
-            for i in range(config.stripes)
-        ]
-        base: Storage
-        if config.stripes > 1:
-            base = StripeSet(self.env, self.disks)
-        else:
-            base = self.disks[0]
-        self.base_storage = base
-        if config.presto_bytes:
-            self.storage: Storage = PrestoCache(
-                self.env, base, capacity=config.presto_bytes
-            )
-        else:
-            self.storage = base
-        server_kwargs = {}
-        if config.sockbuf_bytes is not None:
-            server_kwargs["socket_buffer_bytes"] = config.sockbuf_bytes
-        if config.unstable_limit_bytes is not None:
-            server_kwargs["unstable_limit_bytes"] = config.unstable_limit_bytes
-        server_config = ServerConfig(
-            nfsds=config.nfsds,
-            write_path=config.write_path,
-            gather_policy=config.gather_policy,
-            verify_stable=config.verify_stable,
-            cpu_scale=config.cpu_scale,
-            admission_max_requests=config.admission_max_requests,
-            shed_policy=config.shed_policy,
-            lease_ttl=config.lease_ttl,
-            **server_kwargs,
+        stack = build_stack(
+            self.env,
+            self.segment,
+            "server",
+            config.disk_spec,
+            config.stripes,
+            config.presto_bytes,
+            config.server_config(
+                socket_buffer_bytes=config.sockbuf_bytes,
+                admission_max_requests=config.admission_max_requests,
+                shed_policy=config.shed_policy,
+            ),
         )
-        self.server = NfsServer(self.env, self.segment, self.storage, config=server_config)
+        self.server = stack.server
+        self.disks = stack.disks
+        self.storage = stack.storage
         self.clients: List[NfsClient] = []
 
     def add_client(
@@ -167,31 +92,9 @@ class Testbed:
         """
         endpoint = self.segment.attach(host or self.segment.unique_host("client"))
         rpc = RpcClient(self.env, endpoint, self.server.host, policy=policy)
-        effective_nbiods = self.config.nbiods if nbiods is None else nbiods
-        # The async-commit path needs NFSv3 clients (unstable WRITE +
-        # COMMIT) with a write window for COMMIT pressure; the window
-        # starts at the biod depth so a clean wire keeps full write-behind.
-        is_async = self.config.write_path == WritePath.ASYNC_COMMIT
-        if is_async and write_window is None:
-            from repro.overload.window import WriteWindow
-
-            write_window = WriteWindow(initial=max(1, effective_nbiods))
-        client = NfsClient(
-            self.env,
-            rpc,
-            nbiods=effective_nbiods,
-            write_cpu=self.config.client_write_cpu,
-            nfs_version=3 if is_async else 2,
-            write_window=write_window,
+        client = make_client(
+            self.env, rpc, self.config, nbiods=nbiods, write_window=write_window
         )
-        if self.server.leases is not None:
-            # A leased server recalls conflicting holders and waits up to
-            # one TTL for each; a client with no callback handler would
-            # stall every conflicting writer that long.  So attaching the
-            # cache stack (which registers rpc.on_call) is not optional.
-            from repro.nfs.cache import CacheStack
-
-            CacheStack(self.env, client)
         self.clients.append(client)
         return client
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -362,14 +361,3 @@ class ChaosCampaign:
                 if self.progress is not None:
                     self.progress(result)
         return report
-
-    def run(self) -> CampaignReport:
-        """Deprecated entry point; use :func:`repro.experiments.run` with
-        ``ExperimentSpec(kind="chaos", ...)``."""
-        warnings.warn(
-            "ChaosCampaign.run() is deprecated; use repro.experiments.run("
-            "ExperimentSpec(kind='chaos', ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute()

@@ -62,7 +62,8 @@ class _SpanWaiter:
 
 
 class FaultController:
-    """Executes one :class:`FaultPlan` against a testbed."""
+    """Executes one :class:`FaultPlan` against a server stack: a testbed,
+    or one cluster member's :class:`~repro.stack.ServerStack`."""
 
     def __init__(self, testbed, plan: FaultPlan, oracle=None) -> None:
         self.testbed = testbed
@@ -140,8 +141,8 @@ class FaultController:
             self.crashes += 1
             # An armed NVRAM battery fault bites now: the lost extents'
             # durable copies vanish (detectably — digests stay behind).
-            storage = getattr(self.testbed, "storage", None)
-            if storage is not None and hasattr(storage, "take_degraded"):
+            storage = self.testbed.storage
+            if hasattr(storage, "take_degraded"):
                 lost = storage.take_degraded()
                 if lost:
                     durable = server.ufs.cache.durable
@@ -226,8 +227,8 @@ class FaultController:
             server.ufs.cache.arm_torn_write(event.seed)
             return None
         if isinstance(event, NvramDegrade):
-            storage = getattr(self.testbed, "storage", None)
-            if storage is not None and hasattr(storage, "arm_degrade"):
+            storage = self.testbed.storage
+            if hasattr(storage, "arm_degrade"):
                 storage.arm_degrade(event.fraction, event.seed)
                 self._apply_extra = {"armed": True}
             else:

@@ -132,17 +132,14 @@ class InoHandoff(NamedTuple):
 class Oracle:
     """Records client-acked writes; diffs them against the durable image.
 
-    Built either from a testbed (the single-server form) or from an
-    explicit ``(env, server)`` pair — a cluster runs one oracle per shard,
-    each checking only the writes that shard acknowledged.
+    ``target`` is anything stack-shaped with ``env`` and ``server``: a
+    testbed, or one cluster member's stack — a cluster runs one oracle per
+    shard, each checking only the writes that shard acknowledged.
     """
 
-    def __init__(self, testbed=None, *, env=None, server=None) -> None:
-        if testbed is None and (env is None or server is None):
-            raise ValueError("Oracle needs a testbed or both env= and server=")
-        self.testbed = testbed
-        self.env = env if env is not None else testbed.env
-        self.server = server if server is not None else testbed.server
+    def __init__(self, target) -> None:
+        self.env = target.env
+        self.server = target.server
         #: Per-ino acked byte ranges (an ino acked only with zero-length
         #: writes has an empty ledger: listed, but promising nothing).
         self._ledgers: Dict[int, _Ledger] = {}

@@ -428,6 +428,10 @@ class Ufs:
         if inode.indirect_addr is None:
             return 0
         yield from self._charge(self._device_trip_cost())
+        if inode.indirect_addr is None:
+            # A crash during the charge reset the inode to its committed
+            # state, which has no indirect block yet: nothing to write.
+            return 0
         mapping = dict(inode.indirect)
         version = inode.meta_version
         done = self.storage.submit(

@@ -95,18 +95,6 @@ class ScrubConfig:
                 raise ValueError(f"replicas must be >= 0, got {replicas}")
 
 
-class _ShardTarget:
-    """Adapter giving :class:`FaultController` its testbed-shaped view of
-    one cluster shard (env/segment/server/disks/storage)."""
-
-    def __init__(self, cluster: Cluster, shard: int = 0) -> None:
-        self.env = cluster.env
-        self.segment = cluster.segments[0]
-        self.server = cluster.servers[shard]
-        self.disks = cluster.disks[shard]
-        self.storage = self.server.storage
-
-
 def _storm(rate: float, victims: int, seed: int) -> FaultPlan:
     """The per-arm fault plan: same shape in every arm, seeded victims."""
     return FaultPlan(
@@ -259,7 +247,7 @@ def run_scrub_arm(
     )
     victims = max(1, int(round(rate * total_blocks)))
     controller = FaultController(
-        _ShardTarget(cluster), _storm(rate, victims, config.seed), oracle=oracle
+        cluster.stacks[0][0], _storm(rate, victims, config.seed), oracle=oracle
     ).start()
 
     writers = []

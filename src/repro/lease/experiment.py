@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -37,7 +36,7 @@ from repro.nfs.client import NfsError
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk, write_file
 
-__all__ = ["CacheConfig", "CacheReport", "run_cache", "WORKLOADS"]
+__all__ = ["CacheConfig", "CacheReport", "WORKLOADS"]
 
 WORKLOADS = ("copy", "laddis", "cluster", "overload")
 
@@ -668,15 +667,3 @@ def _run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheRepo
                 status = "clean" if record["clean"] else "VIOLATED"
                 progress(f"chaos {record['name']}: {status}")
     return report
-
-
-def run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="cache", config=CacheConfig(...))``."""
-    warnings.warn(
-        "run_cache() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='cache', config=CacheConfig(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cache(config, progress=progress)

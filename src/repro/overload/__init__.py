@@ -28,7 +28,6 @@ __all__ = [
     "SHED_POLICIES",
     "OverloadConfig",
     "OverloadReport",
-    "run_overload",
     "MODES",
 ]
 
@@ -36,7 +35,7 @@ __all__ = [
 def __getattr__(name: str):
     # The experiment pulls in testbed/faults machinery; load it lazily so
     # importing the policy classes stays cheap and cycle-free.
-    if name in ("OverloadConfig", "OverloadReport", "run_overload", "MODES"):
+    if name in ("OverloadConfig", "OverloadReport", "MODES"):
         import repro.overload.experiment as experiment
 
         return getattr(experiment, name)

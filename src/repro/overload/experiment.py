@@ -30,7 +30,6 @@ Everything is seeded; same-seed reruns produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -45,7 +44,7 @@ from repro.overload.window import WriteWindow
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk
 
-__all__ = ["OverloadConfig", "OverloadReport", "run_overload", "MODES"]
+__all__ = ["OverloadConfig", "OverloadReport", "MODES"]
 
 MODES = ("static", "adaptive")
 
@@ -417,20 +416,6 @@ def _run_overload(config: Optional[OverloadConfig] = None, progress=None) -> Ove
             combo["verdict"] = _verdict(combo, config)
             report.combos.append(combo)
     return report
-
-
-def run_overload(
-    config: Optional[OverloadConfig] = None, progress=None
-) -> OverloadReport:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="overload", config=OverloadConfig(...))``."""
-    warnings.warn(
-        "run_overload() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='overload', config=OverloadConfig(...)))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_overload(config, progress=progress)
 
 
 def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:

@@ -20,7 +20,6 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -36,7 +35,7 @@ from repro.obs import registry_for
 from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf
 
-__all__ = ["ReplicaRunResult", "replica_storm", "run_replica", "run_replica_arm"]
+__all__ = ["ReplicaRunResult", "replica_storm", "run_replica_arm"]
 
 REPLICA_SCHEMA = "repro.replica/1"
 
@@ -327,15 +326,3 @@ def _run_replica(
         storm_crashes=storm_crashes,
         arms=arms,
     )
-
-
-def run_replica(*args, **kwargs) -> ReplicaRunResult:
-    """Deprecated entry point; use :func:`repro.experiments.run` with
-    ``ExperimentSpec(kind="replica", ...)``."""
-    warnings.warn(
-        "run_replica() is deprecated; use repro.experiments.run("
-        "ExperimentSpec(kind='replica', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_replica(*args, **kwargs)

@@ -9,7 +9,7 @@ import json
 
 from repro.cli import main
 from repro.faults import ChaosCampaign, ServerCrash
-from repro.faults.campaign import WRITE_PATHS
+from repro.faults.campaign import WRITE_PATHS, run_plan
 
 
 def small_campaign(seed=5):
@@ -40,18 +40,33 @@ def test_even_indices_carry_a_crash():
 
 
 def test_small_campaign_clean_and_byte_stable():
-    report = small_campaign().run()
+    report = small_campaign().execute()
     assert report.clean, report.violations
     assert len(report.results) == len(WRITE_PATHS) * 2 * 2
     # Crashes actually happened somewhere (even-index plans).
     assert sum(result.crashes for result in report.results) > 0
     assert sum(result.acked_writes for result in report.results) > 0
-    rerun = small_campaign().run()
+    rerun = small_campaign().execute()
     assert report.to_json() == rerun.to_json()
 
 
+def test_crash_while_charging_an_indirect_block_write():
+    # Seed 11's siva-plain-004 crashes the server while an nfsd that the
+    # crash orphaned is charging CPU for an indirect-block write.  The
+    # crash resets the inode to its committed state, which has no
+    # indirect block yet, so the write must be skipped, not submitted
+    # to address None.
+    campaign = ChaosCampaign(seed=11, plans_per_combo=5, file_kb=192)
+    result = run_plan(
+        campaign.config_for("siva", False),
+        campaign.plan_for("siva", False, 4),
+        file_kb=192,
+    )
+    assert result.clean, result.violations
+
+
 def test_report_surfaces_violations_with_combo_prefix():
-    report = small_campaign().run()
+    report = small_campaign().execute()
     result = report.results[0]
     result.violations.append("synthetic violation")
     assert not report.clean

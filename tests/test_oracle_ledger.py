@@ -107,7 +107,7 @@ class MaskReference:
 
 
 def _bare_oracle():
-    return Oracle(env=SimpleNamespace(now=0.0), server=SimpleNamespace())
+    return Oracle(SimpleNamespace(env=SimpleNamespace(now=0.0), server=SimpleNamespace()))
 
 
 def _read_message(ino, start, end):

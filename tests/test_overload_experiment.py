@@ -10,7 +10,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.overload import MODES, OverloadConfig, run_overload
+from repro.experiments import ExperimentSpec, run
+from repro.overload import MODES, OverloadConfig
 
 SMALL = dict(
     write_paths=("gather",),
@@ -24,7 +25,9 @@ _cache = {}
 
 def small_report():
     if "report" not in _cache:
-        _cache["report"] = run_overload(OverloadConfig(**SMALL))
+        _cache["report"] = run(
+            ExperimentSpec(kind="overload", config=OverloadConfig(**SMALL))
+        )
     return _cache["report"]
 
 
@@ -81,7 +84,9 @@ class TestSweep:
 
     def test_same_seed_json_is_byte_identical(self):
         first = small_report().to_json()
-        second = run_overload(OverloadConfig(**SMALL)).to_json()
+        second = run(
+            ExperimentSpec(kind="overload", config=OverloadConfig(**SMALL))
+        ).to_json()
         assert first == second
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.fleet import ClusterConfig
 from repro.experiments import ExperimentSpec, run
-from repro.faults.campaign import ChaosCampaign
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 
 
@@ -99,70 +98,3 @@ class TestFacadeKinds:
             )
         )
         assert len(report.combos) == 1
-
-
-class TestDeprecatedEntryPoints:
-    """The old per-subsystem entry points warn but keep working."""
-
-    def test_run_cluster_warns_and_matches_facade(self):
-        from repro.cluster import run_cluster
-
-        with pytest.warns(DeprecationWarning, match="run_cluster"):
-            old = run_cluster(
-                ClusterConfig(servers=2, seed=0),
-                clients=2, files_per_client=1, file_kb=32,
-            )
-        new = run(
-            ExperimentSpec(
-                kind="cluster", config=ClusterConfig(servers=2, seed=0),
-                clients=2, files_per_client=1, file_kb=32,
-            )
-        )
-        assert old.to_json() == new.to_json()
-
-    def test_run_scaling_sweep_warns(self):
-        from repro.cluster import run_scaling_sweep
-
-        with pytest.warns(DeprecationWarning, match="run_scaling_sweep"):
-            sweep = run_scaling_sweep(
-                ClusterConfig(servers=1, seed=0),
-                server_counts=[1], client_counts=[2],
-                files_per_client=1, file_kb=32,
-            )
-        assert sweep.clean
-
-    def test_run_replica_warns(self):
-        from repro.replica import run_replica
-
-        with pytest.warns(DeprecationWarning, match="run_replica"):
-            result = run_replica(
-                ClusterConfig(servers=2, seed=0),
-                replica_counts=(0,), clients=2, files_per_client=1,
-                file_kb=32, storm_crashes=1,
-            )
-        assert result.clean
-
-    def test_run_overload_warns(self):
-        from repro.overload import OverloadConfig, run_overload
-
-        with pytest.warns(DeprecationWarning, match="run_overload"):
-            report = run_overload(
-                OverloadConfig(
-                    write_paths=("standard",), presto_modes=(False,),
-                    modes=("adaptive",), clients=2, duration=0.5,
-                    loads=(16000,),
-                )
-            )
-        assert len(report.combos) == 1
-
-    def test_chaos_campaign_run_warns_and_matches_execute(self):
-        def campaign():
-            return ChaosCampaign(
-                seed=0, plans_per_combo=1, write_paths=("standard",),
-                presto_modes=(False,), file_kb=64,
-            )
-
-        with pytest.warns(DeprecationWarning, match="ChaosCampaign.run"):
-            old = campaign().run()
-        new = campaign().execute()
-        assert old.to_json() == new.to_json()

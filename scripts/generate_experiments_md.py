@@ -157,9 +157,9 @@ def extensions_section() -> str:
         lines.append(f"- {netspec.name} (paper uses {paper_ms} ms): " + ", ".join(samples))
     lines.append("")
     # lease-cache sweep (repro cache) — RPCs per user operation
-    from repro.lease.experiment import CacheConfig, _run_cache
+    from repro.lease.experiment import CacheConfig, run_cache
 
-    report = _run_cache(CacheConfig(seed=0))
+    report = run_cache(CacheConfig(seed=0))
     lines.append(
         "Lease-cache sweep (`repro cache`, NQNFS-style leases + callback "
         "recalls; §2 'no caching on the client' lifted):"
@@ -191,9 +191,9 @@ def extensions_section() -> str:
     )
     lines.append("")
     # async WRITE + COMMIT three-way (repro commit)
-    from repro.commit.experiment import CommitConfig, _run_commit
+    from repro.commit.experiment import CommitConfig, run_commit
 
-    commit_report = _run_commit(CommitConfig(seed=0))
+    commit_report = run_commit(CommitConfig(seed=0))
     lines.append(
         "Async WRITE + COMMIT write path (`repro commit`, the §8 NFSv3 "
         "move made server-side: volatile unstable log, boot verifiers, "

@@ -21,9 +21,15 @@ Installed as the ``repro`` console script (also usable as
     repro replica --json          # K=0/1/2 replication cost + promote storm
     repro cache --json            # lease-cache TTL x sharing sweep + chaos probes
 
-Every handler goes through :func:`repro.experiments.run` with an
-:class:`~repro.experiments.ExperimentSpec`; the CLI only parses arguments
-and formats results.
+Each subcommand is one :class:`_Command`: its flag declarations, how the
+flags become the driver's arguments, and how its report reads as text.
+:func:`main` runs every subcommand through the same loop: a
+``ValueError`` while building the arguments is a usage error
+(``<command>: <message>`` on stderr, exit 2); the header and progress
+lines print only without ``--json``; the run goes through
+:func:`repro.experiments.run`; ``--out`` and ``--json`` write the
+report's canonical JSON; and the exit status is 1 when the report's
+``ok`` verdict is false, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,28 +37,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.core.policy import GatherPolicy
-from repro.experiments import (
-    PAPER,
-    TABLES,
-    ExperimentSpec,
-    run,
-    table_to_dict,
-)
+from repro.experiments import PAPER, TABLES, run, sweepable_fields, table_to_dict
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics import format_comparison
-from repro.net import ETHERNET, FDDI
+from repro.net import ETHERNET, FDDI, NETWORKS
 from repro.server.config import WritePath
 
 __all__ = ["main", "build_parser"]
 
-_NETWORKS = {"ethernet": ETHERNET, "fddi": FDDI}
-
-
-class _UsageError(Exception):
-    """Bad flag combination; the handler prints it and returns 2."""
+#: ``--presto off|on|both`` as the drivers' ``presto_modes``.
+_PRESTO_MODES = {"off": (False,), "on": (True,), "both": (False, True)}
 
 
 def _add_write_path_options(parser: argparse.ArgumentParser, siva: bool = True) -> None:
@@ -89,30 +86,28 @@ def _resolve_write_path(args) -> WritePath:
     """Resolve --write-path, rejecting the removed boolean aliases."""
     for flag, value in (("--gather", "gather"), ("--siva", "siva")):
         if getattr(args, value, False):
-            raise _UsageError(
-                f"{flag} was removed; use --write-path {value} instead"
-            )
+            raise ValueError(f"{flag} was removed; use --write-path {value} instead")
     if args.write_path is not None:
         return WritePath.coerce(args.write_path)
     return WritePath.STANDARD
 
 
-def _config_from_args(args, write_path: WritePath, tracing: bool = False) -> TestbedConfig:
+def _config_from_args(args, tracing: bool = False) -> TestbedConfig:
     """Build the TestbedConfig the copy/sweep subcommands share."""
     policy = GatherPolicy()
     if getattr(args, "interval_ms", None) is not None:
         policy = GatherPolicy(interval=args.interval_ms / 1000.0)
     return TestbedConfig(
-        netspec=_NETWORKS[args.net],
-        write_path=write_path,
+        netspec=NETWORKS[args.net],
+        write_path=_resolve_write_path(args),
         nbiods=args.biods,
         presto_bytes=(1 << 20) if getattr(args, "presto", False) else None,
         stripes=getattr(args, "stripes", 1),
         nfsds=getattr(args, "nfsds", 8),
         gather_policy=policy,
         tracing=tracing,
-        loss_rate=getattr(args, "loss_rate", 0.0),
-        net_seed=getattr(args, "net_seed", None),
+        loss_rate=args.loss_rate,
+        net_seed=args.net_seed,
     )
 
 
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--json", action="store_true", help="emit the table as JSON")
 
     copy = subparsers.add_parser("copy", help="run one file-copy cell")
-    copy.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
+    copy.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     copy.add_argument("--biods", type=int, default=7)
     _add_write_path_options(copy)
     copy.add_argument("--presto", action="store_true", help="NVRAM accelerator")
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = subparsers.add_parser("sweep", help="sweep one parameter of a file-copy")
     sweep_cmd.add_argument("field", help="TestbedConfig field, or interval_ms / presto_mb")
     sweep_cmd.add_argument("values", nargs="+", help="values to sweep")
-    sweep_cmd.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
+    sweep_cmd.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     _add_write_path_options(sweep_cmd, siva=False)
     sweep_cmd.add_argument("--biods", type=int, default=7)
     sweep_cmd.add_argument("--file-mb", type=float, default=4.0)
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmd.add_argument(
         "--racks", type=int, default=1, help="network segments (default: 1)"
     )
-    cluster_cmd.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
+    cluster_cmd.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     _add_write_path_options(cluster_cmd)
     cluster_cmd.add_argument("--presto", action="store_true", help="NVRAM on every shard")
     cluster_cmd.add_argument("--biods", type=int, default=4)
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             "so perf-affecting PRs have a baseline to diff against."
         ),
     )
-    bench.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
+    bench.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     bench.add_argument("--file-mb", type=float, default=2.0, help="copy size (default: 2)")
     bench.add_argument("--biods", type=int, default=7)
     bench.add_argument("--seed", type=int, default=0)
@@ -416,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="primary kills in the storm, round-robin over shards (default: 3)",
     )
-    replica.add_argument("--net", choices=sorted(_NETWORKS), default="fddi")
+    replica.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     replica.add_argument("--seed", type=int, default=0)
     replica.add_argument(
         "--payload",
@@ -623,11 +618,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_table(args) -> int:
-    result = run(ExperimentSpec(kind="table", table=args.number, file_mb=args.file_mb))
-    if args.json:
-        print(json.dumps(table_to_dict(result), indent=2, sort_keys=True))
-        return 0
+def _print_line(line: str) -> None:
+    print(f"  {line}")
+
+
+def _print_verdict(report, contract: str, indent: str = "") -> None:
+    if report.clean:
+        print(f"{indent}{contract} contract held: zero violations")
+    else:
+        print(f"{indent}{len(report.violations)} VIOLATIONS:")
+        for violation in report.violations:
+            print(f"{indent}  {violation}")
+
+
+# -- the paper's kinds ----------------------------------------------------------
+
+
+def _render_table(args, result) -> None:
     print(result.render())
     print()
     paper = PAPER[args.number]
@@ -640,20 +647,9 @@ def _cmd_table(args) -> int:
                 paper[variant]["speed"],
             )
         )
-    return 0
 
 
-def _cmd_copy(args) -> int:
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = _config_from_args(args, write_path, tracing=args.json)
-    metrics = run(ExperimentSpec(kind="copy", config=config, file_mb=args.file_mb))
-    if args.json:
-        print(json.dumps(metrics.to_json(), indent=2, sort_keys=True))
-        return 0
+def _render_copy(args, metrics) -> None:
     print(f"configuration: {metrics.label}, {args.biods} biods, {args.file_mb} MB copy")
     for name, value in metrics.row().items():
         print(f"  {name:<32} {value}")
@@ -661,11 +657,9 @@ def _cmd_copy(args) -> int:
         print(f"  {'mean gathered batch size':<32} {metrics.mean_batch_size:.1f}")
         print(f"  {'gather success rate':<32} {metrics.gather_success_rate:.0%}")
         print(f"  {'procrastinations':<32} {metrics.procrastinations:.0f}")
-    return 0
 
 
-def _cmd_trace(args) -> int:
-    sides = run(ExperimentSpec(kind="trace"))
+def _render_trace(args, sides) -> None:
     for name in ("standard", "gathering"):
         side = sides[name]
         print(f"=== {name} server — window from {side['window_start_ms']:.1f} ms ===")
@@ -674,24 +668,16 @@ def _cmd_trace(args) -> int:
             f"--> {side['writes']} writes, {side['disk_transactions']} disk "
             f"transactions, {side['replies']} replies\n"
         )
-    return 0
 
 
-def _cmd_laddis(args) -> int:
-    curves = {
-        name: run(
-            ExperimentSpec(
-                kind="curve",
-                write_path=path,
-                presto=args.presto,
-                loads=args.loads,
-                duration=args.duration,
-                loss_rate=args.loss_rate,
-                net_seed=args.net_seed,
-            )
-        )
-        for name, path in (("standard", WritePath.STANDARD), ("gathering", WritePath.GATHER))
+def _run_laddis(args, kwargs) -> dict:
+    return {
+        name: run("curve", path, **kwargs)
+        for name, path in (("standard", "standard"), ("gathering", "gather"))
     }
+
+
+def _render_laddis(args, curves) -> None:
     print(f"{'offered':>8} {'std ops/s':>10} {'std ms':>8} {'gat ops/s':>10} {'gat ms':>8}")
     for s_point, g_point in zip(curves["standard"].points, curves["gathering"].points):
         print(
@@ -702,11 +688,9 @@ def _cmd_laddis(args) -> int:
     gat_cap = curves["gathering"].capacity()
     delta = 100 * (gat_cap / std_cap - 1) if std_cap else float("nan")
     print(f"capacity: standard {std_cap:.0f}, gathering {gat_cap:.0f} ({delta:+.0f}%)")
-    return 0
 
 
-def _cmd_claims(_args) -> int:
-    print("Headline results (2 MB copies for speed; benches run full scale):")
+def _run_claims(args, kwargs) -> list:
     rows = [
         ("FDDI @7 biods, standard", TestbedConfig(netspec=FDDI, write_path="standard", nbiods=7)),
         ("FDDI @7 biods, gathering", TestbedConfig(netspec=FDDI, write_path="gather", nbiods=7)),
@@ -721,126 +705,15 @@ def _cmd_claims(_args) -> int:
             TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=7, presto_bytes=1 << 20),
         ),
     ]
-    for label, config in rows:
-        metrics = run(ExperimentSpec(kind="copy", config=config, file_mb=2))
+    return [(label, run("copy", config, file_mb=2)) for label, config in rows]
+
+
+def _render_claims(args, rows) -> None:
+    for label, metrics in rows:
         print(
             f"  {label:<32} {metrics.client_kb_per_sec:7.0f} KB/s  "
             f"cpu {metrics.server_cpu_pct:4.1f}%  disk {metrics.disk_trans_per_sec:5.1f} t/s"
         )
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    presto_modes = {"off": (False,), "on": (True,), "both": (False, True)}[args.presto]
-
-    def progress(result) -> None:
-        if not args.json:
-            presto = "presto" if result.presto else "plain "
-            status = "ok" if result.clean else "VIOLATION"
-            print(
-                f"  {result.plan.name:<24} {presto} "
-                f"acked={result.acked_writes:<4} crashes={result.crashes} "
-                f"retrans={result.retransmissions:<3} {status}"
-            )
-
-    if not args.json:
-        combos = len(args.write_paths) * len(presto_modes)
-        print(
-            f"chaos campaign: seed={args.seed}, {args.plans} plans x "
-            f"{combos} combos, {args.file_kb} KB files"
-        )
-    report = run(
-        ExperimentSpec(
-            kind="chaos",
-            seed=args.seed,
-            plans=args.plans,
-            write_paths=args.write_paths,
-            presto_modes=presto_modes,
-            file_kb=args.file_kb,
-            payload=args.payload,
-            progress=progress,
-        )
-    )
-    if args.json:
-        print(report.to_json())
-    else:
-        summary = report.to_dict()
-        print(
-            f"ran {summary['plans_run']} plans: "
-            f"{summary['total_acked_writes']} acked writes, "
-            f"{summary['total_crashes']} crashes, "
-            f"{summary['total_retransmissions']} retransmissions"
-        )
-        if report.clean:
-            print("crash contract held: zero violations")
-        else:
-            print(f"{len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"  {violation}")
-    return 0 if report.clean else 1
-
-
-def _cmd_overload(args) -> int:
-    from repro.overload import MODES, OverloadConfig
-
-    if args.no_adapt and args.adapt_only:
-        print("--no-adapt and --adapt-only are mutually exclusive", file=sys.stderr)
-        return 2
-    modes = MODES
-    if args.no_adapt:
-        modes = ("static",)
-    elif args.adapt_only:
-        modes = ("adaptive",)
-    presto_modes = {"off": (False,), "on": (True,), "both": (False, True)}[args.presto]
-    kwargs = {}
-    if args.loads is not None:
-        kwargs["loads"] = tuple(int(round(kb * 1024)) for kb in args.loads)
-    config = OverloadConfig(
-        seed=args.seed,
-        write_paths=tuple(args.write_paths),
-        presto_modes=presto_modes,
-        modes=modes,
-        clients=args.clients,
-        duration=args.duration,
-        **kwargs,
-    )
-
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
-
-    if not args.json:
-        loads_kbs = ", ".join(f"{rate / 1024:.1f}" for rate in config.loads)
-        print(
-            f"overload sweep: seed={config.seed}, {config.clients} clients, "
-            f"loads [{loads_kbs}] KB/s each, modes {'+'.join(config.modes)}"
-        )
-    report = run(ExperimentSpec(kind="overload", config=config, progress=progress))
-    if args.json:
-        print(report.to_json())
-    else:
-        for combo in report.combos:
-            tag = f"{combo['write_path']}/presto={'on' if combo['presto'] else 'off'}"
-            for mode, curve in combo["curves"].items():
-                shape = "COLLAPSE" if curve["collapse"] else (
-                    "plateau" if curve["monotone_nondecreasing"] else "noisy"
-                )
-                print(f"  {tag:<24} {mode:<8} top {curve['goodput_kbs'][-1]:7.1f} KB/s  {shape}")
-            verdict = combo.get("verdict")
-            if verdict is not None:
-                outcome = "holds" if verdict["adaptation_wins"] else "FAILS"
-                print(
-                    f"  {tag:<24} adaptation {outcome}: "
-                    f"{verdict['adaptive_top_goodput_kbs']:.1f} vs "
-                    f"{verdict['static_top_goodput_kbs']:.1f} KB/s at top load"
-                )
-        if report.clean:
-            print("crash contract held: zero violations")
-        else:
-            print(f"{len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"  {violation}")
-    return 0 if report.clean and report.adaptation_holds else 1
 
 
 def _parse_value(text: str):
@@ -854,73 +727,230 @@ def _parse_value(text: str):
     return text
 
 
-def _cmd_sweep(args) -> int:
-    from repro.experiments import sweepable_fields
-
+def _sweep_arguments(args) -> dict:
     if args.field not in sweepable_fields():
-        print(
+        raise ValueError(
             f"unknown field {args.field!r}; choose from "
-            f"{', '.join(sorted(sweepable_fields()))}",
-            file=sys.stderr,
+            f"{', '.join(sorted(sweepable_fields()))}"
         )
-        return 2
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    base = TestbedConfig(
-        netspec=_NETWORKS[args.net],
-        write_path=write_path,
-        nbiods=args.biods,
-        loss_rate=args.loss_rate,
-        net_seed=args.net_seed,
-    )
-    values = [_parse_value(v) for v in args.values]
-    results = run(
-        ExperimentSpec(
-            kind="sweep",
-            config=base,
-            sweep_field=args.field,
-            values=values,
-            file_mb=args.file_mb,
-        )
-    )
-    if args.json:
-        payload = {
-            "field": args.field,
-            "values": values,
-            "results": [metrics.to_json() for metrics in results],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+    return {
+        "base": _config_from_args(args),
+        "field": args.field,
+        "values": [_parse_value(v) for v in args.values],
+        "file_mb": args.file_mb,
+    }
+
+
+def _sweep_payload(args, results) -> dict:
+    return {
+        "field": args.field,
+        "values": [_parse_value(v) for v in args.values],
+        "results": [metrics.to_json() for metrics in results],
+    }
+
+
+def _render_sweep(args, results) -> None:
     print(f"{args.field:>14} {'KB/s':>8} {'cpu %':>7} {'disk t/s':>9} {'batch':>7}")
-    for value, metrics in zip(values, results):
+    for text, metrics in zip(args.values, results):
         batch = f"{metrics.mean_batch_size:6.1f}" if metrics.mean_batch_size else "     -"
         print(
-            f"{str(value):>14} {metrics.client_kb_per_sec:>8.0f} "
+            f"{str(_parse_value(text)):>14} {metrics.client_kb_per_sec:>8.0f} "
             f"{metrics.server_cpu_pct:>7.1f} {metrics.disk_trans_per_sec:>9.1f} {batch}"
         )
-    return 0
 
 
-def _cluster_config_from_args(args, write_path: WritePath, servers: int):
-    from repro.cluster import ClusterConfig
+def _bench_progress(cell) -> None:
+    presto = "presto" if cell["presto"] else "plain "
+    print(
+        f"  {cell['write_path']:<8} {presto} "
+        f"{cell['client_kb_per_sec']:>8.1f} KB/s  "
+        f"p50 {cell['write_latency_ms']['p50']:>7.2f} ms  "
+        f"p99 {cell['write_latency_ms']['p99']:>7.2f} ms  "
+        f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
+    )
 
-    return ClusterConfig(
-        servers=servers,
+
+# -- the subsystem kinds --------------------------------------------------------
+
+
+def _chaos_arguments(args) -> dict:
+    from repro.faults.campaign import ChaosCampaign
+
+    return {
+        "config": ChaosCampaign(
+            seed=args.seed,
+            plans_per_combo=args.plans,
+            write_paths=args.write_paths,
+            presto_modes=_PRESTO_MODES[args.presto],
+            file_kb=args.file_kb,
+            payload=args.payload,
+        )
+    }
+
+
+def _chaos_progress(result) -> None:
+    presto = "presto" if result.presto else "plain "
+    status = "ok" if result.clean else "VIOLATION"
+    print(
+        f"  {result.plan.name:<24} {presto} "
+        f"acked={result.acked_writes:<4} crashes={result.crashes} "
+        f"retrans={result.retransmissions:<3} {status}"
+    )
+
+
+def _render_chaos(args, report) -> None:
+    summary = report.to_dict()
+    print(
+        f"ran {summary['plans_run']} plans: "
+        f"{summary['total_acked_writes']} acked writes, "
+        f"{summary['total_crashes']} crashes, "
+        f"{summary['total_retransmissions']} retransmissions"
+    )
+    _print_verdict(report, "crash")
+
+
+def _overload_arguments(args) -> dict:
+    from repro.overload import MODES, OverloadConfig
+
+    if args.no_adapt and args.adapt_only:
+        raise ValueError("--no-adapt and --adapt-only are mutually exclusive")
+    modes = MODES
+    if args.no_adapt:
+        modes = ("static",)
+    elif args.adapt_only:
+        modes = ("adaptive",)
+    loads = {}
+    if args.loads is not None:
+        loads["loads"] = tuple(int(round(kb * 1024)) for kb in args.loads)
+    return {
+        "config": OverloadConfig(
+            seed=args.seed,
+            write_paths=tuple(args.write_paths),
+            presto_modes=_PRESTO_MODES[args.presto],
+            modes=modes,
+            clients=args.clients,
+            duration=args.duration,
+            **loads,
+        )
+    }
+
+
+def _overload_header(args, kwargs) -> str:
+    config = kwargs["config"]
+    loads_kbs = ", ".join(f"{rate / 1024:.1f}" for rate in config.loads)
+    return (
+        f"overload sweep: seed={config.seed}, {config.clients} clients, "
+        f"loads [{loads_kbs}] KB/s each, modes {'+'.join(config.modes)}"
+    )
+
+
+def _render_overload(args, report) -> None:
+    for combo in report.combos:
+        tag = f"{combo['write_path']}/presto={'on' if combo['presto'] else 'off'}"
+        for mode, curve in combo["curves"].items():
+            shape = "COLLAPSE" if curve["collapse"] else (
+                "plateau" if curve["monotone_nondecreasing"] else "noisy"
+            )
+            print(f"  {tag:<24} {mode:<8} top {curve['goodput_kbs'][-1]:7.1f} KB/s  {shape}")
+        verdict = combo.get("verdict")
+        if verdict is not None:
+            outcome = "holds" if verdict["adaptation_wins"] else "FAILS"
+            print(
+                f"  {tag:<24} adaptation {outcome}: "
+                f"{verdict['adaptive_top_goodput_kbs']:.1f} vs "
+                f"{verdict['static_top_goodput_kbs']:.1f} KB/s at top load"
+            )
+    _print_verdict(report, "crash")
+
+
+def _cluster_sweep_mode(args) -> bool:
+    return len(args.servers) > 1 or len(args.clients) > 1
+
+
+def _cluster_arguments(args) -> dict:
+    from repro.cluster import ClusterConfig, ShardCrash
+    from repro.cluster.experiment import check_clients
+
+    write_path = _resolve_write_path(args)
+    for clients in args.clients:
+        check_clients(clients)
+    config = ClusterConfig(
+        servers=args.servers[0],
         vnodes=args.vnodes,
         racks=args.racks,
-        netspec=_NETWORKS[args.net],
+        netspec=NETWORKS[args.net],
         write_path=write_path,
         nbiods=args.biods,
         nfsds=args.nfsds,
         presto_bytes=(1 << 20) if args.presto else None,
         seed=args.seed,
     )
+    workload = {"files_per_client": args.files, "file_kb": args.file_kb}
+    if _cluster_sweep_mode(args):
+        if args.crash_shard is not None:
+            raise ValueError("--crash-shard only applies to single-cell runs")
+        return {
+            "base": config,
+            "server_counts": args.servers,
+            "client_counts": args.clients,
+            **workload,
+        }
+    crashes = None
+    if args.crash_shard is not None:
+        crashes = [
+            ShardCrash(
+                at=args.crash_at,
+                shard=args.crash_shard,
+                outage=args.outage,
+                redirect=args.redirect,
+            )
+        ]
+    return {"config": config, "clients": args.clients[0], "crashes": crashes, **workload}
 
 
-def _print_cluster_result(result) -> None:
+def _run_cluster(args, kwargs):
+    if _cluster_sweep_mode(args):
+        from repro.cluster.experiment import run_scaling_sweep
+
+        return run_scaling_sweep(**kwargs)
+    kwargs.pop("progress", None)  # one cell has no per-cell progress
+    return run("cluster", **kwargs)
+
+
+def _cluster_progress(row) -> None:
+    print(
+        f"  ran {row.servers} servers x {row.clients} clients: "
+        f"{row.aggregate_kb_per_sec:.0f} KB/s"
+    )
+
+
+def _render_cluster(args, report) -> None:
+    if not _cluster_sweep_mode(args):
+        _render_cluster_cell(report)
+        return
+    print(
+        f"{'servers':>8} {'clients':>8} {'KB/s':>9} {'gather':>7} "
+        f"{'efficiency':>10} {'clean':>6}"
+    )
+    for row in report.table():
+        gather = (
+            f"{row['mean_gather_ratio']:7.3f}"
+            if row["mean_gather_ratio"] is not None
+            else "      -"
+        )
+        efficiency = (
+            f"{row['scaling_efficiency']:10.3f}"
+            if "scaling_efficiency" in row
+            else "         -"
+        )
+        print(
+            f"{row['servers']:>8} {row['clients']:>8} "
+            f"{row['aggregate_kb_per_sec']:>9.0f} {gather} {efficiency} "
+            f"{'ok' if row['clean'] else 'BAD':>6}"
+        )
+
+
+def _render_cluster_cell(result) -> None:
     print(
         f"cluster: {result.servers} servers x {result.clients} clients, "
         f"{result.write_path} path, seed {result.seed}"
@@ -951,264 +981,137 @@ def _print_cluster_result(result) -> None:
         f"  oracle: {result.acked_writes} acked writes, {result.oracle_checks} checks, "
         f"{result.crashes} crashes, {result.retransmissions} retransmissions"
     )
-    if result.clean:
-        print("  crash contract held: zero violations")
-    else:
-        print(f"  {len(result.violations)} VIOLATIONS:")
-        for violation in result.violations:
-            print(f"    {violation}")
+    _print_verdict(result, "crash", "  ")
 
 
-def _cmd_cluster(args) -> int:
-    from repro.cluster import ShardCrash
-
-    try:
-        write_path = _resolve_write_path(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    sweep_mode = len(args.servers) > 1 or len(args.clients) > 1
-    if sweep_mode:
-        if args.crash_shard is not None:
-            print("--crash-shard only applies to single-cell runs", file=sys.stderr)
-            return 2
-        base = _cluster_config_from_args(args, write_path, servers=args.servers[0])
-
-        def progress(row) -> None:
-            if not args.json:
-                print(
-                    f"  ran {row.servers} servers x {row.clients} clients: "
-                    f"{row.aggregate_kb_per_sec:.0f} KB/s"
-                )
-
-        sweep = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=base,
-                server_counts=args.servers,
-                client_counts=args.clients,
-                files_per_client=args.files,
-                file_kb=args.file_kb,
-                progress=progress,
-            )
-        )
-        if args.json:
-            print(sweep.to_json())
-        else:
-            print(
-                f"{'servers':>8} {'clients':>8} {'KB/s':>9} {'gather':>7} "
-                f"{'efficiency':>10} {'clean':>6}"
-            )
-            for row in sweep.table():
-                gather = (
-                    f"{row['mean_gather_ratio']:7.3f}"
-                    if row["mean_gather_ratio"] is not None
-                    else "      -"
-                )
-                efficiency = (
-                    f"{row['scaling_efficiency']:10.3f}"
-                    if "scaling_efficiency" in row
-                    else "         -"
-                )
-                print(
-                    f"{row['servers']:>8} {row['clients']:>8} "
-                    f"{row['aggregate_kb_per_sec']:>9.0f} {gather} {efficiency} "
-                    f"{'ok' if row['clean'] else 'BAD':>6}"
-                )
-        return 0 if sweep.clean else 1
-    crashes = None
-    if args.crash_shard is not None:
-        crashes = [
-            ShardCrash(
-                at=args.crash_at,
-                shard=args.crash_shard,
-                outage=args.outage,
-                redirect=args.redirect,
-            )
-        ]
-    config = _cluster_config_from_args(args, write_path, servers=args.servers[0])
-    result = run(
-        ExperimentSpec(
-            kind="cluster",
-            config=config,
-            clients=args.clients[0],
-            files_per_client=args.files,
-            file_kb=args.file_kb,
-            crashes=crashes,
-        )
-    )
-    if args.json:
-        print(result.to_json())
-    else:
-        _print_cluster_result(result)
-    return 0 if result.clean else 1
-
-
-def _cmd_replica(args) -> int:
+def _replica_arguments(args) -> dict:
     from repro.cluster import ClusterConfig
+    from repro.cluster.experiment import check_clients
 
-    config = ClusterConfig(
-        servers=args.servers,
-        netspec=_NETWORKS[args.net],
-        write_path=WritePath.GATHER,
-        quorum=args.quorum,
-        seed=args.seed,
+    check_clients(args.clients)
+    return {
+        "config": ClusterConfig(
+            servers=args.servers,
+            netspec=NETWORKS[args.net],
+            write_path=WritePath.GATHER,
+            quorum=args.quorum,
+            seed=args.seed,
+        ),
+        "replica_counts": args.replicas,
+        "clients": args.clients,
+        "files_per_client": args.files,
+        "file_kb": args.file_kb,
+        "storm_crashes": args.crashes,
+        "payload": args.payload,
+    }
+
+
+def _replica_progress(arm) -> None:
+    print(
+        f"  K={arm.replicas} quorum={arm.quorum}: "
+        f"{arm.aggregate_kb_per_sec:>8.0f} KB/s  "
+        f"p50 {arm.write_latency_ms['p50']:>7.2f} ms  "
+        f"p99 {arm.write_latency_ms['p99']:>7.2f} ms  "
+        f"{arm.crashes} crashes, {arm.promotions} promotions, "
+        f"{'clean' if arm.clean else 'VIOLATIONS'}"
     )
 
-    def progress(arm) -> None:
-        if not args.json:
-            print(
-                f"  K={arm.replicas} quorum={arm.quorum}: "
-                f"{arm.aggregate_kb_per_sec:>8.0f} KB/s  "
-                f"p50 {arm.write_latency_ms['p50']:>7.2f} ms  "
-                f"p99 {arm.write_latency_ms['p99']:>7.2f} ms  "
-                f"{arm.crashes} crashes, {arm.promotions} promotions, "
-                f"{'clean' if arm.clean else 'VIOLATIONS'}"
-            )
 
-    if not args.json:
+def _render_replica(args, result) -> None:
+    for row in result.comparison():
         print(
-            f"replica: {args.servers} shards x {args.clients} clients, "
-            f"{args.crashes}-crash storm, seed {args.seed}"
+            f"  K={row['replicas']} vs K=0: "
+            f"p99 write latency x{row['p99_write_latency_vs_k0']}, "
+            f"throughput x{row['throughput_vs_k0']}"
         )
-    result = run(
-        ExperimentSpec(
-            kind="replica",
-            config=config,
-            replica_counts=args.replicas,
-            clients=args.clients,
-            files_per_client=args.files,
-            file_kb=args.file_kb,
-            storm_crashes=args.crashes,
-            payload=args.payload,
-            progress=progress,
-        )
-    )
-    if args.json:
-        print(result.to_json())
-    else:
-        for row in result.comparison():
-            print(
-                f"  K={row['replicas']} vs K=0: "
-                f"p99 write latency x{row['p99_write_latency_vs_k0']}, "
-                f"throughput x{row['throughput_vs_k0']}"
-            )
-        for arm in result.arms:
-            for violation in arm.violations:
-                print(f"  K={arm.replicas} VIOLATION: {violation}")
-        if result.clean:
-            print("  zero-acked-write-loss guarantee held across every arm")
-    return 0 if result.clean else 1
+    for arm in result.arms:
+        for violation in arm.violations:
+            print(f"  K={arm.replicas} VIOLATION: {violation}")
+    if result.clean:
+        print("  zero-acked-write-loss guarantee held across every arm")
 
 
-def _cmd_cache(args) -> int:
+def _cache_arguments(args) -> dict:
     from repro.lease.experiment import CacheConfig
 
-    kwargs = {}
+    axes = {}
     if args.ttls is not None:
-        kwargs["lease_ttls"] = tuple(args.ttls)
+        axes["lease_ttls"] = tuple(args.ttls)
     if args.sharing is not None:
-        kwargs["sharing_ratios"] = tuple(args.sharing)
-    try:
-        config = CacheConfig(
+        axes["sharing_ratios"] = tuple(args.sharing)
+    return {
+        "config": CacheConfig(
             seed=args.seed,
             clients=args.clients,
             ops_per_client=args.ops,
             chaos=not args.no_chaos,
-            **kwargs,
+            **axes,
         )
-    except ValueError as exc:
-        print(f"cache: {exc}", file=sys.stderr)
-        return 2
+    }
 
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
 
-    if not args.json:
-        ttls = ", ".join(f"{t:g}" for t in config.lease_ttls)
-        ratios = ", ".join(f"{s:g}" for s in config.sharing_ratios)
+def _cache_header(args, kwargs) -> str:
+    config = kwargs["config"]
+    ttls = ", ".join(f"{t:g}" for t in config.lease_ttls)
+    ratios = ", ".join(f"{s:g}" for s in config.sharing_ratios)
+    return (
+        f"cache sweep: seed={config.seed}, {config.clients} clients, "
+        f"TTLs [{ttls}] s x sharing [{ratios}]"
+    )
+
+
+def _render_cache(args, report) -> None:
+    config = report.config
+    cell = report.headline
+    if cell is not None:
+        verdict = "meets" if report.meets_target else "MISSES"
         print(
-            f"cache sweep: seed={config.seed}, {config.clients} clients, "
-            f"TTLs [{ttls}] s x sharing [{ratios}]"
+            f"  headline (ttl={config.headline_ttl:g}s, "
+            f"sharing={config.headline_sharing:g}): "
+            f"x{cell['reduction']:g} reduction — {verdict} the "
+            f"x{config.min_reduction:g} target"
         )
-    report = run(ExperimentSpec(kind="cache", config=config, progress=progress))
-    if args.json:
-        print(report.to_json())
-    else:
-        cell = report.headline
-        if cell is not None:
-            verdict = "meets" if report.meets_target else "MISSES"
-            print(
-                f"  headline (ttl={config.headline_ttl:g}s, "
-                f"sharing={config.headline_sharing:g}): "
-                f"x{cell['reduction']:g} reduction — {verdict} the "
-                f"x{config.min_reduction:g} target"
-            )
-        if report.clean:
-            print("  staleness contract held: zero violations")
-        else:
-            print(f"  {len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"    {violation}")
-    return 0 if report.clean and report.meets_target else 1
+    _print_verdict(report, "staleness", "  ")
 
 
-def _cmd_commit(args) -> int:
+def _commit_arguments(args) -> dict:
     from repro.commit.experiment import CommitConfig
 
-    try:
-        config = CommitConfig(
+    return {
+        "config": CommitConfig(
             seed=args.seed,
             file_mb=args.file_mb,
             biods=args.biods,
             chaos=not args.no_chaos,
         )
-    except ValueError as exc:
-        print(f"commit: {exc}", file=sys.stderr)
-        return 2
+    }
 
-    def progress(line: str) -> None:
-        if not args.json:
-            print(f"  {line}")
 
-    if not args.json:
+def _commit_header(args, kwargs) -> str:
+    config = kwargs["config"]
+    return (
+        f"commit: {config.file_mb} MB copy x "
+        f"{'/'.join(config.write_paths)}, seed {config.seed}"
+    )
+
+
+def _render_commit(args, report) -> None:
+    comparison = report.comparison
+    if comparison is not None:
+        verdict = "beats" if report.async_beats_standard else "DOES NOT BEAT"
         print(
-            f"commit: {config.file_mb} MB copy x "
-            f"{'/'.join(config.write_paths)}, seed {config.seed}"
+            f"  async_commit {verdict} standard: "
+            f"p50 x{comparison['p50_vs_standard']}, "
+            f"throughput x{comparison['throughput_vs_standard']}"
         )
-    report = run(ExperimentSpec(kind="commit", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(report.to_json())
-    else:
-        comparison = report.comparison
-        if comparison is not None:
-            verdict = "beats" if report.async_beats_standard else "DOES NOT BEAT"
-            print(
-                f"  async_commit {verdict} standard: "
-                f"p50 x{comparison['p50_vs_standard']}, "
-                f"throughput x{comparison['throughput_vs_standard']}"
-            )
-        if report.clean:
-            print("  commit contract held: zero violations")
-        else:
-            print(f"  {len(report.violations)} VIOLATIONS:")
-            for violation in report.violations:
-                print(f"    {violation}")
-    return 0 if report.ok else 1
+    _print_verdict(report, "commit", "  ")
 
 
-def _cmd_scrub(args) -> int:
+def _scrub_arguments(args) -> dict:
     from repro.integrity.experiment import ScrubConfig
 
-    try:
-        config = ScrubConfig(
+    return {
+        "config": ScrubConfig(
             seed=args.seed,
             clients=args.clients,
             files_per_client=args.files_per_client,
@@ -1217,60 +1120,52 @@ def _cmd_scrub(args) -> int:
             scrub_bandwidths=tuple(args.bandwidths),
             replica_counts=tuple(args.replicas),
         )
-    except ValueError as exc:
-        print(f"scrub: {exc}", file=sys.stderr)
-        return 2
+    }
 
-    def progress(arm) -> None:
-        if not args.json:
-            healed = (
-                f"{arm.repairs} repaired"
-                if arm.replicas
-                else f"{arm.quarantines} quarantined, {arm.eio_reads} EIO"
-            )
-            print(
-                f"  K={arm.replicas} rate={arm.corruption_rate} "
-                f"bw={arm.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
-                f"{arm.detections} detected, {healed}, "
-                f"{arm.silent_read_corruptions} silent "
-                f"[{'clean' if arm.clean else 'DIRTY'}]"
-            )
 
-    if not args.json:
+def _scrub_header(args, kwargs) -> str:
+    config = kwargs["config"]
+    return (
+        f"scrub: {config.clients} clients x {config.files_per_client} "
+        f"files x {config.file_kb} KB, seed {config.seed}"
+    )
+
+
+def _scrub_progress(arm) -> None:
+    healed = (
+        f"{arm.repairs} repaired"
+        if arm.replicas
+        else f"{arm.quarantines} quarantined, {arm.eio_reads} EIO"
+    )
+    print(
+        f"  K={arm.replicas} rate={arm.corruption_rate} "
+        f"bw={arm.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
+        f"{arm.detections} detected, {healed}, "
+        f"{arm.silent_read_corruptions} silent "
+        f"[{'clean' if arm.clean else 'DIRTY'}]"
+    )
+
+
+def _render_scrub(args, report) -> None:
+    if report.clean:
+        print("  integrity contract held: nothing silent, all healed/surfaced")
+        return
+    for arm in report.arms:
+        if arm.clean:
+            continue
         print(
-            f"scrub: {config.clients} clients x {config.files_per_client} "
-            f"files x {config.file_kb} KB, seed {config.seed}"
+            f"  DIRTY arm K={arm.replicas} rate={arm.corruption_rate} "
+            f"bw={arm.scrub_bandwidth}:"
         )
-    report = run(ExperimentSpec(kind="scrub", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(report.to_json())
-    else:
-        if report.clean:
-            print("  integrity contract held: nothing silent, all healed/surfaced")
-        else:
-            for arm in report.arms:
-                if arm.clean:
-                    continue
-                print(
-                    f"  DIRTY arm K={arm.replicas} rate={arm.corruption_rate} "
-                    f"bw={arm.scrub_bandwidth}:"
-                )
-                for violation in arm.violations:
-                    print(f"    {violation}")
-    return 0 if report.clean else 1
+        for violation in arm.violations:
+            print(f"    {violation}")
 
 
-def _cmd_tiering(args) -> int:
+def _tiering_arguments(args) -> dict:
     from repro.tiering.experiment import POLICY_NAMES, TieringConfig
 
-    try:
-        config = TieringConfig(
+    return {
+        "config": TieringConfig(
             seed=args.seed,
             tenants=args.tenants,
             files_per_tenant=args.files_per_tenant,
@@ -1278,116 +1173,209 @@ def _cmd_tiering(args) -> int:
             skew=args.skew,
             policies=tuple(args.policies) if args.policies else POLICY_NAMES,
         )
-    except ValueError as exc:
-        print(f"tiering: {exc}", file=sys.stderr)
-        return 2
+    }
 
-    def progress(arm) -> None:
-        if args.json:
-            return
-        if isinstance(arm, dict):  # the storm report
-            print(
-                f"  storm: {arm['completed']}/{arm['started']} migrations, "
-                f"{arm['crashes']} crashes, {arm['promotions']} promotions "
-                f"[{'clean' if arm['clean'] else 'DIRTY'}]"
-            )
-            return
-        latency = arm.write_latency_ms
+
+def _tiering_header(args, kwargs) -> str:
+    config = kwargs["config"]
+    return (
+        f"tiering: {config.tenants} tenants x {config.files_per_tenant} "
+        f"files x {config.ops_per_tenant} appends, skew {config.skew}, "
+        f"seed {config.seed}"
+    )
+
+
+def _tiering_progress(arm) -> None:
+    if isinstance(arm, dict):  # the storm report
         print(
-            f"  {arm.fleet:<8} {arm.policy:<10} "
-            f"p50 {latency['p50']:>8.2f} ms  p99 {latency['p99']:>8.2f} ms  "
-            f"{arm.placement['files_by_tier']} "
-            f"[{'clean' if arm.clean else 'DIRTY'}]"
+            f"  storm: {arm['completed']}/{arm['started']} migrations, "
+            f"{arm['crashes']} crashes, {arm['promotions']} promotions "
+            f"[{'clean' if arm['clean'] else 'DIRTY'}]"
         )
-
-    if not args.json:
-        print(
-            f"tiering: {config.tenants} tenants x {config.files_per_tenant} "
-            f"files x {config.ops_per_tenant} appends, skew {config.skew}, "
-            f"seed {config.seed}"
-        )
-    result = run(ExperimentSpec(kind="tiering", config=config, progress=progress))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(result.to_json())
-            handle.write("\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(result.to_json())
-    else:
-        verdict = "beats" if result.hot_beats_cold else "DOES NOT BEAT"
-        print(f"  mixed fleet {verdict} all-cold on p99 write latency")
-        if result.clean:
-            print("  migration contract held: zero violations")
-        else:
-            for arm in result.arms:
-                for violation in arm.violations:
-                    print(f"    {violation}")
-            for violation in result.storm.get("violations", []):
-                print(f"    {violation}")
-    return 0 if result.clean else 1
+        return
+    latency = arm.write_latency_ms
+    print(
+        f"  {arm.fleet:<8} {arm.policy:<10} "
+        f"p50 {latency['p50']:>8.2f} ms  p99 {latency['p99']:>8.2f} ms  "
+        f"{arm.placement['files_by_tier']} "
+        f"[{'clean' if arm.clean else 'DIRTY'}]"
+    )
 
 
-def _cmd_bench(args) -> int:
-    from repro.experiments.bench import bench_to_json, write_bench
+def _render_tiering(args, result) -> None:
+    verdict = "beats" if result.hot_beats_cold else "DOES NOT BEAT"
+    print(f"  mixed fleet {verdict} all-cold on p99 write latency")
+    if result.clean:
+        print("  migration contract held: zero violations")
+        return
+    for arm in result.arms:
+        for violation in arm.violations:
+            print(f"    {violation}")
+    for violation in result.storm.get("violations", []):
+        print(f"    {violation}")
 
-    def progress(cell) -> None:
-        if not args.json:
-            presto = "presto" if cell["presto"] else "plain "
-            print(
-                f"  {cell['write_path']:<8} {presto} "
-                f"{cell['client_kb_per_sec']:>8.1f} KB/s  "
-                f"p50 {cell['write_latency_ms']['p50']:>7.2f} ms  "
-                f"p99 {cell['write_latency_ms']['p99']:>7.2f} ms  "
-                f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
-            )
 
-    if not args.json:
-        print(
+# -- the loop -------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    """One subcommand, as the loop in :func:`main` drives it."""
+
+    #: args -> the driver's keyword arguments; a ValueError is a usage error.
+    arguments: Callable = lambda args: {}
+    #: (args, report) -> None: the text-mode output after the run.
+    render: Optional[Callable] = None
+    #: (args, kwargs) -> the line printed before the run (text mode only).
+    header: Optional[Callable] = None
+    #: Handed to the driver as ``progress`` (text mode only).
+    progress: Optional[Callable] = None
+    #: (args, report) -> the document ``--json`` prints and ``--out`` writes.
+    payload: Callable = lambda args, report: report.to_dict()
+    #: (args, kwargs) -> report, for subcommands that are not one
+    #: ``run(<command>, **kwargs)`` call.
+    execute: Optional[Callable] = None
+
+
+_COMMANDS = {
+    "table": _Command(
+        arguments=lambda args: {"number": args.number, "file_mb": args.file_mb},
+        render=_render_table,
+        payload=lambda args, result: table_to_dict(result),
+    ),
+    "copy": _Command(
+        arguments=lambda args: {
+            "config": _config_from_args(args, tracing=args.json),
+            "file_mb": args.file_mb,
+        },
+        render=_render_copy,
+        payload=lambda args, metrics: metrics.to_json(),
+    ),
+    "trace": _Command(render=_render_trace),
+    "laddis": _Command(
+        arguments=lambda args: {
+            "presto": args.presto,
+            "loads": args.loads,
+            "duration": args.duration,
+            "loss_rate": args.loss_rate,
+            "net_seed": args.net_seed,
+        },
+        execute=_run_laddis,
+        render=_render_laddis,
+    ),
+    "claims": _Command(
+        header=lambda args, kwargs: (
+            "Headline results (2 MB copies for speed; benches run full scale):"
+        ),
+        execute=_run_claims,
+        render=_render_claims,
+    ),
+    "chaos": _Command(
+        arguments=_chaos_arguments,
+        header=lambda args, kwargs: (
+            f"chaos campaign: seed={args.seed}, {args.plans} plans x "
+            f"{len(kwargs['config'].combos())} combos, {args.file_kb} KB files"
+        ),
+        progress=_chaos_progress,
+        render=_render_chaos,
+    ),
+    "overload": _Command(
+        arguments=_overload_arguments,
+        header=_overload_header,
+        progress=_print_line,
+        render=_render_overload,
+    ),
+    "sweep": _Command(
+        arguments=_sweep_arguments, render=_render_sweep, payload=_sweep_payload
+    ),
+    "cluster": _Command(
+        arguments=_cluster_arguments,
+        execute=_run_cluster,
+        progress=_cluster_progress,
+        render=_render_cluster,
+    ),
+    "replica": _Command(
+        arguments=_replica_arguments,
+        header=lambda args, kwargs: (
+            f"replica: {args.servers} shards x {args.clients} clients, "
+            f"{args.crashes}-crash storm, seed {args.seed}"
+        ),
+        progress=_replica_progress,
+        render=_render_replica,
+    ),
+    "bench": _Command(
+        arguments=lambda args: {
+            "netspec": NETWORKS[args.net],
+            "file_mb": args.file_mb,
+            "biods": args.biods,
+            "seed": args.seed,
+            "payload": args.payload,
+        },
+        header=lambda args, kwargs: (
             f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "
             f"seed {args.seed}"
-        )
-    report = run(
-        ExperimentSpec(
-            kind="bench",
-            net=args.net,
-            file_mb=args.file_mb,
-            biods=args.biods,
-            seed=args.seed,
-            payload=args.payload,
-            progress=progress,
-        )
-    )
-    if args.out:
-        write_bench(report, args.out)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(bench_to_json(report))
-    return 0
+        ),
+        progress=_bench_progress,
+        payload=lambda args, report: report,
+    ),
+    "cache": _Command(
+        arguments=_cache_arguments,
+        header=_cache_header,
+        progress=_print_line,
+        render=_render_cache,
+    ),
+    "commit": _Command(
+        arguments=_commit_arguments,
+        header=_commit_header,
+        progress=_print_line,
+        render=_render_commit,
+    ),
+    "scrub": _Command(
+        arguments=_scrub_arguments,
+        header=_scrub_header,
+        progress=_scrub_progress,
+        render=_render_scrub,
+    ),
+    "tiering": _Command(
+        arguments=_tiering_arguments,
+        header=_tiering_header,
+        progress=_tiering_progress,
+        render=_render_tiering,
+    ),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "table": _cmd_table,
-        "copy": _cmd_copy,
-        "trace": _cmd_trace,
-        "laddis": _cmd_laddis,
-        "claims": _cmd_claims,
-        "chaos": _cmd_chaos,
-        "overload": _cmd_overload,
-        "sweep": _cmd_sweep,
-        "cluster": _cmd_cluster,
-        "replica": _cmd_replica,
-        "bench": _cmd_bench,
-        "cache": _cmd_cache,
-        "commit": _cmd_commit,
-        "scrub": _cmd_scrub,
-        "tiering": _cmd_tiering,
-    }
-    return handlers[args.command](args)
+    command = _COMMANDS[args.command]
+    as_json = getattr(args, "json", False)
+    try:
+        kwargs = command.arguments(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    if not as_json:
+        if command.header is not None:
+            print(command.header(args, kwargs))
+        if command.progress is not None:
+            kwargs["progress"] = command.progress
+    if command.execute is not None:
+        report = command.execute(args, kwargs)
+    else:
+        report = run(args.command, **kwargs)
+    out = getattr(args, "out", None)
+    if out or as_json:
+        document = json.dumps(command.payload(args, report), indent=2, sort_keys=True)
+    if out:
+        with open(out, "w") as handle:
+            handle.write(document + "\n")
+        if not as_json:
+            print(f"wrote {out}")
+    if as_json:
+        print(document)
+    elif command.render is not None:
+        command.render(args, report)
+    # The paper kinds' results carry no verdict: they always exit 0.
+    return 0 if getattr(report, "ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ Layout:
   router-driven ack dispatch;
 * :mod:`~repro.cluster.failover` — scripted shard crashes with outage
   windows and mount-map redirect;
-* :mod:`~repro.cluster.experiment` — the sharded write workload and the
-  servers × clients scaling sweep, run through
-  ``repro.experiments.run(ExperimentSpec(kind="cluster", ...))``.
+* :mod:`~repro.cluster.experiment` — the sharded write workload
+  (``repro.experiments.run("cluster", ...)``) and the servers × clients
+  scaling sweep (:func:`~repro.cluster.experiment.run_scaling_sweep`).
 """
 
 from repro.cluster.experiment import ClusterRunResult, ScalingSweepResult

@@ -1,7 +1,7 @@
 """Cluster-wide experiments: the sharded write workload and scaling sweeps.
 
-The ``cluster`` experiment (:func:`_run_cluster`, reached through
-``run(ExperimentSpec(kind="cluster", ...))``) is the fleet analogue of the
+The ``cluster`` experiment (:func:`run_cluster`, reached through
+``run("cluster", ...)``) is the fleet analogue of the
 paper's file copy: every client writes its own set of files, the shard
 map spreads those files across the fleet, and the result records
 aggregate throughput next to *per-shard* gathering efficacy — the tension
@@ -9,9 +9,9 @@ this subsystem exists to measure.  Sharding multiplies spindles and nfsd
 pools, but it also thins each server's request stream, and write
 gathering (§5-§6) feeds on a busy server: fewer same-file companions in
 the socket buffer means more singleton batches.  The scaling sweep
-(:func:`_run_scaling_sweep`, ``ExperimentSpec(kind="cluster",
-server_counts=..., client_counts=...)``) quantifies exactly that trade as
-servers × clients grow.
+(:func:`run_scaling_sweep`, what ``repro cluster`` runs when given more
+than one ``--servers`` or ``--clients`` value) quantifies exactly that
+trade as servers × clients grow.
 
 Everything is seeded: the same :class:`ClusterConfig` produces the same
 placement, the same sim timeline, and byte-identical JSON.
@@ -19,23 +19,29 @@ placement, the same sim timeline, and byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Sequence
 
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.metrics.report import ExperimentReport
 from repro.nfs.client import NfsClient
 from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf, Environment
 from repro.workload.sequential import write_file
 
-__all__ = ["ClusterRunResult", "ScalingSweepResult"]
+__all__ = [
+    "ClusterRunResult",
+    "ScalingSweepResult",
+    "check_clients",
+    "run_cluster",
+    "run_scaling_sweep",
+]
 
 
 @dataclass
-class ClusterRunResult:
+class ClusterRunResult(ExperimentReport):
     """Everything one cluster run measured, JSON-stable under a seed."""
 
     servers: int
@@ -107,10 +113,6 @@ class ClusterRunResult:
             payload["mean_gather_ratio"] = round(ratio, 4)
         return payload
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _client_files(host: str, files_per_client: int) -> List[str]:
     """The deterministic file names one client writes."""
@@ -141,8 +143,14 @@ def _client_workload(
 CLUSTER_THINK_TIME = 0.006
 
 
-def _run_cluster(
-    config: ClusterConfig,
+def check_clients(clients: int) -> None:
+    """Reject an empty client population before any fleet is built."""
+    if clients < 1:
+        raise ValueError(f"need at least one client, got {clients}")
+
+
+def run_cluster(
+    config: Optional[ClusterConfig] = None,
     clients: int = 4,
     files_per_client: int = 2,
     file_kb: int = 64,
@@ -151,8 +159,8 @@ def _run_cluster(
     payload: str = PAYLOAD_FULL,
 ) -> ClusterRunResult:
     """Run the sharded write workload (optionally under shard crashes)."""
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
+    check_clients(clients)
+    config = config or ClusterConfig()
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     hosts: List[str] = []
@@ -220,7 +228,7 @@ def _run_cluster(
 
 
 @dataclass
-class ScalingSweepResult:
+class ScalingSweepResult(ExperimentReport):
     """The servers × clients grid and its scaling-efficiency table."""
 
     server_counts: List[int]
@@ -267,15 +275,12 @@ class ScalingSweepResult:
             "rows": [row.to_dict() for row in self.rows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @property
     def clean(self) -> bool:
         return all(row.clean for row in self.rows)
 
 
-def _run_scaling_sweep(
+def run_scaling_sweep(
     base: ClusterConfig,
     server_counts: Sequence[int],
     client_counts: Sequence[int],
@@ -293,7 +298,7 @@ def _run_scaling_sweep(
     rows: List[ClusterRunResult] = []
     for servers in server_counts:
         for clients in client_counts:
-            result = _run_cluster(
+            result = run_cluster(
                 base.variant(servers=servers),
                 clients=clients,
                 files_per_client=files_per_client,

@@ -13,8 +13,8 @@ explicit COMMIT procedure.
 * :class:`~repro.commit.tracker.UncommittedTracker` — the client half:
   per-file dirty ranges tagged with the verifier they were written
   under, COMMIT on close and window pressure, full resend on mismatch.
-* :func:`~repro.commit.experiment.run` (via ``ExperimentSpec(
-  kind="commit")``) — the seeded three-way write-path comparison.
+* :func:`~repro.commit.experiment.run_commit` (``run("commit")``) — the
+  seeded three-way write-path comparison.
 """
 
 from repro.commit.path import AsyncCommitWritePath, UnstableLog

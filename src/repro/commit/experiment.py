@@ -27,7 +27,6 @@ Everything is seeded; ``--json`` output is byte-identical across reruns
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -36,6 +35,7 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import FaultPlan, OnSpan, ServerCrash
 from repro.faults.oracle import Oracle
+from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
 from repro.obs import PHASE_REPLY
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
@@ -383,7 +383,7 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
 
 
 @dataclass
-class CommitReport:
+class CommitReport(ExperimentReport):
     """Aggregated commit-experiment outcome, canonically serializable."""
 
     config: CommitConfig
@@ -475,12 +475,8 @@ class CommitReport:
             "violations": self.violations,
         }
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def _run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
+def run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
     """Run the whole comparison; ``progress`` (if given) is called with a
     line of text after every completed section."""
     config = config or CommitConfig()
@@ -509,8 +505,3 @@ def _run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitR
                     f"({record['ranges_replayed']} ranges replayed)"
                 )
     return report
-
-
-def run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
-    """Public entry point (the runner facade calls :func:`_run_commit`)."""
-    return _run_commit(config, progress=progress)

@@ -10,7 +10,7 @@ from repro.experiments.laddis_curves import (
     run_curve,
 )
 from repro.experiments.results import score_series, table_to_dict
-from repro.experiments.runner import EXPERIMENT_KINDS, ExperimentSpec, run
+from repro.experiments.runner import EXPERIMENT_KINDS, resolve, run
 from repro.experiments.sweep import sweep, sweepable_fields
 from repro.experiments.tables import PAPER, TABLES, TableResult, TableSpec, run_table
 from repro.experiments.testbed import Testbed, TestbedConfig, build_testbed
@@ -26,8 +26,8 @@ __all__ = [
     "TestbedConfig",
     "Testbed",
     "build_testbed",
-    "ExperimentSpec",
     "run",
+    "resolve",
     "EXPERIMENT_KINDS",
     "run_filecopy",
     "events_from_spans",

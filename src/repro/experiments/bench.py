@@ -14,23 +14,16 @@ so any perf-affecting PR has a baseline to diff against.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.experiments.testbed import Testbed, TestbedConfig
-from repro.net.spec import NetSpec
+from repro.net.spec import FDDI, NetSpec
 from repro.obs import registry_for
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL, coerce_payload_mode
 from repro.server.config import WritePath
 from repro.workload.sequential import write_file
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "bench_to_json",
-    "run_bench",
-    "run_bench_cell",
-    "write_bench",
-]
+__all__ = ["BENCH_SCHEMA", "run_bench", "run_bench_cell"]
 
 BENCH_SCHEMA = "repro.bench/1"
 
@@ -100,8 +93,7 @@ def run_bench_cell(
 
 
 def run_bench(
-    netspec: NetSpec,
-    net_name: str,
+    netspec: NetSpec = FDDI,
     file_mb: float = 2.0,
     biods: int = 7,
     seed: int = 0,
@@ -134,22 +126,10 @@ def run_bench(
                 progress(cell)
     return {
         "schema": BENCH_SCHEMA,
-        "net": net_name,
+        "net": netspec.name,
         "file_mb": file_mb,
         "biods": biods,
         "seed": seed,
         "payload": payload,
         "cells": cells,
     }
-
-
-def bench_to_json(report: dict) -> str:
-    """Canonical serialized form (what lands in ``BENCH_<n>.json``)."""
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def write_bench(report: dict, path: str) -> None:
-    """Write the canonical form to ``path`` (trailing newline included)."""
-    with open(path, "w") as handle:
-        handle.write(bench_to_json(report))
-        handle.write("\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
 from repro.obs import PercentileSummary
@@ -11,7 +13,7 @@ __all__ = ["run_filecopy"]
 
 
 def run_filecopy(
-    config: TestbedConfig,
+    config: Optional[TestbedConfig] = None,
     file_mb: float = 10.0,
     think_time: float = 0.0005,
 ) -> FileCopyMetrics:
@@ -19,8 +21,10 @@ def run_filecopy(
 
     Builds a fresh testbed, writes a ``file_mb`` MB file sequentially from a
     single client process, and returns the four table quantities measured
-    over the copy (create to close-complete).
+    over the copy (create to close-complete).  ``config`` defaults to
+    ``TestbedConfig()``.
     """
+    config = config or TestbedConfig()
     testbed = Testbed(config)
     client = testbed.add_client()
     env = testbed.env

@@ -14,10 +14,9 @@ simply whether any oracle violation was seen anywhere.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
@@ -35,6 +34,7 @@ from repro.faults.events import (
     SockBufShrink,
 )
 from repro.faults.oracle import Oracle
+from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
 from repro.payload import PAYLOAD_FULL, coerce_payload_mode
 from repro.obs import (
@@ -46,7 +46,14 @@ from repro.obs import (
 from repro.sim import AllOf
 from repro.workload import write_file
 
-__all__ = ["ChaosCampaign", "CampaignReport", "PlanResult", "generate_plan", "run_plan"]
+__all__ = [
+    "ChaosCampaign",
+    "CampaignReport",
+    "PlanResult",
+    "generate_plan",
+    "run_campaign",
+    "run_plan",
+]
 
 WRITE_PATHS = ("standard", "gather", "siva", "async_commit")
 
@@ -95,7 +102,7 @@ class PlanResult:
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(ExperimentReport):
     """Aggregated outcome of a whole campaign."""
 
     seed: int
@@ -133,10 +140,6 @@ class CampaignReport:
             "violations": self.violations,
             "results": [result.to_dict() for result in self.results],
         }
-
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # -- plan generation -----------------------------------------------------------
@@ -297,7 +300,6 @@ class ChaosCampaign:
         presto_modes: Sequence[bool] = (False, True),
         file_kb: int = 192,
         netspec=FDDI,
-        progress=None,
         payload: str = PAYLOAD_FULL,
     ) -> None:
         if plans_per_combo < 1:
@@ -308,8 +310,6 @@ class ChaosCampaign:
         self.presto_modes = tuple(presto_modes)
         self.file_kb = file_kb
         self.netspec = netspec
-        #: Optional callable(result) invoked after each plan (CLI progress).
-        self.progress = progress
         #: Byte fidelity for the workload payloads (:mod:`repro.payload`).
         self.payload = coerce_payload_mode(payload)
 
@@ -343,8 +343,9 @@ class ChaosCampaign:
             shed_policy="early-reply",
         )
 
-    def execute(self) -> CampaignReport:
-        """Run every plan in every combo (the facade's entry point)."""
+    def execute(self, progress=None) -> CampaignReport:
+        """Run every plan in every combo; ``progress`` (if given) is called
+        with each :class:`PlanResult`."""
         report = CampaignReport(
             seed=self.seed,
             file_kb=self.file_kb,
@@ -358,6 +359,14 @@ class ChaosCampaign:
                     config, plan, file_kb=self.file_kb, payload=self.payload
                 )
                 report.results.append(result)
-                if self.progress is not None:
-                    self.progress(result)
+                if progress is not None:
+                    progress(result)
         return report
+
+
+def run_campaign(
+    config: Optional[ChaosCampaign] = None, progress=None
+) -> CampaignReport:
+    """The ``chaos`` kind's driver: run ``config`` (default: seed 0, five
+    plans per write path x Presto off/on)."""
+    return (config or ChaosCampaign()).execute(progress)

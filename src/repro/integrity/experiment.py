@@ -21,7 +21,6 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -42,9 +41,10 @@ from repro.faults.events import (
     ServerCrash,
     TornWrite,
 )
+from repro.integrity.scrub import Scrubber, install_scrub_fetch
+from repro.metrics.report import ExperimentReport
 from repro.nfs.protocol import NfsError
 from repro.payload import PAYLOAD_FULL
-from repro.integrity.scrub import Scrubber, install_scrub_fetch
 from repro.sim import AllOf
 
 __all__ = ["ScrubConfig", "ScrubArm", "ScrubRunResult", "run_scrub"]
@@ -84,6 +84,11 @@ class ScrubConfig:
     presto_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
+        if self.clients < 1 or self.files_per_client < 1:
+            raise ValueError(
+                f"need at least one client and one file each, got "
+                f"{self.clients} x {self.files_per_client}"
+            )
         for rate in self.corruption_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
@@ -344,7 +349,7 @@ def _injected_defects(log: List[dict]) -> dict:
 
 
 @dataclass
-class ScrubRunResult:
+class ScrubRunResult(ExperimentReport):
     """The full sweep: corruption rate × scrub bandwidth × K."""
 
     config: ScrubConfig
@@ -367,10 +372,6 @@ class ScrubRunResult:
             "arms": [arm.to_dict() for arm in self.arms],
             "clean": self.clean,
         }
-
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_scrub(config: Optional[ScrubConfig] = None, progress=None) -> ScrubRunResult:

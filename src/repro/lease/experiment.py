@@ -22,7 +22,6 @@ report carries no wall-clock-derived field).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -31,12 +30,13 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, NetworkPartition, ServerCrash
 from repro.lease.oracle import StalenessOracle
+from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
 from repro.nfs.client import NfsError
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk, write_file
 
-__all__ = ["CacheConfig", "CacheReport", "WORKLOADS"]
+__all__ = ["CacheConfig", "CacheReport", "WORKLOADS", "run_cache"]
 
 WORKLOADS = ("copy", "laddis", "cluster", "overload")
 
@@ -536,7 +536,7 @@ _PROBES = (_probe_crash_mid_recall, _probe_lost_callback, _probe_partition_expir
 
 
 @dataclass
-class CacheReport:
+class CacheReport(ExperimentReport):
     """Aggregated sweep outcome, canonically serializable."""
 
     config: CacheConfig
@@ -590,6 +590,10 @@ class CacheReport:
     def clean(self) -> bool:
         return not self.violations
 
+    @property
+    def ok(self) -> bool:
+        return self.clean and self.meets_target
+
     def to_dict(self) -> dict:
         config = self.config
         return {
@@ -618,12 +622,8 @@ class CacheReport:
             "violations": self.violations,
         }
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def _run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
+def run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
     """Run the whole sweep; ``progress`` (if given) is called with a line
     of text after every completed section."""
     config = config or CacheConfig()

@@ -1,12 +1,14 @@
 """Experiment metrics and paper-style report rendering."""
 
-from repro.metrics.collect import FileCopyMetrics
-from repro.metrics.report import format_comparison, format_paper_table
+from repro.metrics.collect import FileCopyMetrics, latency_summary_ms
+from repro.metrics.report import ExperimentReport, format_comparison, format_paper_table
 from repro.metrics.svg import LineChart
 from repro.metrics.timeseries import RateSeries
 
 __all__ = [
+    "ExperimentReport",
     "FileCopyMetrics",
+    "latency_summary_ms",
     "format_paper_table",
     "format_comparison",
     "LineChart",

@@ -3,9 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-__all__ = ["FileCopyMetrics"]
+__all__ = ["FileCopyMetrics", "latency_summary_ms"]
+
+
+def latency_summary_ms(samples: Sequence[float]) -> Dict[str, float]:
+    """``{mean, p50, p99}`` of latency samples (seconds), in ms to 4 places.
+
+    The rank rule is ``sorted(samples)[min(n - 1, int(q * n))]``, not
+    :meth:`repro.sim.monitor.Tally.percentile`'s nearest rank
+    (``ceil(q * n) - 1``): the replica and tiering reports are pinned to
+    this one.  No samples summarize as zeros.
+    """
+    ordered = sorted(samples)
+    count = len(ordered)
+
+    def at(q: float) -> float:
+        return ordered[min(count - 1, int(q * count))] if ordered else 0.0
+
+    return {
+        "mean": round((sum(ordered) / count * 1000.0) if ordered else 0.0, 4),
+        "p50": round(at(0.50) * 1000.0, 4),
+        "p99": round(at(0.99) * 1000.0, 4),
+    }
 
 
 @dataclass

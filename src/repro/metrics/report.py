@@ -1,10 +1,29 @@
-"""Plain-text rendering of results in the paper's table layout."""
+"""Plain-text rendering of results in the paper's table layout, and the
+base every experiment report shares."""
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["format_paper_table", "format_comparison"]
+__all__ = ["ExperimentReport", "format_paper_table", "format_comparison"]
+
+
+class ExperimentReport:
+    """Base of the experiment reports: canonical JSON and the exit verdict.
+
+    A subclass provides ``to_dict()`` and a ``clean`` property (no oracle
+    violation anywhere).  ``ok`` is what ``repro <kind>`` exits 0 on;
+    reports with a performance gate on top of the contract override it.
+    """
+
+    @property
+    def ok(self) -> bool:
+        return self.clean
+
+    def to_json(self) -> str:
+        """Canonical (byte-stable under a fixed seed) JSON form."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 _ROWS = [
     "client write speed (KB/sec.)",

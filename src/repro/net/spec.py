@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NetSpec", "ETHERNET", "FDDI"]
+__all__ = ["NetSpec", "ETHERNET", "FDDI", "NETWORKS"]
 
 
 @dataclass(frozen=True)
@@ -67,3 +67,6 @@ FDDI = NetSpec(
     cpu_per_frame=0.00012,
     gather_interval=0.005,
 )
+
+#: The paper's two technologies by name (the CLI's ``--net`` choices).
+NETWORKS = {spec.name: spec for spec in (ETHERNET, FDDI)}

@@ -29,7 +29,6 @@ Everything is seeded; same-seed reruns produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -38,13 +37,15 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, RetransmitStorm, ServerCrash
 from repro.faults.oracle import Oracle
+from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
 from repro.overload.rto import AdaptiveRetryPolicy
 from repro.overload.window import WriteWindow
+from repro.server.config import WritePath
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk
 
-__all__ = ["OverloadConfig", "OverloadReport", "MODES"]
+__all__ = ["OverloadConfig", "OverloadReport", "MODES", "run_overload"]
 
 MODES = ("static", "adaptive")
 
@@ -73,7 +74,7 @@ class OverloadConfig:
     max_parked: int = 8
     #: Measured window per point, sim-seconds.
     duration: float = 5.0
-    write_paths: Sequence[str] = ("standard", "gather", "siva")
+    write_paths: Sequence[str] = tuple(path.value for path in WritePath)
     presto_modes: Sequence[bool] = (False, True)
     modes: Sequence[str] = MODES
     netspec: object = FDDI
@@ -303,7 +304,7 @@ def _curve_flags(points: List[dict], tolerance: float, collapse_margin: float) -
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(ExperimentReport):
     """Aggregated sweep outcome, canonically serializable."""
 
     config: OverloadConfig
@@ -353,6 +354,10 @@ class OverloadReport:
                 return False
         return True
 
+    @property
+    def ok(self) -> bool:
+        return self.clean and self.adaptation_holds
+
     def to_dict(self) -> dict:
         config = self.config
         return {
@@ -368,12 +373,8 @@ class OverloadReport:
             "violations": self.violations,
         }
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def _run_overload(config: Optional[OverloadConfig] = None, progress=None) -> OverloadReport:
+def run_overload(config: Optional[OverloadConfig] = None, progress=None) -> OverloadReport:
     """Run the whole sweep; ``progress`` (if given) is called with a line
     of text after every completed run."""
     config = config or OverloadConfig()

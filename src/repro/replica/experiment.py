@@ -19,7 +19,6 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -27,15 +26,18 @@ from repro.cluster.experiment import (
     CLUSTER_THINK_TIME,
     _client_files,
     _client_workload,
+    check_clients,
 )
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.metrics.collect import latency_summary_ms
+from repro.metrics.report import ExperimentReport
 from repro.obs import registry_for
 from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf
 
-__all__ = ["ReplicaRunResult", "replica_storm", "run_replica_arm"]
+__all__ = ["ReplicaRunResult", "replica_storm", "run_replica", "run_replica_arm"]
 
 REPLICA_SCHEMA = "repro.replica/1"
 
@@ -118,8 +120,7 @@ def run_replica_arm(
     payload: str = PAYLOAD_FULL,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
+    check_clients(clients)
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     env = cluster.env
@@ -162,14 +163,6 @@ def run_replica_arm(
     samples: List[float] = []
     for tally in tallies:
         samples.extend(tally._samples or [])
-    samples.sort()
-
-    def percentile(q: float) -> float:
-        if not samples:
-            return 0.0
-        index = min(len(samples) - 1, int(q * len(samples)))
-        return samples[index]
-
     replication = {"batches": 0, "ops": 0, "acks": 0, "resyncs": 0}
     waits: List[float] = []
     for group in cluster.groups:
@@ -192,13 +185,7 @@ def run_replica_arm(
         elapsed=elapsed,
         total_bytes=total_bytes,
         aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms={
-            "mean": round(
-                (sum(samples) / len(samples) * 1000.0) if samples else 0.0, 4
-            ),
-            "p50": round(percentile(0.50) * 1000.0, 4),
-            "p99": round(percentile(0.99) * 1000.0, 4),
-        },
+        write_latency_ms=latency_summary_ms(samples),
         acked_writes=oracle.acked_writes,
         crashes=controller.crashes if controller else 0,
         promotions=controller.promotions if controller else 0,
@@ -214,7 +201,7 @@ def run_replica_arm(
 
 
 @dataclass
-class ReplicaRunResult:
+class ReplicaRunResult(ExperimentReport):
     """The K-sweep: replication cost vs acked-write survival."""
 
     servers: int
@@ -275,13 +262,9 @@ class ReplicaRunResult:
             "clean": self.clean,
         }
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def _run_replica(
-    base: ClusterConfig,
+def run_replica(
+    config: Optional[ClusterConfig] = None,
     replica_counts: Sequence[int] = (0, 1, 2),
     clients: int = 6,
     files_per_client: int = 2,
@@ -297,14 +280,14 @@ def _run_replica(
     same shape in every arm (identical times and shard order), differing
     only in whether a backup exists to promote.
     """
+    config = config or ClusterConfig()
     arms: List[ReplicaArm] = []
     for replicas in replica_counts:
-        config = base.variant(replicas=replicas)
         crashes = replica_storm(
             config.servers, storm_crashes, promote=replicas > 0
         )
         arm = run_replica_arm(
-            config,
+            config.variant(replicas=replicas),
             clients=clients,
             files_per_client=files_per_client,
             file_kb=file_kb,
@@ -316,13 +299,13 @@ def _run_replica(
         if progress is not None:
             progress(arm)
     return ReplicaRunResult(
-        servers=base.servers,
+        servers=config.servers,
         clients=clients,
         files_per_client=files_per_client,
         file_kb=file_kb,
-        seed=base.seed,
-        write_path=str(base.write_path),
-        quorum=base.quorum,
+        seed=config.seed,
+        write_path=str(config.write_path),
+        quorum=config.quorum,
         storm_crashes=storm_crashes,
         arms=arms,
     )

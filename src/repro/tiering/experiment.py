@@ -27,13 +27,14 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.metrics.collect import latency_summary_ms
+from repro.metrics.report import ExperimentReport
 from repro.obs import registry_for
 from repro.sim import AllOf
 from repro.tiering.engine import MigrationEngine, MigrationPlan
@@ -160,21 +161,6 @@ class TieringArm:
         }
 
 
-def _percentiles(samples: List[float]) -> dict:
-    samples = sorted(samples)
-
-    def at(q: float) -> float:
-        if not samples:
-            return 0.0
-        return samples[min(len(samples) - 1, int(q * len(samples)))]
-
-    return {
-        "mean": round((sum(samples) / len(samples) * 1000.0) if samples else 0.0, 4),
-        "p50": round(at(0.50) * 1000.0, 4),
-        "p99": round(at(0.99) * 1000.0, 4),
-    }
-
-
 def _spawn_tenants(cluster: Cluster, oracle: ClusterOracle, config: TieringConfig):
     """Attach one client per tenant and start its Zipf writer; returns
     the writer processes (each resolves to its finish time) and the
@@ -250,7 +236,7 @@ def _run_arm(
         elapsed=elapsed,
         total_bytes=total_bytes,
         aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms=_percentiles(samples),
+        write_latency_ms=latency_summary_ms(samples),
         acked_writes=oracle.acked_writes,
         placement=_placement_census(cluster, config, policy),
         oracle_checks=oracle.checks,
@@ -365,7 +351,7 @@ def _run_storm(config: TieringConfig) -> dict:
 
 
 @dataclass
-class TieringRunResult:
+class TieringRunResult(ExperimentReport):
     """The sweep: policy arms, baseline, storm, and the verdict."""
 
     config: TieringConfig
@@ -445,16 +431,13 @@ class TieringRunResult:
             "clean": self.clean,
         }
 
-    def to_json(self) -> str:
-        """Canonical (byte-stable under a fixed seed) JSON form."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def run_tiering(
-    config: TieringConfig, progress: Optional[Callable] = None
+    config: Optional[TieringConfig] = None, progress: Optional[Callable] = None
 ) -> TieringRunResult:
     """Run the full tiering experiment: all-cold baseline, one mixed-
     fleet arm per placement policy, then the migration storm."""
+    config = config or TieringConfig()
     arms = [
         _run_arm(
             config,

@@ -347,3 +347,24 @@ class TestBenchCommand:
         payload = json.loads(first.read_text())
         assert payload["file_mb"] == 0.25
         assert payload["payload"] == "flyweight"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["overload", "--loads", "48", "8"],
+        ["chaos", "--plans", "0"],
+        ["cluster", "--clients", "0"],
+        ["cache", "--clients", "1"],
+        ["tiering", "--tenants", "0"],
+        ["replica", "--clients", "0"],
+        ["scrub", "--clients", "0"],
+    ],
+)
+def test_bad_config_is_a_usage_error(argv, capsys):
+    # Rejected while the flags become driver arguments, before any run.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in captured.err

@@ -9,7 +9,8 @@ from repro.cluster import (
     build_cluster,
 )
 from repro.cluster.fleet import INO_STRIDE
-from repro.experiments import ExperimentSpec, run
+from repro.cluster.experiment import run_scaling_sweep
+from repro.experiments import run
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.workload.sequential import write_file
 
@@ -116,9 +117,7 @@ class TestGrow:
 
 class TestRunCluster:
     def test_basic_run_is_clean_and_accounted(self):
-        result = run(
-            ExperimentSpec(kind="cluster", config=ClusterConfig(servers=2, seed=0), clients=4)
-        )
+        result = run("cluster", ClusterConfig(servers=2, seed=0), clients=4)
         assert result.clean
         assert result.acked_writes == 4 * 2 * (64 // 8)
         assert sum(result.placement.values()) == 4 * 2
@@ -127,26 +126,18 @@ class TestRunCluster:
 
     def test_json_is_byte_identical_across_reruns(self):
         config = ClusterConfig(servers=4, seed=3)
-        spec = ExperimentSpec(kind="cluster", config=config, clients=8)
-        first = run(spec).to_json()
-        second = run(spec).to_json()
+        first = run("cluster", config, clients=8).to_json()
+        second = run("cluster", config, clients=8).to_json()
         assert first == second
 
     def test_different_seeds_change_placement(self):
-        a = run(ExperimentSpec(kind="cluster", config=ClusterConfig(servers=4, seed=0)))
-        b = run(ExperimentSpec(kind="cluster", config=ClusterConfig(servers=4, seed=9)))
+        a = run("cluster", ClusterConfig(servers=4, seed=0))
+        b = run("cluster", ClusterConfig(servers=4, seed=9))
         assert a.placement != b.placement
 
     def test_shard_crash_holds_the_contract(self):
         crash = ShardCrash(at=0.05, shard=1, outage=0.3, redirect=True)
-        result = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=ClusterConfig(servers=3, seed=0),
-                clients=6,
-                crashes=[crash],
-            )
-        )
+        result = run("cluster", ClusterConfig(servers=3, seed=0), clients=6, crashes=[crash])
         assert result.clean
         assert result.crashes == 1
         assert result.faults[0]["host"] == "server-1"
@@ -157,14 +148,7 @@ class TestRunCluster:
 
     def test_crash_without_outage(self):
         crash = ShardCrash(at=0.02, shard=0)
-        result = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=ClusterConfig(servers=2, seed=0),
-                clients=2,
-                crashes=[crash],
-            )
-        )
+        result = run("cluster", ClusterConfig(servers=2, seed=0), clients=2, crashes=[crash])
         assert result.clean
         assert result.crashes == 1
         assert not result.faults[0]["redirected"]
@@ -172,12 +156,10 @@ class TestRunCluster:
     def test_crash_shard_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="names shard 5"):
             run(
-                ExperimentSpec(
-                    kind="cluster",
-                    config=ClusterConfig(servers=2),
-                    clients=1,
-                    crashes=[ShardCrash(at=0.01, shard=5)],
-                )
+                "cluster",
+                ClusterConfig(servers=2),
+                clients=1,
+                crashes=[ShardCrash(at=0.01, shard=5)],
             )
 
 
@@ -185,14 +167,11 @@ class TestScaling:
     def test_sweep_shows_dilution_and_monotonic_throughput(self):
         # The headline trade: sharding multiplies spindles (throughput up)
         # but thins each server's request stream (gather ratio down).
-        # The facade runs every cell at the cluster think time.
-        sweep = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=ClusterConfig(servers=1, write_path="gather", seed=0),
-                server_counts=[1, 4],
-                client_counts=[8],
-            )
+        # Every cell runs at the cluster think time.
+        sweep = run_scaling_sweep(
+            ClusterConfig(servers=1, write_path="gather", seed=0),
+            server_counts=[1, 4],
+            client_counts=[8],
         )
         assert sweep.clean
         one, four = sweep.rows
@@ -205,15 +184,12 @@ class TestScaling:
     def test_sweep_json_round_trips(self):
         import json
 
-        sweep = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=ClusterConfig(servers=1, seed=0),
-                server_counts=[1, 2],
-                client_counts=[2],
-                files_per_client=1,
-                file_kb=16,
-            )
+        sweep = run_scaling_sweep(
+            ClusterConfig(servers=1, seed=0),
+            server_counts=[1, 2],
+            client_counts=[2],
+            files_per_client=1,
+            file_kb=16,
         )
         payload = json.loads(sweep.to_json())
         assert payload["server_counts"] == [1, 2]

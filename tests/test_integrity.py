@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.experiments import ExperimentSpec, Testbed, TestbedConfig
+from repro.experiments import EXPERIMENT_KINDS, Testbed, TestbedConfig, resolve
 from repro.faults import (
     AtTime,
     BitRot,
@@ -498,8 +498,8 @@ def test_scrub_config_validation():
 
 
 def test_scrub_experiment_kind_dispatches():
-    spec = ExperimentSpec(kind="scrub")
-    assert spec.kind == "scrub"  # registered; the sweep itself is tested above
+    assert "scrub" in EXPERIMENT_KINDS
+    assert resolve("scrub") is run_scrub  # the sweep itself is tested above
 
 
 def test_scrub_detection_latency_reported(scrub_arms):

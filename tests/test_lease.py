@@ -424,23 +424,23 @@ class TestExperiment:
         )
 
     def test_seeded_rerun_is_byte_identical(self):
-        from repro.lease.experiment import _run_cache
+        from repro.lease.experiment import run_cache
 
-        first = _run_cache(self._tiny(seed=3))
-        second = _run_cache(self._tiny(seed=3))
+        first = run_cache(self._tiny(seed=3))
+        second = run_cache(self._tiny(seed=3))
         assert first.to_json() == second.to_json()
 
     def test_leases_reduce_rpcs_on_shared_reads(self):
-        from repro.lease.experiment import _run_cache
+        from repro.lease.experiment import run_cache
 
-        report = _run_cache(self._tiny())
+        report = run_cache(self._tiny())
         cell = report.headline
         assert cell is not None
         assert cell["reduction"] > 1.0
         assert report.clean, report.violations
 
     def test_chaos_probes_are_clean(self):
-        from repro.lease.experiment import CacheConfig, _run_cache
+        from repro.lease.experiment import CacheConfig, run_cache
 
         config = CacheConfig(
             lease_ttls=(1.0,),
@@ -450,7 +450,7 @@ class TestExperiment:
             workloads=(),
             chaos=True,
         )
-        report = _run_cache(config)
+        report = run_cache(config)
         assert len(report.probes) == 3
         for probe in report.probes:
             assert probe["clean"], (probe["name"], probe)

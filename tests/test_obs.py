@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentSpec, TestbedConfig, run, run_filecopy
+from repro.experiments import TestbedConfig, run, run_filecopy
 from repro.net import FDDI
 from repro.obs import (
     NULL_COLLECTOR,
@@ -202,19 +202,17 @@ class TestExporters:
 
 class TestFacade:
     def test_run_copy_spec(self):
-        metrics = run(
-            ExperimentSpec(kind="copy", config=_copy_config(tracing=False), file_mb=0.25)
-        )
+        metrics = run("copy", _copy_config(tracing=False), file_mb=0.25)
         assert metrics.client_kb_per_sec > 0
         assert metrics.handoffs_nfsd is not None
 
     def test_run_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(kind="frobnicate")
+            run("frobnicate")
 
-    def test_run_copy_requires_config(self):
-        with pytest.raises(ValueError):
-            run(ExperimentSpec(kind="copy"))
+    def test_run_copy_builds_default_config(self):
+        metrics = run("copy", file_mb=0.125)
+        assert metrics.label == run_filecopy(TestbedConfig(), file_mb=0.125).label
 
     def test_metrics_to_json_round_trips(self):
         metrics = run_filecopy(_copy_config(), file_mb=0.25)

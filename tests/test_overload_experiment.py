@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ExperimentSpec, run
+from repro.experiments import run
 from repro.overload import MODES, OverloadConfig
 
 SMALL = dict(
@@ -25,9 +25,7 @@ _cache = {}
 
 def small_report():
     if "report" not in _cache:
-        _cache["report"] = run(
-            ExperimentSpec(kind="overload", config=OverloadConfig(**SMALL))
-        )
+        _cache["report"] = run("overload", OverloadConfig(**SMALL))
     return _cache["report"]
 
 
@@ -84,9 +82,7 @@ class TestSweep:
 
     def test_same_seed_json_is_byte_identical(self):
         first = small_report().to_json()
-        second = run(
-            ExperimentSpec(kind="overload", config=OverloadConfig(**SMALL))
-        ).to_json()
+        second = run("overload", OverloadConfig(**SMALL)).to_json()
         assert first == second
 
 

@@ -154,10 +154,10 @@ class TestCrashContractAgreement:
 class TestReplicaAgreement:
     def test_replica_report_identical_across_modes(self):
         from repro.cluster.fleet import ClusterConfig
-        from repro.replica.experiment import _run_replica
+        from repro.replica.experiment import run_replica
 
         reports = {
-            mode: _run_replica(
+            mode: run_replica(
                 ClusterConfig(servers=2, seed=0),
                 replica_counts=(0, 1),
                 clients=2,

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterOracle, ShardCrash, build_cluster
 from repro.cluster.failover import FailoverController
 from repro.cluster.fleet import INO_STRIDE
-from repro.experiments import ExperimentSpec, run
+from repro.experiments import run
 from repro.replica import replica_storm, run_replica_arm
 from repro.rpc.messages import RpcCall
 from repro.workload.sequential import write_file
@@ -41,8 +41,8 @@ class TestConstruction:
         # The replica layer must be invisible at K=0: same seed, same JSON
         # as an identically-configured cluster run.
         config = ClusterConfig(servers=2, seed=0)
-        assert run(ExperimentSpec(kind="cluster", config=config, clients=2)).to_json() == run(
-            ExperimentSpec(kind="cluster", config=ClusterConfig(servers=2, seed=0), clients=2)
+        assert run("cluster", config, clients=2).to_json() == run(
+            "cluster", ClusterConfig(servers=2, seed=0), clients=2
         ).to_json()
 
     def test_backups_are_full_shards_on_distinct_disks(self):
@@ -237,12 +237,10 @@ class TestShardCrashValidation:
 
     def test_skipped_redirect_is_recorded(self):
         result = run(
-            ExperimentSpec(
-                kind="cluster",
-                config=ClusterConfig(servers=1, seed=0),
-                clients=2,
-                crashes=[ShardCrash(at=0.02, shard=0, outage=0.1, redirect=True)],
-            )
+            "cluster",
+            ClusterConfig(servers=1, seed=0),
+            clients=2,
+            crashes=[ShardCrash(at=0.02, shard=0, outage=0.1, redirect=True)],
         )
         assert result.clean
         assert not result.faults[0]["redirected"]
@@ -322,15 +320,13 @@ class TestReplicaExperiment:
 
     def test_sweep_reports_the_cost_of_k(self):
         result = run(
-            ExperimentSpec(
-                kind="replica",
-                config=ClusterConfig(servers=2, seed=0),
-                replica_counts=[0, 1],
-                clients=2,
-                files_per_client=1,
-                file_kb=16,
-                storm_crashes=2,
-            )
+            "replica",
+            ClusterConfig(servers=2, seed=0),
+            replica_counts=[0, 1],
+            clients=2,
+            files_per_client=1,
+            file_kb=16,
+            storm_crashes=2,
         )
         assert result.clean
         payload = json.loads(result.to_json())
@@ -343,10 +339,10 @@ class TestReplicaExperiment:
         assert row["p99_write_latency_vs_k0"] > 0
 
     def test_json_is_byte_identical_across_reruns(self):
-        def spec():
-            return ExperimentSpec(
-                kind="replica",
-                config=ClusterConfig(servers=2, seed=3),
+        def report():
+            return run(
+                "replica",
+                ClusterConfig(servers=2, seed=3),
                 replica_counts=[1],
                 clients=2,
                 files_per_client=1,
@@ -354,6 +350,6 @@ class TestReplicaExperiment:
                 storm_crashes=2,
             )
 
-        first = run(spec()).to_json()
-        second = run(spec()).to_json()
+        first = report().to_json()
+        second = report().to_json()
         assert first == second

@@ -422,9 +422,9 @@ class TestTieringExperiment:
         )
 
     def test_runner_facade_dispatches_tiering(self, quick):
-        from repro.experiments import ExperimentSpec, run
+        from repro.experiments import run
 
-        result = run(ExperimentSpec(kind="tiering", config=quick))
+        result = run("tiering", quick)
         assert result.to_dict()["schema"] == "repro.tiering/1"
 
     def test_config_validation(self):

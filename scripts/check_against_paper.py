@@ -8,6 +8,9 @@ Verdicts per (table, variant, row):
   match      within ~25% on (geometric) average
   shape      within ~2x with ordering preserved
   deviation  worse — listed explicitly at the end
+
+Exit status is 1 when any row's verdict is ``deviation`` (the JSON dump is
+still written), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def main() -> int:
     if args.json:
         save_json(args.json, {"tables": raw, "scores": [s.to_dict() for s in scores]})
         print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return 1 if deviations else 0
 
 
 if __name__ == "__main__":

@@ -365,12 +365,8 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
         "name": "promotion_mid_commit",
         "crashes": controller.crashes,
         "promotions": controller.promotions,
-        "unstable_acks": sum(
-            oracle.shard(s.host).unstable_acks for s in cluster.servers
-        ),
-        "committed_acks": sum(
-            oracle.shard(s.host).committed_acks for s in cluster.servers
-        ),
+        "unstable_acks": oracle.unstable_acks,
+        "committed_acks": oracle.committed_acks,
         "commits_sent": sum(int(t.commits_sent.value) for t in trackers),
         "ranges_replayed": sum(int(t.ranges_replayed.value) for t in trackers),
         "violations": list(oracle.violations),

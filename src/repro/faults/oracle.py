@@ -1,9 +1,10 @@
 """The crash-consistency oracle: acked ⇒ durable, and no structural damage.
 
 The oracle shadows every *stable* WRITE acknowledgement a client receives
-(via :attr:`NfsClient.on_write_acked`) into a per-inode ledger of acked
-byte ranges.  At every check point — the instant of each simulated crash,
-and once at the end of the run — it asserts the paper's crash contract
+(via :attr:`NfsClient.on_write_acked`) into a ledger of acked byte ranges
+per inode and *holder* — the host whose durable image owes the promise.
+At every check point — the instant of each simulated crash, and once at
+the end of the run — it asserts the paper's crash contract
 against the server's durable image:
 
 1. **Durability**: every acked byte range is durably readable
@@ -19,7 +20,7 @@ chaos campaign's report pinpoints exactly which promise broke and when.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.fs.fsck import fsck
 
@@ -122,37 +123,60 @@ class _Ledger:
         return sum(self.ends) - sum(self.starts)
 
 
-class InoHandoff(NamedTuple):
-    """One inode's oracle state in transit (see :meth:`Oracle.hand_off`)."""
-
-    ledger: Optional[_Ledger]
-    pending: Set[Tuple[int, int]]
+def _image_faults(ufs, ino: int, start: int, end: int, content_runs) -> List[str]:
+    """What one durable image gets wrong about one acked run of ``ino``:
+    ``"bytes [a,b): …"`` phrases, empty when the image keeps the promise."""
+    unreadable = [f"bytes [{start},{end}): acked but not durably readable"]
+    if not content_runs:
+        # Flyweight-only run: reachability is the whole promise.
+        return [] if ufs.durable_covered(ino, start, end - start) else unreadable
+    durable = ufs.durable_read(ino, start, end - start)
+    if durable is None:
+        return unreadable
+    faults: List[str] = []
+    for sub_start, sub_end, want in content_runs:
+        got = durable[sub_start - start : sub_end - start]
+        if got != want:
+            first_bad = next(
+                index
+                for index, (got_byte, want_byte) in enumerate(zip(got, want))
+                if got_byte != want_byte
+            )
+            faults.append(
+                f"bytes [{sub_start},{sub_end}): durable content differs from "
+                f"acked content (first mismatch at byte {sub_start + first_bad})"
+            )
+    return faults
 
 
 class Oracle:
     """Records client-acked writes; diffs them against the durable image.
 
-    ``target`` is anything stack-shaped with ``env`` and ``server``: a
-    testbed, or one cluster member's stack — a cluster runs one oracle per
-    shard, each checking only the writes that shard acknowledged.
+    Every promise is filed under its *holder*, the host whose durable
+    image owes it, in one ledger keyed by ``(holder, ino)``.  A testbed's
+    oracle files everything under ``None`` and checks ``target.server``;
+    :class:`~repro.cluster.oracle.ClusterOracle` files each ack under the
+    shard the router pins its handle to.
     """
 
     def __init__(self, target) -> None:
+        self.target = target
         self.env = target.env
-        self.server = target.server
-        #: Per-ino acked byte ranges (an ino acked only with zero-length
-        #: writes has an empty ledger: listed, but promising nothing).
-        self._ledgers: Dict[int, _Ledger] = {}
-        self.acked_writes = 0
+        #: Acked byte ranges per ``(holder, ino)`` (an ino acked only with
+        #: zero-length writes has an empty ledger: listed, but promising
+        #: nothing).
+        self._ledgers: Dict[Tuple[Optional[str], int], _Ledger] = {}
         #: Async-commit bookkeeping: unstable acks carry *no* durability
         #: promise — the ``(offset, length)`` range sits here until a
         #: COMMIT under the right verifier promotes it to a hard ack.  An
         #: un-COMMITted write may legally be absent from a post-crash
         #: image; the client's replay obligation is what eventually lands
         #: it (checked as a hard ack once the COMMIT succeeds).
-        self._pending: Dict[int, Set[Tuple[int, int]]] = {}
+        self._pending: Dict[Tuple[Optional[str], int], Set[Tuple[int, int]]] = {}
+        self.acked_writes = 0
         self.unstable_acks = 0
         self.committed_acks = 0
+        self.read_acks = 0
         self.checks = 0
         #: Human-readable violation strings, in detection order.
         self.violations: List[str] = []
@@ -160,20 +184,23 @@ class Oracle:
         #: an acked READ returned bytes differing from the acked write
         #: image — silent corruption that escaped every checksum.
         self.read_violations: List[str] = []
-        self.read_acks = 0
-        # Triage context, all optional: filled by cluster oracles
-        # (shard/role) and chaos campaigns (plan seed); the controller
-        # keeps ``note_fault`` current.  Empty context adds nothing to
-        # messages, so single-server reports are byte-stable.
+        # Triage context, all optional: a holder names its shard, chaos
+        # campaigns set the plan seed, and the controller keeps
+        # ``note_fault`` current.  Empty context adds nothing to messages,
+        # so single-server reports are byte-stable.
         self.shard: Optional[str] = None
         self.role: Optional[str] = None
         self.plan_seed: Optional[object] = None
         self._last_fault: Optional[dict] = None
 
+    def _holder(self, fhandle) -> Optional[str]:
+        """The host whose durable image owes acks on ``fhandle``."""
+        return None
+
     # -- recording --------------------------------------------------------------
 
     def attach(self, client) -> None:
-        """Shadow ``client``'s write acknowledgements.
+        """Shadow ``client``'s write, COMMIT and READ acknowledgements.
 
         Stable (v2) acks bind a durability promise immediately; unstable
         (v3) acks only park the range as pending, and the promise binds
@@ -182,6 +209,7 @@ class Oracle:
         client.on_write_acked = self.record_ack
         client.on_unstable_acked = self.record_unstable
         client.on_commit_acked = self.record_commit
+        client.on_read_acked = self.record_read
 
     def record_ack(self, fhandle, offset: int, data: bytes) -> None:
         """One stable WRITE was acked: remember the promise it binds.
@@ -190,9 +218,10 @@ class Oracle:
         content, so it is recorded without bytes and checks skip the
         byte compare there.
         """
-        ledger = self._ledgers.get(fhandle[0])
+        key = (self._holder(fhandle), fhandle[0])
+        ledger = self._ledgers.get(key)
         if ledger is None:
-            ledger = self._ledgers[fhandle[0]] = _Ledger()
+            ledger = self._ledgers[key] = _Ledger()
         content = data if isinstance(data, (bytes, bytearray, memoryview)) else None
         ledger.record(offset, offset + len(data), content)
         self.acked_writes += 1
@@ -205,18 +234,20 @@ class Oracle:
         drop it (the client resends under the new verifier).  A resend
         re-acks a range that is already pending and adds nothing.
         """
+        key = (self._holder(fhandle), fhandle[0])
         self.unstable_acks += 1
-        self._pending.setdefault(fhandle[0], set()).add((offset, len(data)))
+        self._pending.setdefault(key, set()).add((offset, len(data)))
 
     def record_commit(self, fhandle, offset: int, data) -> None:
         """A COMMIT under the matching verifier covered this range: the
         durability promise binds now, exactly like a stable WRITE ack."""
+        key = (self._holder(fhandle), fhandle[0])
         self.committed_acks += 1
-        pending = self._pending.get(fhandle[0])
+        pending = self._pending.get(key)
         if pending is not None:
             pending.discard((offset, len(data)))
             if not pending:
-                del self._pending[fhandle[0]]
+                del self._pending[key]
         self.record_ack(fhandle, offset, data)
 
     def record_read(self, fhandle, offset: int, data) -> None:
@@ -227,25 +258,23 @@ class Oracle:
         never hand the application bytes differing from what was acked
         stable.  Flyweight reads and never-acked ranges are skipped.
         """
+        holder, ino = self._holder(fhandle), fhandle[0]
         self.read_acks += 1
         if not isinstance(data, (bytes, bytearray, memoryview)):
             return
-        ino = fhandle[0]
-        ledger = self._ledgers.get(ino)
+        ledger = self._ledgers.get((holder, ino))
         if ledger is None:
             return
         now = self.env.now
-        suffix = self._context_suffix()
         for sub_start, sub_end, want in ledger.content_within(offset, offset + len(data)):
             got = bytes(data[sub_start - offset : sub_end - offset])
             if got != want:
                 message = (
                     f"[read t={now:.6f}] ino {ino} bytes [{sub_start},{sub_end}): "
                     f"acked READ returned bytes differing from the acked "
-                    f"write image (silent corruption){suffix}"
+                    f"write image (silent corruption)"
                 )
-                self.read_violations.append(message)
-                self.violations.append(message)
+                self.read_violations.extend(self._file(holder, [message]))
 
     def note_fault(self, record: dict) -> None:
         """Remember the most recently applied fault for triage context."""
@@ -265,10 +294,13 @@ class Oracle:
         if plan_seed is not None:
             self.plan_seed = plan_seed
 
-    def _context_suffix(self) -> str:
+    def _file(self, holder: Optional[str], found: List[str]) -> List[str]:
+        """Stamp ``holder`` and the triage context on new violations;
+        record and return them."""
         parts: List[str] = []
-        if self.shard is not None:
-            parts.append(f"shard={self.shard}")
+        shard = holder or self.shard
+        if shard is not None:
+            parts.append(f"shard={shard}")
         if self.role is not None:
             parts.append(f"role={self.role}")
         if self.plan_seed is not None:
@@ -278,7 +310,11 @@ class Oracle:
             start = self._last_fault.get("start")
             at = f"@t={start:.6f}" if isinstance(start, float) else ""
             parts.append(f"last_fault={kind}{at}")
-        return f" [{', '.join(parts)}]" if parts else ""
+        lead = "" if holder is None else f"{holder}: "
+        suffix = f" [{', '.join(parts)}]" if parts else ""
+        found = [f"{lead}{message}{suffix}" for message in found]
+        self.violations.extend(found)
+        return found
 
     # -- the ledger -------------------------------------------------------------
 
@@ -288,17 +324,17 @@ class Oracle:
             length for ranges in self._pending.values() for _offset, length in ranges
         )
 
-    def acked_runs(self, ino: int) -> List[Tuple[int, int]]:
+    def acked_runs(self, ino: int, holder: Optional[str] = None) -> List[Tuple[int, int]]:
         """Maximal contiguous byte ranges of ``ino`` covered by acks."""
-        ledger = self._ledgers.get(ino)
+        ledger = self._ledgers.get((holder, ino))
         if ledger is None:
             return []
         return [(start, end) for start, end, _inner in ledger.acked_runs()]
 
-    def content_runs(self, ino: int) -> List[Tuple[int, int]]:
+    def content_runs(self, ino: int, holder: Optional[str] = None) -> List[Tuple[int, int]]:
         """Maximal byte ranges of ``ino`` acked *with content*; flyweight
         acks promise durability only and appear in :meth:`acked_runs`."""
-        ledger = self._ledgers.get(ino)
+        ledger = self._ledgers.get((holder, ino))
         if ledger is None:
             return []
         return [
@@ -307,9 +343,9 @@ class Oracle:
             if content is not None
         ]
 
-    def acked_inos(self) -> List[int]:
-        """Inodes with at least one acked write (sorted)."""
-        return sorted(self._ledgers)
+    def acked_inos(self, holder: Optional[str] = None) -> List[int]:
+        """Inodes ``holder`` owes at least one acked write for (sorted)."""
+        return sorted(ino for owner, ino in self._ledgers if owner == holder)
 
     def acked_byte_total(self) -> int:
         """Total bytes currently covered by stable-write acknowledgements.
@@ -320,71 +356,40 @@ class Oracle:
         """
         return sum(ledger.byte_total() for ledger in self._ledgers.values())
 
-    def tracks(self, ino: int) -> bool:
-        """Does this oracle hold acked bytes or pending ranges for ``ino``?"""
-        ledger = self._ledgers.get(ino)
-        return bool((ledger is not None and ledger.starts) or self._pending.get(ino))
+    def tracks(self, ino: int, holder: Optional[str] = None) -> bool:
+        """Does ``holder`` owe acked bytes or pending ranges for ``ino``?"""
+        ledger = self._ledgers.get((holder, ino))
+        return bool((ledger is not None and ledger.starts) or self._pending.get((holder, ino)))
 
-    def hand_off(self, ino: int) -> InoHandoff:
-        """Remove and return everything recorded for ``ino`` (for
-        :meth:`adopt` on another oracle when a file moves shards)."""
-        return InoHandoff(self._ledgers.pop(ino, None), self._pending.pop(ino, set()))
+    def holders_of(self, ino: int) -> List[Optional[str]]:
+        """Holders currently owing acked or pending ranges for ``ino``
+        (the migration contract wants exactly one, ever)."""
+        keys = set(self._ledgers) | set(self._pending)
+        return sorted(
+            holder for holder, key_ino in keys if key_ino == ino and self.tracks(ino, holder)
+        )
 
-    def adopt(self, ino: int, handoff: InoHandoff) -> None:
-        """Take over a handed-off ino: its acked ledger replaces ours, its
-        pending ranges join ours."""
-        if handoff.ledger is not None:
-            self._ledgers[ino] = handoff.ledger
-        if handoff.pending:
-            self._pending.setdefault(ino, set()).update(handoff.pending)
+    def transfer_ino(self, ino: int, src: Optional[str], dst: Optional[str]) -> None:
+        """Refile one inode's promises from holder ``src`` to ``dst``.
+
+        Called in a live migration's cutover instant, right after the
+        router's pins repoint: the acked ledger replaces ``dst``'s, the
+        still-uncommitted pending ranges join ``dst``'s, and future checks
+        assert them against the destination's durable state.
+        """
+        ledger = self._ledgers.pop((src, ino), None)
+        if ledger is not None:
+            self._ledgers[(dst, ino)] = ledger
+        pending = self._pending.pop((src, ino), None)
+        if pending:
+            self._pending.setdefault((dst, ino), set()).update(pending)
 
     # -- checking ---------------------------------------------------------------
 
     def check(self, label: str = "final") -> List[str]:
-        """Assert the crash contract now; returns (and records) violations."""
-        found: List[str] = []
-        now = self.env.now
-        ufs = self.server.ufs
-        for ino in sorted(self._ledgers):
-            for start, end, content_runs in self._ledgers[ino].acked_runs():
-                if not content_runs:
-                    # Flyweight-only run: reachability is the whole promise.
-                    if not ufs.durable_covered(ino, start, end - start):
-                        found.append(
-                            f"[{label} t={now:.6f}] ino {ino} bytes [{start},{end}): "
-                            "acked but not durably readable"
-                        )
-                    continue
-                durable = ufs.durable_read(ino, start, end - start)
-                if durable is None:
-                    found.append(
-                        f"[{label} t={now:.6f}] ino {ino} bytes [{start},{end}): "
-                        "acked but not durably readable"
-                    )
-                    continue
-                for sub_start, sub_end, want in content_runs:
-                    got = durable[sub_start - start : sub_end - start]
-                    if got != want:
-                        first_bad = next(
-                            index
-                            for index, (got_byte, want_byte) in enumerate(zip(got, want))
-                            if got_byte != want_byte
-                        )
-                        found.append(
-                            f"[{label} t={now:.6f}] ino {ino} bytes "
-                            f"[{sub_start},{sub_end}): durable content differs "
-                            f"from acked content "
-                            f"(first mismatch at byte {sub_start + first_bad})"
-                        )
-        report = fsck(ufs, strict=False)
-        for error in report.errors:
-            found.append(f"[{label} t={now:.6f}] fsck: {error}")
-        suffix = self._context_suffix()
-        if suffix:
-            found = [message + suffix for message in found]
-        self.checks += 1
-        self.violations.extend(found)
-        return found
+        """Assert the crash contract on the target's durable image now;
+        returns (and records) the new violations."""
+        return self._walk(label, None, [(None, self.target.server.ufs)])
 
     def check_group(self, members, label: str = "final") -> List[str]:
         """Assert the *replica-group* crash contract (repro.replica).
@@ -396,51 +401,39 @@ class Oracle:
         caught up at the instant of a crash.  Structure is checked on
         every survivor: a quorum cannot excuse a corrupt backup.
         """
+        return self._walk(label, None, members, group=True)
+
+    def _walk(self, label: str, holder, members, group: bool = False) -> List[str]:
+        """The one ledger walk behind every crash check: ``holder``'s acked
+        runs against ``members`` (``(name, ufs)`` pairs), then fsck on each.
+
+        Alone (``group`` false), the single member must keep every promise
+        and each fault is reported; as a group, a run fails only when no
+        member keeps it.
+        """
+        stamp = f"[{label} t={self.env.now:.6f}]"
         found: List[str] = []
-        now = self.env.now
-        for ino in sorted(self._ledgers):
-            for start, end, content_runs in self._ledgers[ino].acked_runs():
-                if not content_runs:
-                    satisfied = any(
-                        ufs.durable_covered(ino, start, end - start)
-                        for _name, ufs in members
+        for ino in self.acked_inos(holder):
+            for start, end, content_runs in self._ledgers[(holder, ino)].acked_runs():
+                if not group:
+                    found.extend(
+                        f"{stamp} ino {ino} {fault}"
+                        for fault in _image_faults(members[0][1], ino, start, end, content_runs)
                     )
-                else:
-                    satisfied = any(
-                        self._member_holds(ufs, ino, start, end, content_runs)
-                        for _name, ufs in members
-                    )
-                if not satisfied:
+                elif all(
+                    _image_faults(ufs, ino, start, end, content_runs) for _name, ufs in members
+                ):
                     found.append(
-                        f"[{label} t={now:.6f}] ino {ino} bytes [{start},{end}): "
+                        f"{stamp} ino {ino} bytes [{start},{end}): "
                         "acked but missing from every surviving replica"
                     )
         for name, ufs in members:
-            report = fsck(ufs, strict=False)
+            where = f"fsck({name})" if group else "fsck"
             found.extend(
-                f"[{label} t={now:.6f}] fsck({name}): {error}"
-                for error in report.errors
+                f"{stamp} {where}: {error}" for error in fsck(ufs, strict=False).errors
             )
-        suffix = self._context_suffix()
-        if suffix:
-            found = [message + suffix for message in found]
         self.checks += 1
-        self.violations.extend(found)
-        return found
-
-    @staticmethod
-    def _member_holds(
-        ufs, ino: int, start: int, end: int, content_runs: List[ContentRun]
-    ) -> bool:
-        """Does one replica hold [start, end) durably, with the acked
-        content wherever content was promised?"""
-        durable = ufs.durable_read(ino, start, end - start)
-        if durable is None:
-            return False
-        return all(
-            durable[sub_start - start : sub_end - start] == want
-            for sub_start, sub_end, want in content_runs
-        )
+        return self._file(holder, found)
 
     @property
     def clean(self) -> bool:

@@ -326,7 +326,7 @@ def run_scrub_arm(
         repair_bytes=scrubber.repair_bytes,
         quarantines=len(scrubber.quarantines),
         eio_reads=counts["eio"],
-        read_acks=sum(o.read_acks for o in oracle._per_shard.values()),
+        read_acks=oracle.read_acks,
         silent_read_corruptions=len(oracle.read_violations),
         converged=quiesced.triggered,
         crash_time_violations=crash_time,

@@ -35,6 +35,8 @@ class StalenessOracle:
     def __init__(self, env) -> None:
         self.env = env
         self.violations: List[str] = []
+        #: How many of ``violations`` earlier checks already returned.
+        self._reported = 0
         self.hits_checked = 0
         self.mutations_checked = 0
         #: fhandle -> {mutating client host -> last mutation time}.
@@ -119,11 +121,13 @@ class StalenessOracle:
     def clean(self) -> bool:
         return not self.violations
 
-    def check(self, label: str = "") -> None:
-        """Raise if any violation has been recorded (end-of-run assert)."""
-        if self.violations:
-            where = f" at {label}" if label else ""
-            raise AssertionError(
-                f"lease staleness contract violated{where}: "
-                f"{self.violations[:3]} ({len(self.violations)} total)"
-            )
+    def check(self, label: str = "") -> List[str]:
+        """The violations recorded since the previous check.
+
+        The shared oracle contract: a check point (a fault controller's
+        crash, the end of a run) gets the new violations back and the run
+        goes on; it never raises.
+        """
+        found = self.violations[self._reported :]
+        self._reported = len(self.violations)
+        return found

@@ -3,7 +3,6 @@
 from repro.metrics.collect import FileCopyMetrics, latency_summary_ms
 from repro.metrics.report import ExperimentReport, format_comparison, format_paper_table
 from repro.metrics.svg import LineChart
-from repro.metrics.timeseries import RateSeries
 
 __all__ = [
     "ExperimentReport",
@@ -12,5 +11,4 @@ __all__ = [
     "format_paper_table",
     "format_comparison",
     "LineChart",
-    "RateSeries",
 ]

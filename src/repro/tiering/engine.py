@@ -805,8 +805,8 @@ class MigrationEngine:
 
         * the router's pins agree with the engine's recorded authority
           (clients can only reach the shard that holds the promise);
-        * the per-shard oracle bookkeeping for the ino lives at exactly
-          the authority (no shard silently co-owns acked ranges);
+        * the oracle files the ino's promises under exactly the
+          authority (no shard silently co-owns acked ranges);
         * once a migration is done *and purged*, no source-group member
           still holds the ino (no second physical copy at quiesce).
         """

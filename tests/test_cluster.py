@@ -1,5 +1,7 @@
 """Integration tests for repro.cluster: fleet, router, failover, experiments."""
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -8,7 +10,7 @@ from repro.cluster import (
     ShardCrash,
     build_cluster,
 )
-from repro.cluster.fleet import INO_STRIDE
+from repro.cluster.fleet import INO_STRIDE, Cluster
 from repro.cluster.experiment import run_scaling_sweep
 from repro.experiments import run
 from repro.experiments.testbed import Testbed, TestbedConfig
@@ -195,6 +197,77 @@ class TestScaling:
         assert payload["server_counts"] == [1, 2]
         assert len(payload["rows"]) == 2
         assert len(payload["table"]) == 2
+
+
+def _oracle_fleet(servers, replicas=0):
+    """A seeded fleet with one oracle-watched client and one durable
+    16 KB file; returns (cluster, oracle, client, fhandle, host)."""
+    cluster = Cluster(ClusterConfig(servers=servers, replicas=replicas, seed=0))
+    oracle = ClusterOracle(cluster)
+    client = cluster.add_client()
+    oracle.attach(client)
+    _write(cluster, client, "pinned", 16 * KB)
+    cluster.env.run()
+    ((fhandle, host),) = cluster.router.pins().items()
+    return cluster, oracle, client, fhandle, host
+
+
+def _rot_backup(cluster, fhandle):
+    """Flip one bit of the file's first block on shard 0's first backup."""
+    durable = cluster.groups[0].members[1].ufs.cache.durable
+    assert durable.rot_block(durable.inodes[fhandle[0]].direct[0], random.Random(5))
+
+
+class TestFleetOracle:
+    """The fleet oracle's message text and check counts, pinned."""
+
+    def test_single_image_message(self):
+        _cluster, oracle, client, fhandle, host = _oracle_fleet(servers=2)
+        assert (fhandle, host) == ((2000000, 0), "server-1")
+        client.on_write_acked(fhandle, 16 * KB, b"x" * 100)  # past EOF
+        expected = [
+            "server-1: [final t=1.148076] ino 2000000 bytes [0,16484): "
+            "acked but not durably readable [shard=server-1, role=primary]"
+        ]
+        assert oracle.check("final") == expected
+        assert oracle.violations == expected
+        assert not oracle.clean
+
+    def test_group_message_with_backup_fsck(self):
+        cluster, oracle, client, fhandle, _host = _oracle_fleet(servers=1, replicas=1)
+        _rot_backup(cluster, fhandle)
+        client.on_write_acked(fhandle, 16 * KB, b"x" * 100)
+        assert oracle.check("crash") == [
+            "server-0: [crash t=1.233278] ino 1000000 bytes [0,16484): "
+            "acked but missing from every surviving replica "
+            "[shard=server-0, role=primary]",
+            "server-0: [crash t=1.233278] fsck(server-0.b1): ino 1000000 "
+            "block 0: checksum mismatch at 0x10020000 (silent corruption) "
+            "[shard=server-0, role=primary]",
+        ]
+
+    def test_divergence_message(self):
+        cluster, oracle, _client, fhandle, _host = _oracle_fleet(servers=1, replicas=1)
+        _rot_backup(cluster, fhandle)
+        assert oracle.check_divergence("quiesce") == [
+            "server-0: [quiesce t=1.233278] ino 1000000: durable bytes "
+            "diverge between server-0 and server-0.b1"
+        ]
+
+    def test_transfer_moves_the_holder(self):
+        _cluster, oracle, _client, fhandle, host = _oracle_fleet(servers=2)
+        assert oracle.holders_of(fhandle[0]) == [host]
+        oracle.transfer_ino(fhandle[0], host, "server-0")
+        assert oracle.holders_of(fhandle[0]) == ["server-0"]
+
+    def test_checks_count_shards_and_compared_groups(self):
+        _cluster, oracle, _client, _fhandle, _host = _oracle_fleet(servers=2, replicas=1)
+        assert oracle.checks == 0
+        assert oracle.check("final") == []
+        assert oracle.checks == 2
+        assert oracle.check_divergence("quiesce") == []
+        assert oracle.checks == 4
+        assert oracle.acked_writes > 0 and oracle.clean
 
 
 class TestTestbedAddClient:

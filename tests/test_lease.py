@@ -400,12 +400,33 @@ class TestOracleUnit:
         oracle._on_hit("client-1", "data", key, fetched_at=-1.0, dirty=True)
         assert oracle.clean
 
-    def test_check_raises_with_label(self):
-        env = Environment()
-        oracle = StalenessOracle(env)
-        oracle.violations.append("synthetic")
-        with pytest.raises(AssertionError, match="final"):
-            oracle.check("final")
+    def test_check_returns_each_violation_once(self):
+        oracle = StalenessOracle(Environment())
+        assert oracle.check("crash#1") == []
+        oracle.violations.append("one")
+        assert oracle.check("crash#2") == ["one"]
+        assert oracle.check("final") == []
+        oracle.violations.append("two")
+        assert oracle.check("final") == ["two"]
+        assert oracle.violations == ["one", "two"]
+
+    def test_crash_check_reports_instead_of_raising(self):
+        """A fault controller checks its oracle at every server crash; a
+        recorded staleness violation must not abort the run."""
+        from repro.faults import AtTime, FaultController, FaultPlan, ServerCrash
+
+        testbed = _testbed()
+        oracle = StalenessOracle(testbed.env)
+        oracle.attach_testbed(testbed)
+        key = (7, 0)
+        oracle._on_mutate(key, "client-1")
+        oracle._on_hit("client-0", "attr", key, fetched_at=-1.0, dirty=False)
+        plan = FaultPlan("crash", events=(ServerCrash(trigger=AtTime(0.01)),))
+        controller = FaultController(testbed, plan, oracle=oracle).start()
+        testbed.env.run(until=0.1)
+        assert controller.crashes == 1
+        assert len(oracle.violations) == 1
+        assert "stale attr hit" in oracle.violations[0]
 
 
 class TestExperiment:

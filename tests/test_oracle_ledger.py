@@ -5,7 +5,8 @@ The oracle stores each inode's acked bytes as sorted, disjoint runs
 keeps the simpler per-byte algorithm (a dense content image plus a flag
 mask: 0 = never acked, 1 = content, 2 = flyweight) as an executable
 specification; seeded random op sequences must leave the ledger and the
-reference agreeing after every step.  The second half plants each kind
+reference agreeing after every step, with inodes moving between holders
+(the shards a fleet's oracle files promises under).  The second half plants each kind
 of violation on a tiny testbed and pins its exact message text.
 """
 
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.oracle import ClusterOracle
 from repro.experiments import Testbed, TestbedConfig
 from repro.faults.oracle import Oracle
 from repro.net import FDDI
@@ -110,41 +112,55 @@ def _bare_oracle():
     return Oracle(SimpleNamespace(env=SimpleNamespace(now=0.0), server=SimpleNamespace()))
 
 
-def _read_message(ino, start, end):
+def _routed_oracle(route):
+    """A fleet oracle whose router pins every handle to ``route[0]``."""
+    router = SimpleNamespace(server_for_fhandle=lambda _fhandle: route[0])
+    return ClusterOracle(SimpleNamespace(env=SimpleNamespace(now=0.0), router=router))
+
+
+def _read_message(holder, ino, start, end):
     return (
-        f"[read t=0.000000] ino {ino} bytes [{start},{end}): acked READ returned "
-        "bytes differing from the acked write image (silent corruption)"
+        f"{holder}: [read t=0.000000] ino {ino} bytes [{start},{end}): acked READ "
+        "returned bytes differing from the acked write image (silent corruption) "
+        f"[shard={holder}, role=primary]"
     )
 
 
 INOS = (1, 2, 3)
+HOLDERS = ("server-0", "server-1")
 
 
-def _assert_agree(oracle, reference, rng):
-    assert oracle.acked_inos() == reference.acked_inos()
-    assert oracle.acked_byte_total() == reference.acked_byte_total()
-    assert oracle.pending_byte_total() == reference.pending_byte_total()
+def _assert_agree(oracle, route, references, rng):
+    assert oracle.acked_byte_total() == sum(ref.acked_byte_total() for ref in references)
+    assert oracle.pending_byte_total() == sum(ref.pending_byte_total() for ref in references)
     for ino in INOS:
-        assert oracle.acked_runs(ino) == reference.acked_runs(ino)
-        assert oracle.content_runs(ino) == reference.content_runs(ino)
-        assert oracle.tracks(ino) == reference.tracks(ino)
-    # Content: a read of the reference image raises nothing; the same
-    # window with every byte flipped flags exactly the content runs.
-    for ino in reference.acked_inos():
-        image = reference.images[ino]
-        low = rng.randrange(0, len(image) + 1)
-        high = rng.randrange(low, len(image) + 20)
-        window = bytes(image[low:high]).ljust(high - low, b"\x00")
-        before = len(oracle.violations)
-        oracle.record_read((ino,), low, window)
-        assert oracle.violations[before:] == []
-        oracle.record_read((ino,), low, bytes(b ^ 0xFF for b in window))
-        assert oracle.violations[before:] == [
-            _read_message(ino, start, end)
-            for start, end in reference.content_runs(ino, low, high)
+        assert oracle.holders_of(ino) == [
+            holder for holder, ref in zip(HOLDERS, references) if ref.tracks(ino)
         ]
-        del oracle.violations[before:]
-        del oracle.read_violations[:]
+    for holder, reference in zip(HOLDERS, references):
+        assert oracle.acked_inos(holder) == reference.acked_inos()
+        for ino in INOS:
+            assert oracle.acked_runs(ino, holder) == reference.acked_runs(ino)
+            assert oracle.content_runs(ino, holder) == reference.content_runs(ino)
+            assert oracle.tracks(ino, holder) == reference.tracks(ino)
+        # Content: a read of the reference image raises nothing; the same
+        # window with every byte flipped flags exactly the content runs.
+        route[0] = holder
+        for ino in reference.acked_inos():
+            image = reference.images[ino]
+            low = rng.randrange(0, len(image) + 1)
+            high = rng.randrange(low, len(image) + 20)
+            window = bytes(image[low:high]).ljust(high - low, b"\x00")
+            before = len(oracle.violations)
+            oracle.record_read((ino,), low, window)
+            assert oracle.violations[before:] == []
+            oracle.record_read((ino,), low, bytes(b ^ 0xFF for b in window))
+            assert oracle.violations[before:] == [
+                _read_message(holder, ino, start, end)
+                for start, end in reference.content_runs(ino, low, high)
+            ]
+            del oracle.violations[before:]
+            del oracle.read_violations[:]
 
 
 def _random_payload(rng, length):
@@ -156,11 +172,12 @@ def _random_payload(rng, length):
 @pytest.mark.parametrize("seed", range(40))
 def test_ledger_matches_per_byte_reference(seed):
     rng = random.Random(seed)
-    oracles = (_bare_oracle(), _bare_oracle())
+    route = [None]
+    oracle = _routed_oracle(route)
     references = (MaskReference(), MaskReference())
     for _step in range(120):
         side = rng.randrange(2)
-        oracle, reference = oracles[side], references[side]
+        route[0], reference = HOLDERS[side], references[side]
         ino = rng.choice(INOS)
         op = rng.random()
         # Offsets cluster so writes overlap, touch and leave gaps alike;
@@ -185,10 +202,9 @@ def test_ledger_matches_per_byte_reference(seed):
             reference.record_commit(ino, offset, data)
         else:
             dst = 1 - side
-            oracles[dst].adopt(ino, oracle.hand_off(ino))
+            oracle.transfer_ino(ino, HOLDERS[side], HOLDERS[dst])
             reference.transfer(ino, references[dst])
-        for oracle, reference in zip(oracles, references):
-            _assert_agree(oracle, reference, rng)
+        _assert_agree(oracle, route, references, rng)
 
 
 class TestLedgerEdges:
@@ -199,13 +215,16 @@ class TestLedgerEdges:
         assert oracle.acked_runs(5) == []
         assert not oracle.tracks(5)
 
-    def test_adopt_replaces_the_destination_ledger(self):
-        src, dst = _bare_oracle(), _bare_oracle()
-        dst.record_ack((5,), 0, b"old bytes")
-        src.record_ack((5,), 100, b"new")
-        dst.adopt(5, src.hand_off(5))
-        assert dst.acked_runs(5) == [(100, 103)]
-        assert src.acked_inos() == [] and not src.tracks(5)
+    def test_transfer_replaces_the_destination_ledger(self):
+        route = ["dst"]
+        oracle = _routed_oracle(route)
+        oracle.record_ack((5,), 0, b"old bytes")
+        route[0] = "src"
+        oracle.record_ack((5,), 100, b"new")
+        oracle.transfer_ino(5, "src", "dst")
+        assert oracle.acked_runs(5, "dst") == [(100, 103)]
+        assert oracle.acked_inos("src") == [] and not oracle.tracks(5, "src")
+        assert oracle.holders_of(5) == ["dst"]
 
     def test_flyweight_between_content_runs_forms_one_acked_run(self):
         oracle = _bare_oracle()

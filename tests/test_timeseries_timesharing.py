@@ -1,70 +1,16 @@
-"""Tests for RateSeries (the §5 traffic-cycle oracle) and the timesharing
-multiprocess client workload."""
+"""Tests for the §5 traffic cycles and the timesharing multiprocess client
+workload."""
+
+import statistics
 
 import pytest
 
 from repro.experiments import Testbed, TestbedConfig
-from repro.metrics import RateSeries
 from repro.net import ETHERNET, FDDI
 from repro.rpc.messages import RpcCall
-from repro.sim import Environment
 from repro.workload import run_timesharing
 
 KB = 1024
-
-
-class TestRateSeries:
-    def test_bucketing_and_rates(self):
-        env = Environment()
-        series = RateSeries(env, bucket_seconds=1.0)
-
-        def proc(env):
-            series.observe(10)
-            yield env.timeout(0.5)
-            series.observe(10)
-            yield env.timeout(1.0)  # now in bucket 1
-            series.observe(5)
-
-        env.run(until=env.process(proc(env)))
-        rates = series.rates()
-        assert rates[0] == pytest.approx(20.0)
-        assert rates[1] == pytest.approx(5.0)
-        assert series.mean_rate() == pytest.approx(12.5)
-
-    def test_burstiness_detects_on_off_pattern(self):
-        env = Environment()
-        bursty = RateSeries(env, bucket_seconds=0.1)
-        smooth = RateSeries(env, bucket_seconds=0.1)
-
-        def proc(env):
-            for i in range(40):
-                smooth.observe(1)
-                if i % 4 == 0:
-                    bursty.observe(4)
-                yield env.timeout(0.1)
-
-        env.run(until=env.process(proc(env)))
-        assert bursty.burstiness() > 3 * smooth.burstiness()
-        assert bursty.idle_fraction() > 0.5
-        assert smooth.idle_fraction() == pytest.approx(0.0, abs=0.05)
-
-    def test_sparkline(self):
-        env = Environment()
-        series = RateSeries(env, bucket_seconds=1.0)
-
-        def proc(env):
-            for _ in range(5):
-                series.observe(3)
-                yield env.timeout(1.0)
-
-        env.run(until=env.process(proc(env)))
-        line = series.sparkline(width=10)
-        assert len(line) >= 5
-        assert set(line) <= set(" .:-=+*#%@")
-
-    def test_invalid_bucket(self):
-        with pytest.raises(ValueError):
-            RateSeries(Environment(), bucket_seconds=0)
 
 
 class TestTrafficCycles:
@@ -76,13 +22,16 @@ class TestTrafficCycles:
         testbed = Testbed(config)
         client = testbed.add_client()
         env = testbed.env
-        series = RateSeries(env, bucket_seconds=0.01)
+        start = env.now
+        writes = []  # WRITE calls sent per 10 ms bucket
         endpoint = client.rpc.endpoint
         original_send = endpoint.send
 
         def counting_send(dst, payload, size):
             if isinstance(payload, RpcCall) and payload.proc == "write":
-                series.observe(1)
+                index = int((env.now - start) / 0.01)
+                writes.extend([0] * (index + 1 - len(writes)))
+                writes[index] += 1
             original_send(dst, payload, size)
 
         endpoint.send = counting_send
@@ -90,8 +39,11 @@ class TestTrafficCycles:
 
         proc = env.process(write_file(env, client, "osc", 512 * KB))
         env.run(until=proc)
-        assert series.burstiness() > 1.0
-        assert series.idle_fraction() > 0.4
+        rates = [count / 0.01 for count in writes]
+        # Coefficient of variation of the per-bucket rates, and the share
+        # of buckets with no WRITE at all (the silent half of a cycle).
+        assert statistics.pstdev(rates) / statistics.mean(rates) > 1.0
+        assert writes.count(0) / len(writes) > 0.4
 
 
 class TestTimesharing:

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 from repro.disk.model import DiskModel, DiskSpec
 from repro.disk.stats import IoStats
 from repro.obs import PHASE_DISK_IO, collector_for
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 
 __all__ = ["IoRequest", "Storage", "DiskDevice", "SCHEDULER_FIFO", "SCHEDULER_ELEVATOR"]
 
@@ -220,8 +220,9 @@ class DiskDevice(Storage):
             request = self._pick()
             service_started = self.env.now
             self.stats.busy.begin()
-            yield self.env.timeout(
-                self.model.service_time(request.offset, request.nbytes) * self.slowdown
+            yield Timeout(
+                self.env,
+                self.model.service_time(request.offset, request.nbytes) * self.slowdown,
             )
             self.stats.busy.end()
             self.stats.record(request.nbytes, request.is_write, request.kind)

@@ -26,7 +26,7 @@ says they cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.disk.device import Storage
 from repro.fs.allocator import Allocator, NoSpace
@@ -133,11 +133,12 @@ class Ufs:
         """Whether the backing storage is NVRAM-accelerated (Presto on)."""
         return bool(getattr(self.storage, "is_accelerated", False))
 
-    def _charge(self, seconds: float) -> Generator:
-        """Charge CPU time if an accountant is attached."""
+    def _charge(self, seconds: float) -> Iterable:
+        """Charge CPU time if an accountant is attached (``yield from`` the
+        result; no generator frame of its own)."""
         if self.cpu is not None and seconds > 0:
-            yield from self.cpu.consume(seconds)
-
+            return self.cpu.consume(seconds)
+        return ()
 
     def _device_trip_cost(self) -> float:
         """CPU cost of handing one transaction to the storage driver."""

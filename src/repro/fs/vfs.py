@@ -73,17 +73,17 @@ class Vnode:
     # -- VOPs (generators, driven inside a simulation process) ---------------
 
     def vop_write(self, offset: int, data: bytes, ioflags: int = IO_SYNC) -> Generator:
-        return (yield from self.ufs.write(self.inode, offset, data, ioflags))
+        return self.ufs.write(self.inode, offset, data, ioflags)
 
     def vop_read(self, offset: int, nbytes: int) -> Generator:
-        return (yield from self.ufs.read(self.inode, offset, nbytes))
+        return self.ufs.read(self.inode, offset, nbytes)
 
     def vop_fsync(self, flags: int = FWRITE) -> Generator:
         metadata_only = bool(flags & FWRITE_METADATA)
-        return (yield from self.ufs.fsync(self.inode, metadata_only=metadata_only))
+        return self.ufs.fsync(self.inode, metadata_only=metadata_only)
 
     def vop_syncdata(self, start: int = 0, end: Optional[int] = None) -> Generator:
-        return (yield from self.ufs.sync_data(self.inode, start, end))
+        return self.ufs.sync_data(self.inode, start, end)
 
     def vop_getattr(self) -> Inode:
         return self.inode

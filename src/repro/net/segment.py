@@ -2,8 +2,9 @@
 
 Both technologies in the paper are shared media: every frame from every
 host serializes on the one channel.  The segment models this with a single
-transmission resource acquired *per frame*, so a long request train and the
-reply traffic interleave frame-by-frame exactly as in the §5 case study.
+transmission slot held *per frame* (a one-slot
+:class:`~repro.sim.HoldQueue`), so a long request train and the reply
+traffic interleave frame-by-frame exactly as in the §5 case study.
 
 Delivery places the reassembled datagram into the destination endpoint's
 socket buffer; if that buffer is full the datagram is dropped, which is how
@@ -26,7 +27,7 @@ from repro.net.packet import Datagram
 from repro.net.spec import NetSpec
 from repro.net.udp import UdpEndpoint
 from repro.obs import PHASE_WIRE, collector_for, registry_for
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, HoldQueue, Store, Timeout
 
 __all__ = ["Segment"]
 
@@ -49,7 +50,6 @@ class Segment:
         self.name = name or spec.name
         self.loss_rate = loss_rate
         self._rng = random.Random(seed)
-        self._medium = Resource(env, capacity=1)
         self._endpoints: Dict[str, UdpEndpoint] = {}
         self._tx_queues: Dict[str, object] = {}
         #: Hosts currently cut off the segment (fault injection).
@@ -63,6 +63,7 @@ class Segment:
         self.obs = collector_for(env)
         metrics = registry_for(env)
         self.utilization = metrics.utilization(f"{self.name}.wire")
+        self._medium = HoldQueue(env, 1, self.utilization)
         self.delivered = metrics.counter(f"{self.name}.delivered")
         self.dropped = metrics.counter(f"{self.name}.dropped")
         self.lost = metrics.counter(f"{self.name}.lost")
@@ -162,27 +163,25 @@ class Segment:
         frame_payload = -(-datagram.size // frames)  # even-ish split
         lost = False
         trace = getattr(datagram.payload, "trace", None) if self.obs.enabled else None
+        medium = self._medium
         for index in range(frames):
             payload = min(frame_payload, datagram.size - index * frame_payload)
             wire_bytes = payload + self.spec.frame_overhead
-            with self._medium.request() as grant:
-                yield grant
-                self.utilization.begin()
-                held_at = self.env.now
-                yield self.env.timeout(wire_bytes * 8.0 / self.spec.bandwidth_bps)
-                self.utilization.end()
-                if trace is not None:
-                    self.obs.emit(
-                        PHASE_WIRE,
-                        self.name,
-                        held_at,
-                        self.env.now,
-                        trace_id=trace.trace_id,
-                        frame=index,
-                        frames=frames,
-                        bytes=wire_bytes,
-                        src=datagram.src,
-                    )
+            claim = medium.hold(wire_bytes * 8.0 / self.spec.bandwidth_bps)
+            yield claim
+            medium.release()
+            if trace is not None:
+                self.obs.emit(
+                    PHASE_WIRE,
+                    self.name,
+                    claim.started,
+                    self.env.now,
+                    trace_id=trace.trace_id,
+                    frame=index,
+                    frames=frames,
+                    bytes=wire_bytes,
+                    src=datagram.src,
+                )
             self.bytes_moved.add(wire_bytes)
             if self.loss_rate and self._rng.random() < self.loss_rate:
                 lost = True  # keep transmitting; the medium time is spent
@@ -205,7 +204,7 @@ class Segment:
                 self.reordered.add(1)
             if self.duplicate_rate and self._rng.random() < self.duplicate_rate:
                 duplicated = True
-        timer = self.env.timeout(self.spec.latency + extra_delay)
+        timer = Timeout(self.env, self.spec.latency + extra_delay)
         if lost:
             timer.callbacks.append(lambda _ev: self.lost.add(1))
         elif duplicated:
@@ -218,7 +217,7 @@ class Segment:
     def _arrive_with_duplicate(self, datagram: Datagram) -> None:
         self._arrive(datagram)
         self.duplicated.add(1)
-        timer = self.env.timeout(self.spec.latency)
+        timer = Timeout(self.env, self.spec.latency)
         timer.callbacks.append(
             lambda _ev, d=self._clone(datagram): self._arrive(d)
         )

@@ -12,6 +12,7 @@ with respect to other types of requests").
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Dict, Generator, Optional
 
 from repro.net.udp import UdpEndpoint
@@ -23,7 +24,7 @@ from repro.rpc.messages import (
     RpcCall,
     RpcReply,
 )
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 
 __all__ = ["RpcClient", "RpcTimeoutPolicy", "RpcTimeoutError"]
 
@@ -33,6 +34,16 @@ INITIAL_TIMEOUT = 1.1
 #: Cap on the doubling exponent so the uncapped product never overflows
 #: into absurd floats before the ceiling clamp is applied.
 MAX_BACKOFF_EXPONENT = 16
+
+#: What a retransmit timer wakes its caller with, in place of a reply.
+_TIMEOUT = object()
+
+
+def _expire(wait: Event, _timer: Event) -> None:
+    """Retransmit-timer callback: wake the caller unless its reply got
+    there first."""
+    if not wait.triggered:
+        wait.succeed(_TIMEOUT)
 
 
 class RpcTimeoutError(Exception):
@@ -88,10 +99,14 @@ class RpcTimeoutPolicy:
 
     def interval_for(self, weight: str, attempt: int, host: str, xid: int) -> float:
         """The (optionally jittered) interval the client actually arms."""
+        interval = self.timeout_for(weight, attempt)
+        if not self.jitter:
+            return interval
         from repro.overload.rto import retransmit_jitter
 
-        factor = retransmit_jitter(self.jitter_seed, host, xid, attempt, self.jitter)
-        return self.timeout_for(weight, attempt) * factor
+        return interval * retransmit_jitter(
+            self.jitter_seed, host, xid, attempt, self.jitter
+        )
 
     def observe(self, weight: str, latency: float, retransmitted: bool = False) -> None:
         """Fold a measured round-trip into the class's base interval.
@@ -209,8 +224,7 @@ class RpcClient:
         )
         destination = server or self.server
         budget = max_attempts if max_attempts is not None else self.policy.max_attempts
-        reply_event = self.env.event()
-        self._pending[xid] = reply_event
+        pending = self._pending
         started = self.env.now
         try:
             while True:
@@ -220,18 +234,14 @@ class RpcClient:
                 interval = self.policy.interval_for(
                     weight, call.attempt, self.endpoint.host, xid
                 )
-                # Wait for reply-or-timer with two plain callbacks instead
-                # of an AnyOf condition: same wakeup order, no per-attempt
-                # condition object, tuple, or result-dict churn.
+                # One wait per transmission, filed under the xid: the
+                # receiver succeeds it with the reply, the timer with
+                # _TIMEOUT, whichever comes first.
                 wait = Event(self.env)
-
-                def _first(_event: Event, w: Event = wait) -> None:
-                    if not w.triggered:
-                        w.succeed(_event is reply_event)
-
-                self.env.timeout(interval).callbacks.append(_first)
-                reply_event.callbacks.append(_first)
-                if (yield wait):
+                pending[xid] = wait
+                Timeout(self.env, interval).callbacks.append(partial(_expire, wait))
+                reply = yield wait
+                if reply is not _TIMEOUT:
                     break
                 self.timeouts.add(1)
                 self.policy.on_timeout(weight)
@@ -242,7 +252,7 @@ class RpcClient:
                 call.attempt += 1
                 self.retransmissions.add(1)
         finally:
-            self._pending.pop(xid, None)
+            pending.pop(xid, None)
         elapsed = self.env.now - started
         self.policy.observe(weight, elapsed, retransmitted=call.attempt > 1)
         self.latency.observe(elapsed)
@@ -260,7 +270,7 @@ class RpcClient:
                 attempts=call.attempt,
                 **trace.attrs,
             )
-        return reply_event.value
+        return reply
 
     def _receiver(self):
         while True:
@@ -277,8 +287,9 @@ class RpcClient:
                 continue  # stray traffic
             waiter = self._pending.get(reply.xid)
             if waiter is None or waiter.triggered:
-                # Reply to a request we already gave up on / answered: a
-                # duplicate generated by our own retransmission.
+                # Reply to a request we already gave up on / answered (or
+                # whose timer fired this instant): a duplicate generated
+                # by our own retransmission.
                 self.duplicate_replies.add(1)
                 continue
             waiter.succeed(reply)

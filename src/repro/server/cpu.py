@@ -1,17 +1,18 @@
 """Server CPU accounting.
 
 Every piece of server work — RPC decode, per-frame reassembly, UFS trips,
-driver trips, reply generation — acquires the CPU for its cost.  The meter
-behind it produces the "server cpu util. (%)" row of the paper's tables,
-and CPU contention naturally degrades service when the server saturates.
+driver trips, reply generation — holds a core for its cost through a
+:class:`~repro.sim.HoldQueue`: work queues FIFO for a free core, and the
+next charge starts the instant the previous one ends.  The meter behind it
+produces the "server cpu util. (%)" row of the paper's tables, and CPU
+contention naturally degrades service when the server saturates.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.sim import Environment, Resource, UtilizationMeter
-from repro.sim.resources import Request
+from repro.sim import Environment, HoldQueue, UtilizationMeter
 
 __all__ = ["Cpu"]
 
@@ -24,34 +25,21 @@ class Cpu:
             raise ValueError(f"cores must be >= 1, got {cores}")
         self.env = env
         self.cores = cores
-        self._resource = Resource(env, capacity=cores)
         self.meter = UtilizationMeter(env, "cpu")
+        self._slots = HoldQueue(env, cores, self.meter)
 
     def consume(self, seconds: float) -> Generator:
         """Hold one core for ``seconds`` of work."""
         if seconds <= 0:
             return
-        resource = self._resource
-        meter = self.meter
-        if not resource.queue and len(resource.users) < resource.capacity:
-            # Uncontended: claim the slot directly.  The Request still
-            # allocates its event id (so scheduling order matches the
-            # general path exactly) but skips the grant-event round trip.
-            claim = Request(resource)
-            claim._granted = True
-            resource.users.append(claim)
-            meter.begin()
-            try:
-                yield self.env.timeout(seconds)
-                meter.end()
-            finally:
-                resource.release(claim)
-            return
-        with resource.request() as grant:
-            yield grant
-            meter.begin()
-            yield self.env.timeout(seconds)
-            meter.end()
+        slots = self._slots
+        claim = slots.hold(seconds)
+        try:
+            yield claim
+        except BaseException:
+            slots.abandon(claim)
+            raise
+        slots.release()
 
     def utilization(self) -> float:
         """Busy fraction in [0, 1]; for multi-core, mean busy cores / cores."""

@@ -13,7 +13,15 @@ from repro.sim.core import (
 )
 from repro.sim.errors import Interrupt, SimError, StopSimulation
 from repro.sim.monitor import Counter, Ratio, Tally, TimeWeighted, UtilizationMeter
-from repro.sim.resources import Container, PriorityResource, Request, Resource, Store
+from repro.sim.resources import (
+    Container,
+    Hold,
+    HoldQueue,
+    PriorityResource,
+    Request,
+    Resource,
+    Store,
+)
 
 __all__ = [
     "Environment",
@@ -31,6 +39,8 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Request",
+    "Hold",
+    "HoldQueue",
     "Store",
     "Container",
     "Tally",

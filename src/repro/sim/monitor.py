@@ -40,8 +40,10 @@ class Tally:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         if self._samples is not None:
             self._samples.append(value)
 
@@ -176,24 +178,33 @@ class UtilizationMeter:
         self._active = 0
         self._busy_since = 0.0
         self._busy_time = 0.0
-        self._slot_seconds = TimeWeighted(env, 0.0)
+        #: Busy-slot-seconds, integrated in place as :class:`TimeWeighted`
+        #: would over ``_active`` (same float operations, one call less).
+        self._slot_area = 0.0
+        self._last_change = env.now
         self._start = env.now
 
     def begin(self) -> None:
         """Mark the start of a busy interval."""
-        if self._active == 0:
-            self._busy_since = self.env.now
-        self._active += 1
-        self._slot_seconds.adjust(1)
+        now = self.env._now
+        active = self._active
+        if active == 0:
+            self._busy_since = now
+        self._slot_area += active * (now - self._last_change)
+        self._last_change = now
+        self._active = active + 1
 
     def end(self) -> None:
         """Mark the end of a busy interval."""
-        if self._active <= 0:
+        active = self._active
+        if active <= 0:
             raise SimError(f"UtilizationMeter {self.name!r}: end() without begin()")
-        self._active -= 1
-        self._slot_seconds.adjust(-1)
-        if self._active == 0:
-            self._busy_time += self.env.now - self._busy_since
+        now = self.env._now
+        self._slot_area += active * (now - self._last_change)
+        self._last_change = now
+        self._active = active - 1
+        if active == 1:
+            self._busy_time += now - self._busy_since
 
     def add_busy(self, seconds: float) -> None:
         """Directly account ``seconds`` of busy time (non-overlapping use)."""
@@ -216,11 +227,16 @@ class UtilizationMeter:
 
     def mean_concurrency(self) -> float:
         """Time-weighted mean number of simultaneously busy slots."""
-        return self._slot_seconds.mean()
+        now = self.env.now
+        elapsed = now - self._start
+        if elapsed <= 0:
+            return float(self._active)
+        return (self._slot_area + self._active * (now - self._last_change)) / elapsed
 
     def reset(self) -> None:
         self._busy_time = 0.0
         self._start = self.env.now
         if self._active:
             self._busy_since = self.env.now
-        self._slot_seconds.reset()
+        self._slot_area = 0.0
+        self._last_change = self.env.now

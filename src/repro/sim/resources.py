@@ -1,11 +1,15 @@
 """Shared-resource primitives for the simulation kernel.
 
-Three families, mirroring what the NFS stack needs:
+Four families, mirroring what the NFS stack needs:
 
 * :class:`Resource` / :class:`PriorityResource` — capacity-limited resources
-  (a CPU, a disk arm, a vnode lock).  ``request()`` returns an event that
-  fires when a slot is granted; release with ``release()`` or use the request
-  as a context manager inside a process.
+  held for as long as the holder likes (a vnode lock).  ``request()``
+  returns an event that fires when a slot is granted; release with
+  ``release()`` or use the request as a context manager inside a process.
+* :class:`HoldQueue` — capacity-limited slots held for a duration known up
+  front (a CPU charge, one frame on the wire).  ``hold(seconds)`` returns a
+  :class:`Hold` that fires when the hold *ends*, so a holder wakes once per
+  hold; ``release()`` starts the next queued hold at that same instant.
 * :class:`Store` — a FIFO queue of Python objects (a socket buffer, a work
   queue).  Optionally bounded; ``put`` on a full bounded store can either
   wait or drop (the caller chooses via ``try_put``).
@@ -18,10 +22,19 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from repro.sim.core import Environment, Event
+from repro.sim.core import _NORMAL_BIAS, Environment, Event
 from repro.sim.errors import SimError
+from repro.sim.monitor import UtilizationMeter
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store", "Container"]
+__all__ = [
+    "Resource",
+    "PriorityResource",
+    "Request",
+    "Hold",
+    "HoldQueue",
+    "Store",
+    "Container",
+]
 
 
 class Request(Event):
@@ -160,6 +173,85 @@ class PriorityResource(Resource):
     def queue(self, value) -> None:
         # Base-class __init__ assigns an empty deque; ignore it.
         pass
+
+
+class Hold(Event):
+    """A claim on a :class:`HoldQueue` slot for ``seconds``.
+
+    The event fires when the hold ends.  ``started`` is the instant the
+    slot was taken, or None while the claim is still queued.
+    """
+
+    __slots__ = ("seconds", "started")
+
+    def __init__(self, env: Environment, seconds: float) -> None:
+        super().__init__(env)
+        self.seconds = seconds
+        self.started: Optional[float] = None
+
+
+class HoldQueue:
+    """Capacity-limited slots, each held for a duration known up front.
+
+    ``hold(seconds)`` stands for ``request()``, a grant, then a
+    ``timeout(seconds)``, with one wake instead of two: a free slot starts
+    the hold at once, and a queued claim starts the instant ``release()``
+    frees a slot (FIFO).  Its completion takes the heap sequence number the
+    grant event would have taken, so every other event keeps its order;
+    only the completion itself now sorts ahead of events scheduled later in
+    the instant it started.  ``meter`` is busy for as long as each hold.
+    """
+
+    def __init__(
+        self, env: Environment, capacity: int, meter: UtilizationMeter
+    ) -> None:
+        if capacity < 1:
+            raise SimError(f"hold queue capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.meter = meter
+        #: Slots currently held.
+        self.count = 0
+        self.queue: Deque[Hold] = deque()
+
+    def hold(self, seconds: float) -> Hold:
+        """Claim a slot for ``seconds``; the returned event fires when the
+        hold ends.  The holder must then call :meth:`release`."""
+        if seconds < 0:
+            raise SimError(f"negative hold: {seconds!r}")
+        claim = Hold(self.env, seconds)
+        if self.count < self.capacity and not self.queue:
+            self.count += 1
+            self._start(claim)
+        else:
+            self.queue.append(claim)
+        return claim
+
+    def release(self) -> None:
+        """End one hold: the next queued claim starts now, or the slot
+        frees."""
+        self.meter.end()
+        if self.queue:
+            self._start(self.queue.popleft())
+        else:
+            self.count -= 1
+
+    def abandon(self, claim: Hold) -> None:
+        """Give up ``claim`` (its holder was interrupted): dequeue it if it
+        is still waiting, else release its slot."""
+        if claim.started is None:
+            self.queue.remove(claim)
+        else:
+            self.release()
+
+    def _start(self, claim: Hold) -> None:
+        env = self.env
+        self.meter.begin()
+        claim.started = now = env._now
+        claim._ok = True
+        claim._value = None
+        env._eid += 1
+        heapq.heappush(env._queue, (now + claim.seconds, _NORMAL_BIAS + env._eid, claim))
 
 
 class Store:

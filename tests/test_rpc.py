@@ -15,7 +15,8 @@ from repro.rpc import (
     RpcTimeoutPolicy,
     SvcServer,
 )
-from repro.sim import Environment
+from repro.rpc.client import RpcTimeoutError
+from repro.sim import Environment, Interrupt
 
 
 def make_pair(env, loss_rate=0.0, seed=0):
@@ -127,6 +128,135 @@ class TestRetransmission:
             policy.observe(CLASS_HEAVY, latency=100.0)
         assert policy.base(CLASS_HEAVY) <= 10.0
         assert policy.timeout_for(CLASS_HEAVY, attempt=10) <= 10.0
+
+
+def raw_server(env, endpoint, delay):
+    """Answer every call that reaches ``endpoint`` after ``delay``, each in
+    its own process (no dup cache): every transmission gets its reply."""
+
+    def answer(call):
+        yield env.timeout(delay)
+        endpoint.send(call.client, RpcReply(xid=call.xid, status="ok", result=call.args), 100)
+
+    def serve():
+        while True:
+            datagram = yield endpoint.recv()
+            env.process(answer(datagram.payload))
+
+    env.process(serve(), name="raw-server")
+
+
+def make_raw_pair(env, delay):
+    segment = Segment(env, ETHERNET)
+    client = RpcClient(env, segment.attach("client"), "server")
+    raw_server(env, segment.attach("server"), delay)
+    return client
+
+
+class TestReplyMatching:
+    """One waiter per transmission, filed under the call's xid."""
+
+    def test_late_reply_to_first_transmission_completes_the_call(self):
+        env = Environment()
+        # The server answers 1.5 s after each request: the first reply
+        # lands after the 1.1 s timer has already retransmitted.
+        client = make_raw_pair(env, delay=1.5)
+
+        def caller(env):
+            reply = yield from client.call("write", "first", size=200)
+            return reply, env.now
+
+        proc = env.process(caller(env))
+        env.run(until=proc)
+        reply, finished = proc.value
+        assert reply.result == "first"
+        assert 1.5 < finished < 2.2
+        assert client.retransmissions.value == 1
+        assert client.completed.value == 1
+        assert client.duplicate_replies.value == 0
+
+    def test_second_copy_of_the_reply_counts_as_duplicate(self):
+        env = Environment()
+        client = make_raw_pair(env, delay=1.5)
+
+        def caller(env):
+            yield from client.call("write", "first", size=200)
+
+        env.process(caller(env))
+        env.run(until=5.0)
+        # The retransmission's reply arrives about 1.1 s after the first.
+        assert client.duplicate_replies.value == 1
+        assert client.completed.value == 1
+
+    def test_pending_empty_after_success(self):
+        env = Environment()
+        client = make_raw_pair(env, delay=0.01)
+
+        def caller(env):
+            yield from client.call("read", 1, size=200)
+
+        env.run(until=env.process(caller(env)))
+        assert client._pending == {}
+
+    def test_pending_empty_after_timeout_error(self):
+        env = Environment()
+        segment = Segment(env, ETHERNET)
+        client = RpcClient(env, segment.attach("client"), "server")
+        segment.attach("server")  # never answers
+
+        def caller(env):
+            with pytest.raises(RpcTimeoutError):
+                yield from client.call("read", 1, size=200, max_attempts=2)
+
+        env.run(until=env.process(caller(env)))
+        assert client.timeouts.value == 2
+        assert client._pending == {}
+
+    def test_interrupted_caller_leaves_nothing_pending_and_timer_wakes_nobody(self):
+        env = Environment()
+        segment = Segment(env, ETHERNET)
+        client = RpcClient(env, segment.attach("client"), "server")
+        segment.attach("server")  # never answers
+        log = []
+
+        def caller(env):
+            # The Replicator.halt pattern: a session interrupted mid-call.
+            try:
+                yield from client.call("write", 1, size=200)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield env.timeout(10.0)
+            log.append(("woke", env.now))
+
+        def halt(env, victim):
+            yield env.timeout(0.5)
+            victim.interrupt("halt")
+
+        victim = env.process(caller(env))
+        env.process(halt(env, victim))
+        env.run(until=victim)
+        # The 1.1 s retransmit timer fired in between and resumed nobody.
+        assert log == [("interrupted", 0.5), ("woke", 10.5)]
+        assert client._pending == {}
+        assert client.timeouts.value == 0
+
+    def test_timer_after_success_wakes_nobody(self):
+        env = Environment()
+        client = make_raw_pair(env, delay=0.01)
+        log = []
+
+        def caller(env):
+            yield from client.call("read", 1, size=200)
+            log.append(("replied", round(env.now, 6)))
+            yield env.timeout(5.0)
+            log.append(("woke", round(env.now, 6)))
+
+        proc = env.process(caller(env))
+        env.run(until=proc)
+        replied = log[0][1]
+        assert log == [("replied", replied), ("woke", round(replied + 5.0, 6))]
+        assert client.timeouts.value == 0
+        assert client.retransmissions.value == 0
 
 
 class TestDuplicateCache:

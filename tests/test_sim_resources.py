@@ -1,4 +1,4 @@
-"""Tests for Resource / PriorityResource / Store / Container."""
+"""Tests for Resource / PriorityResource / HoldQueue / Store / Container."""
 
 import gc
 import weakref
@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, PriorityResource, Resource, SimError, Store
+from repro.sim import (
+    Container,
+    Environment,
+    HoldQueue,
+    Interrupt,
+    PriorityResource,
+    Resource,
+    SimError,
+    Store,
+    UtilizationMeter,
+)
 from repro.sim import resources
 
 
@@ -284,6 +294,228 @@ def test_grants_are_freed_by_refcount(monkeypatch):
     try:
         env.process(user(env))  # uncontended: granted synchronously
         env.process(user(env))  # queued: granted on the first release
+        env.run()
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+# -- HoldQueue ------------------------------------------------------------------
+
+
+def _hold_queue(env, capacity=1):
+    meter = UtilizationMeter(env)
+    return HoldQueue(env, capacity, meter), meter
+
+
+def _holder(env, slots, log, name, seconds, arrive=0):
+    if arrive:
+        yield env.timeout(arrive)
+    claim = slots.hold(seconds)
+    yield claim
+    slots.release()
+    log.append((name, claim.started, env.now))
+
+
+def test_hold_queue_is_fifo_and_stamps_started():
+    env = Environment()
+    slots, _meter = _hold_queue(env)
+    log = []
+    for name, seconds in (("a", 2), ("b", 3), ("c", 1)):
+        env.process(_holder(env, slots, log, name, seconds))
+    env.run()
+    assert log == [("a", 0, 2), ("b", 2, 5), ("c", 5, 6)]
+    assert slots.count == 0 and not slots.queue
+
+
+def test_hold_queue_capacity_two_overlaps():
+    env = Environment()
+    slots, meter = _hold_queue(env, capacity=2)
+    log = []
+    for name in "abc":
+        env.process(_holder(env, slots, log, name, 4))
+    env.run()
+    assert log == [("a", 0, 4), ("b", 0, 4), ("c", 4, 8)]
+    assert meter.busy_time == 8
+    assert meter.mean_concurrency() == pytest.approx(12 / 8)
+
+
+def test_hold_queue_meter_counts_held_time_only():
+    env = Environment()
+    slots, meter = _hold_queue(env)
+    log = []
+    env.process(_holder(env, slots, log, "a", 2))
+    env.process(_holder(env, slots, log, "b", 1, arrive=5))
+    env.run()
+    assert env.now == 6
+    assert meter.busy_time == 3
+    assert meter.utilization() == pytest.approx(0.5)
+
+
+def test_hold_queue_abandon_queued_claim():
+    env = Environment()
+    slots, meter = _hold_queue(env)
+    first = slots.hold(2)
+    second = slots.hold(3)
+    assert first.started == 0 and second.started is None
+    slots.abandon(second)
+    assert not slots.queue
+    env.run()
+    slots.release()
+    assert slots.count == 0
+    assert second.started is None and not second.triggered
+    assert meter.busy_time == 2
+
+
+def test_hold_queue_abandon_held_claim_hands_over():
+    env = Environment()
+    slots, meter = _hold_queue(env)
+    log = []
+
+    def victim(env):
+        claim = slots.hold(10)
+        try:
+            yield claim
+        except Interrupt:
+            slots.abandon(claim)
+            log.append(("abandoned", env.now))
+
+    def interrupter(env, process):
+        yield env.timeout(4)
+        process.interrupt()
+
+    process = env.process(victim(env))
+    env.process(_holder(env, slots, log, "next", 1, arrive=1))
+    env.process(interrupter(env, process))
+    env.run()
+    assert log == [("abandoned", 4), ("next", 4, 5)]
+    assert meter.busy_time == 5
+    assert slots.count == 0
+
+
+def test_hold_queue_rejects_bad_arguments():
+    env = Environment()
+    with pytest.raises(SimError):
+        _hold_queue(env, capacity=0)
+    slots, _meter = _hold_queue(env)
+    with pytest.raises(SimError):
+        slots.hold(-1)
+
+
+def test_handed_over_hold_keeps_its_grant_place():
+    """A queued hold that starts at a release completes with the sequence
+    number its grant event would have had.  So among holds ending in one
+    instant, it sorts before an uncontended hold begun later in the
+    instant it started; in the ``request()`` + ``timeout`` form the waiter
+    only took its timer after that instant's earlier events."""
+    env = Environment()
+    slots, _meter = _hold_queue(env, capacity=2)
+    log = []
+    env.process(_holder(env, slots, log, "a", 1))
+    env.process(_holder(env, slots, log, "x", 1))
+    env.process(_holder(env, slots, log, "b", 2))  # queued; starts at 1
+
+    def late(env):
+        # Arrives at 1 on a timer set at 0.5, so it runs after a and x
+        # release, and finds x's slot free.
+        yield env.timeout(0.5)
+        yield from _holder(env, slots, log, "c", 2, arrive=0.5)
+
+    env.process(late(env))
+    env.run()
+    assert log[2:] == [("b", 1, 3), ("c", 1, 3)]
+
+
+def _resource_form(capacity, users):
+    """The ``request()`` + ``timeout`` form a HoldQueue replaces."""
+    env = Environment()
+    meter = UtilizationMeter(env)
+    resource = Resource(env, capacity=capacity)
+    trace = []
+
+    def user(name, steps):
+        for gap, seconds in steps:
+            yield env.timeout(gap)
+            with resource.request() as grant:
+                yield grant
+                meter.begin()
+                yield env.timeout(seconds)
+                meter.end()
+            trace.append((env.now, name))
+
+    for name, steps in enumerate(users):
+        env.process(user(name, steps))
+    env.run()
+    return trace, meter.busy_time, meter.mean_concurrency()
+
+
+def _hold_form(capacity, users):
+    env = Environment()
+    slots, meter = _hold_queue(env, capacity)
+    trace = []
+
+    def user(name, steps):
+        for gap, seconds in steps:
+            yield env.timeout(gap)
+            claim = slots.hold(seconds)
+            yield claim
+            slots.release()
+            trace.append((env.now, name))
+
+    for name, steps in enumerate(users):
+        env.process(user(name, steps))
+    env.run()
+    return trace, meter.busy_time, meter.mean_concurrency()
+
+
+@given(
+    capacity=st.integers(1, 3),
+    users=st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_hold_queue_matches_resource_form(capacity, users):
+    """Every hold ends at the same time as in the ``request()`` +
+    ``timeout`` form, and the meter integrates the same busy time and
+    concurrency.  When each user holds once the completion order is the
+    same too; with repeat holders, completions in one instant may swap
+    (see ``test_handed_over_hold_keeps_its_grant_place``)."""
+    expected_trace, expected_busy, expected_concurrency = _resource_form(capacity, users)
+    trace, busy, concurrency = _hold_form(capacity, users)
+    assert sorted(trace) == sorted(expected_trace)
+    assert [at for at, _name in trace] == [at for at, _name in expected_trace]
+    assert busy == expected_busy
+    assert concurrency == expected_concurrency
+    single = [steps[:1] for steps in users]
+    assert _hold_form(capacity, single) == _resource_form(capacity, single)
+
+
+class _TrackedHold(resources.Hold):
+    __slots__ = ("__weakref__",)
+
+
+def test_holds_are_freed_by_refcount(monkeypatch):
+    """A finished hold is not a reference cycle: it dies with its last
+    reference, with the cycle collector off."""
+    monkeypatch.setattr(resources, "Hold", _TrackedHold)
+    env = Environment()
+    slots, _meter = _hold_queue(env)
+    refs = []
+
+    def user(env):
+        claim = slots.hold(1)
+        refs.append(weakref.ref(claim))
+        yield claim
+        slots.release()
+
+    gc.disable()
+    try:
+        env.process(user(env))  # starts at once
+        env.process(user(env))  # queued: started by the first release
         env.run()
         assert len(refs) == 2
         assert [ref() for ref in refs] == [None, None]

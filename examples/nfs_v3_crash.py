@@ -38,7 +38,7 @@ def main() -> None:
             yield from v3.write_stream(open_file, patterned_chunk(index))
         unstable_done = env.now - started
         print(f"v3: 128K written unstably in {unstable_done * 1000:6.1f} ms "
-              f"({len(open_file.uncommitted)} ranges held client-side)")
+              f"({len(v3.tracker.ranges(open_file.fhandle))} ranges held client-side)")
 
         # Disaster strikes before COMMIT.
         yield env.timeout(0.05)

@@ -240,7 +240,13 @@ class Ufs:
             if not flyweight:
                 if take == buffer.size:
                     # Whole block: build it from the payload, no old bytes.
-                    buffer.data = bytes(remaining[:take])
+                    # A one-block ``bytes`` payload is immutable, so the
+                    # buffer adopts it; a bytearray or memoryview writer
+                    # could still mutate its bytes, so those are copied.
+                    if take == len(data) and type(data) is bytes:
+                        buffer.data = data
+                    else:
+                        buffer.data = bytes(remaining[:take])
                 else:
                     block = buffer.data
                     if not isinstance(block, bytearray):

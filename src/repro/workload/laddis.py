@@ -12,6 +12,10 @@ Load processes are *paced*: each keeps an absolute schedule of operation
 start times drawn from an exponential interarrival distribution.  A
 saturated server makes processes fall behind schedule, so achieved ops/s
 flattens while latency climbs — the classic LADDIS curve shape.
+
+Writes carry flyweight :class:`~repro.payload.Extent` payloads: nothing in
+a LADDIS run reads written bytes back, and every layer times its work from
+the payload's length alone (``docs/payload-fidelity.md``).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.nfs.protocol import (
     PROC_WRITE,
     NfsError,
 )
+from repro.payload import Extent
 from repro.rpc.client import RpcClient
 from repro.sim import Environment, Tally
 
@@ -129,7 +134,7 @@ class LaddisGenerator:
         for index in range(self.file_count):
             name = f"laddis.{index:04d}"
             open_file = yield from client.create(name)
-            payload = bytes([index % 256]) * self.record_size
+            payload = Extent(self.record_size, seed=index % 256)
             for _block in range(self.file_blocks):
                 yield from client.write_stream(open_file, payload)
             yield from client.close(open_file)
@@ -255,7 +260,7 @@ class LaddisGenerator:
             nblocks = rng.choices(WRITE_SIZE_BLOCKS, WRITE_SIZE_WEIGHTS)[0]
             if rng.random() < 0.5:
                 yield from client.setattr(handle.fhandle, size=0)
-            payload = bytes([rng.randrange(256)]) * (nblocks * self.record_size)
+            payload = Extent(nblocks * self.record_size, seed=rng.randrange(256))
             yield from client.write_at(handle, 0, payload)
             # Whole, closed operations: wait out write-behind so the
             # measured latency covers the stable commit.

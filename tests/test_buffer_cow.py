@@ -135,3 +135,42 @@ def test_flyweight_32mb_write_keeps_no_private_buffer_bytes():
         tracemalloc.stop()
     assert testbed.server.ufs.cache.durable.inodes
     assert peak - before < 4 * MB, f"traced peak rose {(peak - before) / MB:.1f} MB"
+
+
+def test_whole_block_bytes_write_is_adopted_not_copied():
+    env = Environment()
+    ufs = make_fs(env)
+    inode = run(env, ufs.create(ufs.root, "f"))
+    data = bytes(range(256)) * (BLOCK // 256)
+    run(env, ufs.write(inode, 0, data, IO_SYNC))
+    addr = inode.block_addr(0)
+
+    assert ufs.cache.lookup(addr).data is data
+    assert ufs.cache.durable.blocks[addr] is data
+
+
+def test_mutating_a_bytearray_payload_after_the_write_changes_nothing():
+    env = Environment()
+    ufs = make_fs(env)
+    inode = run(env, ufs.create(ufs.root, "f"))
+    data = bytearray(b"m" * BLOCK)
+    run(env, ufs.write(inode, 0, data, IO_DELAYDATA))
+    addr = inode.block_addr(0)
+    data[:] = b"z" * BLOCK
+    assert ufs.cache.lookup(addr).data == b"m" * BLOCK
+
+    run(env, ufs.fsync(inode))
+    assert ufs.cache.durable.blocks[addr] == b"m" * BLOCK
+
+
+def test_partial_block_write_gets_a_private_copy():
+    env = Environment()
+    ufs = make_fs(env)
+    inode = run(env, ufs.create(ufs.root, "f"))
+    half = b"h" * (BLOCK // 2)
+    run(env, ufs.write(inode, 0, half, IO_DELAYDATA))
+    buffer = ufs.cache.lookup(inode.block_addr(0))
+
+    assert isinstance(buffer.data, bytearray)
+    run(env, ufs.write(inode, BLOCK // 2, b"t" * (BLOCK // 2), IO_DELAYDATA))
+    assert bytes(buffer.data) == half + b"t" * (BLOCK // 2)

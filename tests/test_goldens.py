@@ -9,7 +9,10 @@ the newer schema (``sim_ops``/``sim_ops_per_sec``/``payload``); its one
 wall-clock-derived field is stripped before comparison.
 ``commit_seed.json`` pins the async WRITE+COMMIT three-way report; its
 bench cells already strip ``sim_ops_per_sec`` at the source, so it
-compares byte-for-byte like the others.
+compares byte-for-byte like the others.  ``laddis_seed.json`` pins a short
+gather LADDIS curve at full float precision (``repro laddis`` prints only
+rounded numbers); it was captured while the generator still wrote real
+bytes, so matching it proves flyweight LADDIS payloads moved nothing.
 
 Any timing-affecting change to the simulator kernel, the network stack,
 or the server paths shows up here as a byte diff.  If the change is an
@@ -18,6 +21,7 @@ or the server paths shows up here as a byte diff.  If the change is an
 the diff is a bug.
 """
 
+import dataclasses
 import io
 import json
 import pathlib
@@ -26,6 +30,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.cli import main
+from repro.experiments.laddis_curves import run_curve
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -92,3 +97,10 @@ def test_bench_matches_golden_modulo_wall_clock():
         return report
 
     assert stable(got) == stable(golden)
+
+
+def test_laddis_curve_matches_golden_byte_for_byte():
+    golden = (GOLDEN_DIR / "laddis_seed.json").read_text()
+    curve = run_curve("gather", loads=(300, 600), duration=1.0)
+    points = [dataclasses.asdict(point) for point in curve.points]
+    assert json.dumps(points, indent=2) + "\n" == golden

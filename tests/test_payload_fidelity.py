@@ -15,6 +15,7 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.campaign import ChaosCampaign, run_plan
 from repro.faults.events import AtTime, FaultPlan, ServerCrash
 from repro.faults.oracle import Oracle
+from repro.fs.buffer_cache import _zero_block
 from repro.net.spec import FDDI
 from repro.payload import (
     PAYLOAD_FLYWEIGHT,
@@ -25,6 +26,7 @@ from repro.payload import (
     is_bytes_payload,
 )
 from repro.sim import AllOf
+from repro.workload.laddis import LaddisGenerator
 from repro.workload.sequential import patterned_chunk, patterned_extent, write_file
 
 
@@ -173,3 +175,42 @@ class TestReplicaAgreement:
         assert (
             reports[PAYLOAD_FULL].to_json() == reports[PAYLOAD_FLYWEIGHT].to_json()
         )
+
+
+class TestLaddisHoldsNoBytes:
+    """LADDIS load writes flyweight extents, so the server's durable image
+    of a whole LADDIS run is the one shared zero block.  That it times
+    exactly as real bytes did is pinned by ``goldens/laddis_seed.json``."""
+
+    def test_every_durable_block_is_the_shared_zero_block(self):
+        testbed = Testbed(
+            TestbedConfig(
+                netspec=FDDI,
+                write_path="gather",
+                stripes=4,
+                nfsds=16,
+                seed=3,
+            )
+        )
+        generator = LaddisGenerator(
+            testbed.env,
+            testbed.segment,
+            server_host=testbed.server.host,
+            clients=2,
+            procs_per_client=2,
+            file_count=8,
+            file_blocks=4,
+            seed=3,
+        )
+        env = testbed.env
+        env.run(until=env.process(generator.setup()))
+        result = env.run(
+            until=env.process(generator.run_point(300.0, duration=1.0, warmup=0.25))
+        )
+        env.run()
+
+        assert result.op_counts.get("write")
+        zero = _zero_block(8192)
+        blocks = testbed.server.ufs.cache.durable.blocks
+        assert blocks
+        assert all(block is zero for block in blocks.values())

@@ -52,19 +52,13 @@ __all__ = ["main", "build_parser"]
 _PRESTO_MODES = {"off": (False,), "on": (True,), "both": (False, True)}
 
 
-def _add_write_path_options(parser: argparse.ArgumentParser, siva: bool = True) -> None:
+def _add_write_path_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--write-path",
         choices=[member.value for member in WritePath],
         default=None,
         help="rfs_write implementation to run (default: standard)",
     )
-    # The old boolean aliases are *removed* (they spent one release as
-    # deprecated warnings).  They stay registered so the error is ours —
-    # a pointer at --write-path — instead of argparse's "unrecognized".
-    parser.add_argument("--gather", action="store_true", help=argparse.SUPPRESS)
-    if siva:
-        parser.add_argument("--siva", action="store_true", help=argparse.SUPPRESS)
 
 
 def _add_net_fault_options(parser: argparse.ArgumentParser) -> None:
@@ -83,10 +77,7 @@ def _add_net_fault_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_write_path(args) -> WritePath:
-    """Resolve --write-path, rejecting the removed boolean aliases."""
-    for flag, value in (("--gather", "gather"), ("--siva", "siva")):
-        if getattr(args, value, False):
-            raise ValueError(f"{flag} was removed; use --write-path {value} instead")
+    """Resolve --write-path (default: standard)."""
     if args.write_path is not None:
         return WritePath.coerce(args.write_path)
     return WritePath.STANDARD
@@ -190,20 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--file-kb", type=int, default=192, help="per-file workload size (default: 192)"
     )
-    chaos.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="full",
-        help="payload fidelity: full bytes (oracle byte-compares) or "
-        "flyweight extents (durability-only oracle; default: full)",
-    )
     chaos.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
     sweep_cmd = subparsers.add_parser("sweep", help="sweep one parameter of a file-copy")
     sweep_cmd.add_argument("field", help="TestbedConfig field, or interval_ms / presto_mb")
     sweep_cmd.add_argument("values", nargs="+", help="values to sweep")
     sweep_cmd.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    _add_write_path_options(sweep_cmd, siva=False)
+    _add_write_path_options(sweep_cmd)
     sweep_cmd.add_argument("--biods", type=int, default=7)
     sweep_cmd.add_argument("--file-mb", type=float, default=4.0)
     _add_net_fault_options(sweep_cmd)
@@ -355,13 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the canonical JSON to this file (e.g. BENCH_1.json)",
     )
-    bench.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="flyweight",
-        help="payload fidelity; the grid's simulated numbers are identical "
-        "either way, flyweight just runs faster (default: flyweight)",
-    )
     bench.add_argument("--json", action="store_true", help="print the report as JSON")
 
     replica = subparsers.add_parser(
@@ -413,13 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replica.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
     replica.add_argument("--seed", type=int, default=0)
-    replica.add_argument(
-        "--payload",
-        choices=["full", "flyweight"],
-        default="full",
-        help="payload fidelity: full bytes (group oracle byte-compares) or "
-        "flyweight extents (durability-only; default: full)",
-    )
     replica.add_argument("--json", action="store_true", help="emit the result as JSON")
 
     cache = subparsers.add_parser(
@@ -783,7 +753,6 @@ def _chaos_arguments(args) -> dict:
             write_paths=args.write_paths,
             presto_modes=_PRESTO_MODES[args.presto],
             file_kb=args.file_kb,
-            payload=args.payload,
         )
     }
 
@@ -1002,7 +971,6 @@ def _replica_arguments(args) -> dict:
         "files_per_client": args.files,
         "file_kb": args.file_kb,
         "storm_crashes": args.crashes,
-        "payload": args.payload,
     }
 
 
@@ -1308,7 +1276,6 @@ _COMMANDS = {
             "file_mb": args.file_mb,
             "biods": args.biods,
             "seed": args.seed,
-            "payload": args.payload,
         },
         header=lambda args, kwargs: (
             f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "

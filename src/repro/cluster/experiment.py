@@ -27,7 +27,6 @@ from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
 from repro.metrics.report import ExperimentReport
 from repro.nfs.client import NfsClient
-from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf, Environment
 from repro.workload.sequential import write_file
 
@@ -125,12 +124,9 @@ def _client_workload(
     names: Sequence[str],
     nbytes: int,
     think_time: float,
-    payload: str = PAYLOAD_FULL,
 ) -> Generator:
     for name in names:
-        yield from write_file(
-            env, client, name, nbytes, think_time=think_time, payload=payload
-        )
+        yield from write_file(env, client, name, nbytes, think_time=think_time)
     return env.now
 
 
@@ -156,7 +152,6 @@ def run_cluster(
     file_kb: int = 64,
     think_time: float = CLUSTER_THINK_TIME,
     crashes: Optional[Sequence[ShardCrash]] = None,
-    payload: str = PAYLOAD_FULL,
 ) -> ClusterRunResult:
     """Run the sharded write workload (optionally under shard crashes)."""
     check_clients(clients)
@@ -180,7 +175,6 @@ def run_cluster(
                     _client_files(host, files_per_client),
                     nbytes,
                     think_time,
-                    payload,
                 ),
                 name=f"workload:{host}",
             )
@@ -288,7 +282,6 @@ def run_scaling_sweep(
     file_kb: int = 64,
     think_time: float = CLUSTER_THINK_TIME,
     progress=None,
-    payload: str = PAYLOAD_FULL,
 ) -> ScalingSweepResult:
     """Sweep the fleet size against the client population.
 
@@ -304,7 +297,6 @@ def run_scaling_sweep(
                 files_per_client=files_per_client,
                 file_kb=file_kb,
                 think_time=think_time,
-                payload=payload,
             )
             rows.append(result)
             if progress is not None:

@@ -76,15 +76,6 @@ class ShardCrash:
                 "partitioned permanently and its backup takes over at once"
             )
 
-    def describe(self) -> dict:
-        return {
-            "at": self.at,
-            "shard": self.shard,
-            "outage": self.outage,
-            "redirect": self.redirect,
-            "promote": self.promote,
-        }
-
 
 class FailoverController:
     """Drives scripted :class:`ShardCrash` events against a cluster."""

@@ -246,10 +246,6 @@ class Cluster:
             primary.replicator.activate()
         self.groups.append(group)
 
-    def group_for_shard(self, index: int):
-        """The replica group of shard ``index``."""
-        return self.groups[index]
-
     def grow(self) -> NfsServer:
         """Join one more shard mid-run.
 
@@ -298,22 +294,7 @@ class Cluster:
     def segment_of(self, host: str) -> Segment:
         return self.segments[self._rack_of_server[host]]
 
-    def crash_shard(self, index: int) -> NfsServer:
-        """Crash-and-reboot one shard (volatile state dies, disks survive)."""
-        server = self.servers[index]
-        server.simulate_crash()
-        return server
-
     # -- measured quantities ------------------------------------------------------
-
-    def disk_stats_totals(self) -> tuple:
-        """(bytes, transactions) across every spindle of every shard."""
-        total_bytes = 0.0
-        total_transactions = 0.0
-        for shard_disks in self.disks:
-            total_bytes += sum(d.stats.bytes.value for d in shard_disks)
-            total_transactions += sum(d.stats.transactions.value for d in shard_disks)
-        return total_bytes, total_transactions
 
     def stable_violations_total(self) -> int:
         return sum(len(server.stable_violations) for server in self.servers)

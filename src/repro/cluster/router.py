@@ -175,10 +175,6 @@ class MountRouter:
         """The physical host currently acting for ``host``."""
         return self._aliases.get(host, host)
 
-    def aliases(self) -> Dict[str, str]:
-        """A copy of the promotion alias table (diagnostics/tests)."""
-        return dict(self._aliases)
-
     # -- live-migration cutover ----------------------------------------------------
 
     def migrate_pin(self, fhandle: FileHandle, name: str, logical: str) -> None:
@@ -345,7 +341,3 @@ class ClusterRpc:
     @property
     def retransmissions_total(self) -> float:
         return self._sum("retransmissions")
-
-    @property
-    def completed_total(self) -> float:
-        return self._sum("completed")

@@ -16,11 +16,11 @@ Properties the cluster (and its property tests) rely on:
   keys that land in that server's ring arcs; everything else stays put,
   which is what makes grow/shrink (and crash redirect) cheap;
 * **Capacity weighting** (repro.tiering) — a server's ring-point count
-  scales with its weight (weight ∝ tier capacity), and *reweighting* a
-  server only adds or removes that server's own points: point labels are
-  stable ``"{server}#{k}"`` for ``k < count``, so growing a weight adds
-  new arcs (keys move *to* the server) and shrinking removes existing
-  arcs (keys move *from* it) — never a third party's keys.
+  scales with its weight (weight ∝ tier capacity), and a different
+  weight for one server only adds or removes that server's own points:
+  point labels are stable ``"{server}#{k}"`` for ``k < count``, so a
+  heavier weight adds arcs (keys move *to* the server) and a lighter one
+  removes arcs (keys move *from* it) — never a third party's keys.
 """
 
 from __future__ import annotations
@@ -122,38 +122,6 @@ class ShardMap:
         self._weights.pop(server, None)
         self._ring = [pt for pt in self._ring if pt[1] != server]
 
-    def set_weight(self, server: str, weight: float) -> None:
-        """Reweight ``server`` in place, moving the minimum set of keys.
-
-        Point labels are the stable ``"{server}#{k}"`` prefix, so a
-        heavier weight appends points ``[old_count, new_count)`` (keys
-        move only *to* the server) and a lighter weight strips points
-        ``[new_count, old_count)`` (keys move only *from* it, to their
-        arc successors).  No key between two other servers ever moves.
-        """
-        if server not in self._servers:
-            raise ValueError(f"server {server!r} not in the map")
-        if weight <= 0:
-            raise ValueError(f"weight must be > 0, got {weight}")
-        old_count = self.vnode_count(server)
-        self._weights[server] = weight
-        new_count = self._count_for(weight)
-        if new_count > old_count:
-            self._ring.extend(
-                (_point(self.seed, f"{server}#{vnode}"), server)
-                for vnode in range(old_count, new_count)
-            )
-            self._ring.sort()
-        elif new_count < old_count:
-            dropped = {
-                _point(self.seed, f"{server}#{vnode}")
-                for vnode in range(new_count, old_count)
-            }
-            self._ring = [
-                pt for pt in self._ring
-                if not (pt[1] == server and pt[0] in dropped)
-            ]
-
     # -- placement ---------------------------------------------------------------
 
     def server_for(self, key: str) -> str:
@@ -163,10 +131,6 @@ class ShardMap:
         if index == len(self._ring):
             index = 0  # wrap around the ring
         return self._ring[index][1]
-
-    def assignments(self, keys: Iterable[str]) -> Dict[str, str]:
-        """``{key: server}`` for every key."""
-        return {key: self.server_for(key) for key in keys}
 
     def load(self, keys: Iterable[str]) -> Dict[str, int]:
         """Keys-per-server histogram (every member listed, even at 0)."""

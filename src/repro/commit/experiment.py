@@ -38,7 +38,7 @@ from repro.faults.oracle import Oracle
 from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
 from repro.obs import PHASE_REPLY
-from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
+from repro.payload import PAYLOAD_FLYWEIGHT
 from repro.sim import AllOf
 from repro.workload.sequential import patterned_chunk, write_file
 
@@ -213,7 +213,6 @@ def _run_replica_arms(config: CommitConfig, progress=None) -> Dict[str, dict]:
             crashes=replica_storm(
                 config.replica_servers, config.replica_crashes, promote=True
             ),
-            payload=PAYLOAD_FULL,
         )
         arms[write_path] = arm.to_dict()
         if progress is not None:

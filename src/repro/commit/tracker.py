@@ -160,11 +160,6 @@ class UncommittedTracker:
             for offset, data, _v in snapshot:
                 hook(fhandle, offset, data)
 
-    def commit_all(self) -> Generator:
-        """COMMIT every file with uncommitted ranges (quiesce helper)."""
-        for fhandle in list(self._ranges):
-            yield from self.commit(fhandle)
-
     def replay_stale(self, verifier: int) -> Generator:
         """A reply carried ``verifier``; every file holding ranges tagged
         with a different one resends (via its COMMIT train's mismatch

@@ -43,9 +43,3 @@ class LearnedClientDb:
             return True  # not enough evidence; give gathering a chance
         singletons = sum(1 for size in history if size <= 1)
         return singletons < self.threshold
-
-    def singleton_rate(self, client: str) -> float:
-        history = self._history.get(client)
-        if not history:
-            return 0.0
-        return sum(1 for size in history if size <= 1) / len(history)

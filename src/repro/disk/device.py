@@ -42,10 +42,6 @@ class IoRequest:
         if self.offset < 0:
             raise ValueError(f"IoRequest offset must be >= 0, got {self.offset}")
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.nbytes
-
 
 class Storage:
     """Abstract stable-storage device."""

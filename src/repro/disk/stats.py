@@ -42,22 +42,3 @@ class IoStats:
         self.writes.reset()
         self.busy.reset()
         self.by_kind.clear()
-
-    # -- paper-table quantities -------------------------------------------
-
-    def kb_per_second(self) -> float:
-        """Device throughput in KB/s over the measurement window."""
-        return self.bytes.rate() / 1024.0
-
-    def transactions_per_second(self) -> float:
-        """Device transaction rate over the measurement window."""
-        return self.transactions.rate()
-
-    def merge_from(self, other: "IoStats") -> None:
-        """Fold another device's counters into this aggregate view."""
-        self.transactions.add(other.transactions.value)
-        self.bytes.add(other.bytes.value)
-        self.reads.add(other.reads.value)
-        self.writes.add(other.writes.value)
-        for kind, count in other.by_kind.items():
-            self.by_kind[kind] = self.by_kind.get(kind, 0.0) + count

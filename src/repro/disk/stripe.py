@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.disk.device import Storage
-from repro.disk.stats import IoStats
 from repro.sim import AllOf, Environment, Event
 
 __all__ = ["StripeSet"]
@@ -96,17 +95,6 @@ class StripeSet(Storage):
             self.members[member].latent_overlap(member_offset, length)
             for member, member_offset, length in self.map_extent(offset, nbytes)
         )
-
-    @property
-    def aggregate_stats(self) -> IoStats:
-        """Fresh aggregate of all member counters (rates use member windows)."""
-        total = IoStats(self.env, f"{self.name}.aggregate")
-        for member in self.members:
-            total.merge_from(member.stats)
-        # Rate windows: reuse the earliest member start so kb/tps are correct.
-        total.transactions._start = min(m.stats.transactions._start for m in self.members)
-        total.bytes._start = min(m.stats.bytes._start for m in self.members)
-        return total
 
     def reset_stats(self) -> None:
         super().reset_stats()

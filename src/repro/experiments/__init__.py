@@ -1,14 +1,7 @@
 """Experiment harness: testbeds, table drivers, traces, LADDIS curves."""
 
 from repro.experiments.filecopy import run_filecopy
-from repro.experiments.laddis_curves import (
-    CurvePoint,
-    LaddisCurve,
-    capacity_of,
-    figure2,
-    figure3,
-    run_curve,
-)
+from repro.experiments.laddis_curves import CurvePoint, LaddisCurve, run_curve
 from repro.experiments.results import score_series, table_to_dict
 from repro.experiments.runner import EXPERIMENT_KINDS, resolve, run
 from repro.experiments.sweep import sweep, sweepable_fields
@@ -43,9 +36,6 @@ __all__ = [
     "run_curve",
     "LaddisCurve",
     "CurvePoint",
-    "figure2",
-    "figure3",
-    "capacity_of",
     "sweep",
     "sweepable_fields",
     "score_series",

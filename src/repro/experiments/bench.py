@@ -19,7 +19,7 @@ import time
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI, NetSpec
 from repro.obs import registry_for
-from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL, coerce_payload_mode
+from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.server.config import WritePath
 from repro.workload.sequential import write_file
 
@@ -98,18 +98,15 @@ def run_bench(
     biods: int = 7,
     seed: int = 0,
     progress=None,
-    payload: str = PAYLOAD_FLYWEIGHT,
 ) -> dict:
     """The full grid: every write path × Presto off/on, one seed.
 
     Returns a JSON-ready document (stable key order, rounded floats) that
     is byte-identical across same-seed reruns, except ``sim_ops_per_sec``
-    (wall-clock-derived by construction).  The grid defaults to flyweight
-    payloads — the throughput baseline needs no byte fidelity, and every
-    simulated number is identical either way; pass ``payload="full"`` to
-    force real bytes.
+    (wall-clock-derived by construction).  The grid writes flyweight
+    payloads: the throughput baseline needs no byte fidelity, and every
+    simulated number is identical either way.
     """
-    payload = coerce_payload_mode(payload)
     cells = []
     for write_path in WritePath:
         for presto in (False, True):
@@ -120,7 +117,7 @@ def run_bench(
                 presto_bytes=PRESTO_BYTES if presto else None,
                 seed=seed,
             )
-            cell = run_bench_cell(config, file_mb, payload=payload)
+            cell = run_bench_cell(config, file_mb, payload=PAYLOAD_FLYWEIGHT)
             cells.append(cell)
             if progress is not None:
                 progress(cell)
@@ -130,6 +127,6 @@ def run_bench(
         "file_mb": file_mb,
         "biods": biods,
         "seed": seed,
-        "payload": payload,
+        "payload": PAYLOAD_FLYWEIGHT,
         "cells": cells,
     }

@@ -12,13 +12,13 @@ average latency.  Figure 3 (Presto): more modest, still positive gains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI
 from repro.workload.laddis import SFS_LATENCY_BOUND_MS, LaddisGenerator, LaddisResult
 
-__all__ = ["CurvePoint", "LaddisCurve", "run_curve", "figure2", "figure3", "capacity_of"]
+__all__ = ["CurvePoint", "LaddisCurve", "run_curve"]
 
 MB = 1024 * 1024
 
@@ -45,17 +45,6 @@ class LaddisCurve:
         """SFS capacity: best achieved ops/s with latency <= 50 ms."""
         eligible = [p.achieved for p in self.points if p.latency_ms <= SFS_LATENCY_BOUND_MS]
         return max(eligible) if eligible else 0.0
-
-    def latency_at(self, ops: float) -> Optional[float]:
-        """Interpolated average latency at ``ops`` achieved ops/s."""
-        points = sorted(self.points, key=lambda p: p.achieved)
-        for low, high in zip(points, points[1:]):
-            if low.achieved <= ops <= high.achieved:
-                if high.achieved == low.achieved:
-                    return low.latency_ms
-                fraction = (ops - low.achieved) / (high.achieved - low.achieved)
-                return low.latency_ms + fraction * (high.latency_ms - low.latency_ms)
-        return None
 
 
 def run_curve(
@@ -116,25 +105,3 @@ def run_curve(
             )
         )
     return curve
-
-
-def _figure(presto: bool, loads: Sequence[float], duration: float) -> Dict[str, LaddisCurve]:
-    return {
-        "standard": run_curve("standard", presto=presto, loads=loads, duration=duration),
-        "gathering": run_curve("gather", presto=presto, loads=loads, duration=duration),
-    }
-
-
-def figure2(loads: Sequence[float] = DEFAULT_LOADS, duration: float = 4.0) -> Dict[str, LaddisCurve]:
-    """DEC 3800 SPEC SFS 1.0 baseline curves (no Presto)."""
-    return _figure(False, loads, duration)
-
-
-def figure3(loads: Sequence[float] = DEFAULT_LOADS, duration: float = 4.0) -> Dict[str, LaddisCurve]:
-    """Same configuration with Prestoserve."""
-    return _figure(True, loads, duration)
-
-
-def capacity_of(curves: Dict[str, LaddisCurve]) -> Dict[str, float]:
-    """Capacity summary for a figure's two curves."""
-    return {name: curve.capacity() for name, curve in curves.items()}

@@ -36,7 +36,6 @@ from repro.faults.events import (
 from repro.faults.oracle import Oracle
 from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
-from repro.payload import PAYLOAD_FULL, coerce_payload_mode
 from repro.obs import (
     PHASE_DISPATCH,
     PHASE_PROCRASTINATE,
@@ -237,14 +236,11 @@ def run_plan(
     file_kb: int = 192,
     files: int = 2,
     think_time: float = 0.0005,
-    payload: str = PAYLOAD_FULL,
 ) -> PlanResult:
     """Run one plan to completion and return its checked result.
 
-    ``payload`` selects byte fidelity (:mod:`repro.payload`).  In
-    flyweight mode the oracle still asserts durability of every acked
-    range (and fsck still runs); only the byte-content comparison is
-    waived.  Simulated timelines and counts are identical either way.
+    The writers write real bytes, so the oracle byte-compares every
+    acked range against the durable image (and fsck runs).
     """
     testbed = Testbed(config)
     client = testbed.add_client()
@@ -263,7 +259,6 @@ def run_plan(
                 f"chaos-{index}",
                 file_kb * 1024,
                 think_time=think_time,
-                payload=payload,
             ),
             name=f"writer:{index}",
         )
@@ -300,7 +295,6 @@ class ChaosCampaign:
         presto_modes: Sequence[bool] = (False, True),
         file_kb: int = 192,
         netspec=FDDI,
-        payload: str = PAYLOAD_FULL,
     ) -> None:
         if plans_per_combo < 1:
             raise ValueError(f"plans_per_combo must be >= 1, got {plans_per_combo}")
@@ -310,8 +304,6 @@ class ChaosCampaign:
         self.presto_modes = tuple(presto_modes)
         self.file_kb = file_kb
         self.netspec = netspec
-        #: Byte fidelity for the workload payloads (:mod:`repro.payload`).
-        self.payload = coerce_payload_mode(payload)
 
     def combos(self) -> List[Tuple[str, bool]]:
         return [
@@ -355,9 +347,7 @@ class ChaosCampaign:
             config = self.config_for(write_path, presto)
             for index in range(self.plans_per_combo):
                 plan = self.plan_for(write_path, presto, index)
-                result = run_plan(
-                    config, plan, file_kb=self.file_kb, payload=self.payload
-                )
+                result = run_plan(config, plan, file_kb=self.file_kb)
                 report.results.append(result)
                 if progress is not None:
                     progress(result)

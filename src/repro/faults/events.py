@@ -17,7 +17,7 @@ no matter when the crash lands or how the network mangles the traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 __all__ = [
     "AtTime",
@@ -316,10 +316,6 @@ class FaultPlan:
                             f"([{start_a}, {end_a}) vs [{start_b}, {end_b})) "
                             f"on the same hosts"
                         )
-
-    @property
-    def crash_count(self) -> int:
-        return sum(1 for event in self.events if isinstance(event, ServerCrash))
 
     def needs_tracing(self) -> bool:
         """True if any event waits on an obs span (testbed must trace)."""

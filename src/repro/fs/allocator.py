@@ -88,10 +88,6 @@ class Allocator:
         self._inodes_per_block = 64  # 128-byte on-disk inodes in an 8K block
         self._allocated: Set[int] = set()
 
-    @property
-    def total_groups(self) -> int:
-        return len(self.groups)
-
     def group_for_inode(self, ino: int) -> int:
         """Which cylinder group an inode lives in (round-robin by ino)."""
         return ino % len(self.groups)

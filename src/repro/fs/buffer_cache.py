@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.disk.device import Storage
 from repro.fs.inode import InodeSnapshot
@@ -91,7 +92,16 @@ class DurableImage:
         #: replace an entry, never mutate it).
         self.blocks: Dict[int, bytes] = {}
         self.inodes: Dict[int, InodeSnapshot] = {}
-        self.indirects: Dict[int, Dict[int, int]] = {}
+        #: addr -> committed indirect block (file block -> data address).
+        self.indirect_blocks: Dict[int, Dict[int, int]] = {}
+        #: indirect addr -> inos whose committed inode names that address.
+        self._named_by: Dict[int, Set[int]] = {}
+        self._indirects: Dict[int, Dict[int, int]] = {}
+        #: ino -> the committed indirect block its committed inode's
+        #: ``indirect_addr`` names: a read-only view that commit_inode,
+        #: commit_indirect and retire_inode keep in step.  An indirect
+        #: block no committed inode names belongs to no file.
+        self.indirects = MappingProxyType(self._indirects)
         #: addr -> digest of the bytes that were acked as stable.
         self.checksums: Dict[int, int] = {}
         #: addr -> reason string for blocks surfaced as unreadable.
@@ -111,16 +121,35 @@ class DurableImage:
         self.quarantined.pop(addr, None)
 
     def commit_inode(self, ino: int, snapshot: InodeSnapshot) -> None:
+        previous = self.inodes.get(ino)
         self.inodes[ino] = snapshot
+        addr = snapshot.indirect_addr
+        if previous is not None and previous.indirect_addr not in (None, addr):
+            self._unname(ino, previous.indirect_addr)
+        if addr is not None:
+            self._named_by.setdefault(addr, set()).add(ino)
+            mapping = self.indirect_blocks.get(addr)
+            if mapping is not None:
+                self._indirects[ino] = mapping
 
-    def commit_indirect(self, ino: int, mapping: Dict[int, int]) -> None:
-        self.indirects[ino] = dict(mapping)
+    def commit_indirect(self, addr: int, mapping: Dict[int, int]) -> None:
+        """Store the indirect block at ``addr`` (the caller hands over
+        ``mapping``, a submit-time snapshot)."""
+        self.indirect_blocks[addr] = mapping
+        for ino in self._named_by.get(addr, ()):
+            self._indirects[ino] = mapping
 
     def retire_inode(self, ino: int) -> None:
-        """Forget a removed file's committed inode and indirect mapping
-        (its blocks may now be reallocated to other files)."""
-        self.inodes.pop(ino, None)
-        self.indirects.pop(ino, None)
+        """Forget a removed file's committed inode (its blocks, indirect
+        block included, may now be reallocated to other files)."""
+        snapshot = self.inodes.pop(ino, None)
+        if snapshot is not None:
+            self._unname(ino, snapshot.indirect_addr)
+
+    def _unname(self, ino: int, addr: Optional[int]) -> None:
+        self._indirects.pop(ino, None)
+        if addr is not None:
+            self._named_by[addr].discard(ino)
 
     def verify_block(self, addr: int) -> None:
         """Raise :class:`CorruptBlockError` if ``addr`` cannot be trusted.
@@ -154,11 +183,6 @@ class DurableImage:
         flipped = data[pos] ^ (1 << rng.randrange(8))
         self.blocks[addr] = data[:pos] + bytes((flipped,)) + data[pos + 1 :]
         return True
-
-    def lose_block(self, addr: int) -> None:
-        """Drop a block's content but keep its digest — a detectable loss
-        (verification reports "missing"), unlike silently zeroed bytes."""
-        self.blocks.pop(addr, None)
 
     def lose_range(self, start: int, end: int, block_size: int) -> List[int]:
         """Lose every block overlapping ``[start, end)``; returns the
@@ -405,10 +429,6 @@ class BufferCache:
         self._torn_rng = None
         self._buffers.clear()
         self._in_flight.clear()
-
-    def in_flight_events(self) -> List[Event]:
-        """Completion events for all flushes currently in flight."""
-        return [event for event, _start in self._in_flight.values()]
 
     def dirty_addrs(self) -> List[int]:
         return [addr for addr, buffer in self._buffers.items() if buffer.dirty]

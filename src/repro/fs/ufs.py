@@ -441,14 +441,12 @@ class Ufs:
             return 0
         mapping = dict(inode.indirect)
         version = inode.meta_version
-        done = self.storage.submit(
-            inode.indirect_addr, self.block_size, is_write=True, kind="indirect"
-        )
-        ino = inode.ino
+        addr = inode.indirect_addr
+        done = self.storage.submit(addr, self.block_size, is_write=True, kind="indirect")
 
         def commit(_event: Event) -> None:
             if not inode.retired:
-                self.cache.durable.commit_indirect(ino, mapping)
+                self.cache.durable.commit_indirect(addr, mapping)
 
         done.callbacks.append(commit)
         yield done

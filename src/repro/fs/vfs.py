@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.fs.inode import FileType, Inode
+from repro.fs.inode import Inode
 from repro.fs.ufs import Ufs
 from repro.sim import Environment, Resource
 
@@ -59,10 +59,6 @@ class Vnode:
     def fhandle(self) -> FileHandle:
         return (self.inode.ino, self.inode.generation)
 
-    @property
-    def is_directory(self) -> bool:
-        return self.inode.ftype == FileType.DIRECTORY
-
     def waiters(self) -> int:
         """How many nfsds are blocked on this vnode's sleep lock."""
         return len(self.lock.queue)
@@ -84,9 +80,6 @@ class Vnode:
 
     def vop_syncdata(self, start: int = 0, end: Optional[int] = None) -> Generator:
         return self.ufs.sync_data(self.inode, start, end)
-
-    def vop_getattr(self) -> Inode:
-        return self.inode
 
 
 class VnodeTable:

@@ -13,48 +13,13 @@ torn writes, NVRAM battery degrade) live in ``repro.faults.events``; the
 them in the background and self-healing from replica peers — or, with
 nobody to fetch from, surfacing them loudly.
 
-The checksum/error primitives import eagerly (they are leaves — the
-buffer cache depends on them); the scrubber and experiment re-exports
-resolve lazily so importing :mod:`repro.fs` never cycles back through
-the cluster stack.
+The package itself exports only the checksum/error primitives (leaves
+the buffer cache depends on); the scrubber lives in
+:mod:`repro.integrity.scrub` and the experiment in
+:mod:`repro.integrity.experiment`.
 """
 
 from repro.integrity.checksum import block_digest
 from repro.integrity.errors import CorruptBlockError
 
-__all__ = [
-    "block_digest",
-    "CorruptBlockError",
-    "Scrubber",
-    "ScrubFetchArgs",
-    "QuarantineRecord",
-    "RepairRecord",
-    "install_scrub_fetch",
-    "ScrubConfig",
-    "ScrubArm",
-    "ScrubRunResult",
-    "SCRUB_SCHEMA",
-    "run_scrub",
-]
-
-_LAZY = {
-    "Scrubber": "repro.integrity.scrub",
-    "ScrubFetchArgs": "repro.integrity.scrub",
-    "QuarantineRecord": "repro.integrity.scrub",
-    "RepairRecord": "repro.integrity.scrub",
-    "install_scrub_fetch": "repro.integrity.scrub",
-    "ScrubConfig": "repro.integrity.experiment",
-    "ScrubArm": "repro.integrity.experiment",
-    "ScrubRunResult": "repro.integrity.experiment",
-    "SCRUB_SCHEMA": "repro.integrity.experiment",
-    "run_scrub": "repro.integrity.experiment",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = ["block_digest", "CorruptBlockError"]

@@ -44,7 +44,6 @@ from repro.faults.events import (
 from repro.integrity.scrub import Scrubber, install_scrub_fetch
 from repro.metrics.report import ExperimentReport
 from repro.nfs.protocol import NfsError
-from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf
 
 __all__ = ["ScrubConfig", "ScrubArm", "ScrubRunResult", "run_scrub"]
@@ -265,9 +264,7 @@ def run_scrub_arm(
         client_names.append((client, names))
         writers.append(
             env.process(
-                _client_workload(
-                    env, client, names, nbytes, config.think_time, PAYLOAD_FULL
-                ),
+                _client_workload(env, client, names, nbytes, config.think_time),
                 name=f"workload:{host}",
             )
         )

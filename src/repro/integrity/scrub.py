@@ -69,18 +69,6 @@ class RepairRecord:
     nbytes: int
     peer: str
 
-    def to_dict(self) -> dict:
-        return {
-            "addr": self.addr,
-            "ino": self.ino,
-            "fblock": self.fblock,
-            "kind": self.kind,
-            "detected_at": round(self.detected_at, 9),
-            "repaired_at": round(self.repaired_at, 9),
-            "nbytes": self.nbytes,
-            "peer": self.peer,
-        }
-
 
 @dataclass(frozen=True)
 class QuarantineRecord:
@@ -91,15 +79,6 @@ class QuarantineRecord:
     fblock: int
     kind: str
     at: float
-
-    def to_dict(self) -> dict:
-        return {
-            "addr": self.addr,
-            "ino": self.ino,
-            "fblock": self.fblock,
-            "kind": self.kind,
-            "at": round(self.at, 9),
-        }
 
 
 def install_scrub_fetch(server) -> None:

@@ -121,19 +121,6 @@ class LeaseManager:
 
     # -- queries -----------------------------------------------------------------
 
-    def holds(self, fhandle: tuple, client: str) -> bool:
-        """Does ``client`` hold an unexpired lease on ``fhandle``?"""
-        lease = self._holders.get(fhandle, {}).get(client)
-        return lease is not None and lease.expires_at > self.env.now
-
-    def holder_count(self, fhandle: tuple) -> int:
-        now = self.env.now
-        return sum(
-            1
-            for lease in self._holders.get(fhandle, {}).values()
-            if lease.expires_at > now
-        )
-
     # -- granting ----------------------------------------------------------------
 
     def _grant(self, fhandle: tuple, mode: str, client: str) -> LeaseGrant:

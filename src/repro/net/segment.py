@@ -85,10 +85,6 @@ class Segment:
     def endpoint(self, host: str) -> UdpEndpoint:
         return self._endpoints[host]
 
-    def has_host(self, host: str) -> bool:
-        """Whether ``host`` is already attached to this segment."""
-        return host in self._endpoints
-
     def unique_host(self, prefix: str) -> str:
         """First unattached name in the ``{prefix}-{n}`` sequence.
 

@@ -23,7 +23,7 @@ and ``open`` revalidates attributes unless lease-covered (close-to-open).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.lease.manager import LEASE_READ, LEASE_WRITE
 from repro.nfs.protocol import PROC_LEASE_RENEW, RenewArgs
@@ -393,11 +393,3 @@ class CacheStack:
                 yield from self._flush_fhandle(fhandle)
 
     # -- explicit renewal ---------------------------------------------------------
-
-    def renew(self, wants):
-        """Explicit LEASE_RENEW (single-server path); returns the grants."""
-        grants = yield from self.client._call(
-            PROC_LEASE_RENEW, RenewArgs(tuple(wants))
-        )
-        self.learn_grants(grants)
-        return grants

@@ -590,7 +590,3 @@ class NfsClient:
                     self.tracker.pressure_commits.add(1)
                     yield from self.tracker.commit(open_file.fhandle)
         return fattr
-
-    @property
-    def busy_biods(self) -> int:
-        return self._busy_biods

@@ -89,7 +89,6 @@ class PrestoCache(Storage):
         #: NVRAM (and recoverable) until that write completes.
         self._draining: Tuple[int, int] | None = None
         self._dirty_signal = env.event()
-        self._declined = 0
         #: Armed battery fault as (fraction, seed); None = battery healthy.
         self._degrade: Optional[Tuple[float, int]] = None
         #: When the oldest currently-cached byte arrived (age trigger).
@@ -110,7 +109,6 @@ class PrestoCache(Storage):
             return self.backing.submit(offset, nbytes, is_write=False, kind=kind)
         if nbytes > self.accept_limit:
             # Presto declines oversized requests; underlying disk speed.
-            self._declined += 1
             return self.backing.submit(offset, nbytes, is_write=True, kind=kind)
         done = self.env.event()
         if self._free.try_get(nbytes):
@@ -130,16 +128,6 @@ class PrestoCache(Storage):
 
     def queue_depth(self) -> int:
         return self.backing.queue_depth()
-
-    @property
-    def declined_count(self) -> int:
-        """How many writes were too large for the NVRAM and bypassed it."""
-        return self._declined
-
-    @property
-    def dirty_bytes(self) -> int:
-        """Bytes currently held in NVRAM awaiting (or under) drain."""
-        return sum(end - start for start, end in self.dirty_extents)
 
     @property
     def dirty_extents(self) -> List[Tuple[int, int]]:

@@ -8,7 +8,7 @@ wait, procrastination, stable-storage commit, parked-reply delay, reply).
 A per-environment :class:`~repro.obs.registry.MetricsRegistry` owns every
 named Tally/Counter/UtilizationMeter so subsystems register instruments
 instead of threading them through constructors, and pluggable exporters
-(JSONL, percentile summary, timeline) subscribe to the span stream.
+(JSONL, percentile summary) subscribe to the span stream.
 
 Tracing is off by default — the shared :data:`NULL_COLLECTOR` discards
 spans without scheduling anything, so benchmark numbers are unaffected —
@@ -22,7 +22,7 @@ from repro.obs.collector import (
     collector_for,
     install,
 )
-from repro.obs.exporters import JsonlExporter, PercentileSummary, render_span_timeline
+from repro.obs.exporters import JsonlExporter, PercentileSummary
 from repro.obs.registry import MetricsRegistry, registry_for
 from repro.obs.span import (
     PHASE_COMMIT,
@@ -58,7 +58,6 @@ __all__ = [
     "registry_for",
     "JsonlExporter",
     "PercentileSummary",
-    "render_span_timeline",
     "PHASE_RPC",
     "PHASE_WIRE",
     "PHASE_SOCKBUF",

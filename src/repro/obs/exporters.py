@@ -5,20 +5,18 @@ and turns the deterministic span stream into a different artifact:
 
 * :class:`JsonlExporter` — one JSON object per span, machine-readable;
 * :class:`PercentileSummary` — per-phase latency distributions (p50/p95/p99),
-  the numbers that distinguish stable-storage policies;
-* :func:`render_span_timeline` — the human-readable two-column timeline the
-  Figure 1 command prints.
+  the numbers that distinguish stable-storage policies.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import Dict, Iterable, Optional, Sequence, TextIO
 
 from repro.obs.span import RPC_PHASES, Span
 from repro.sim.monitor import Tally
 
-__all__ = ["JsonlExporter", "PercentileSummary", "render_span_timeline"]
+__all__ = ["JsonlExporter", "PercentileSummary"]
 
 
 class JsonlExporter:
@@ -87,25 +85,3 @@ class PercentileSummary:
                 f"{row['p99'] * 1e3:>9.3f}"
             )
         return "\n".join(lines)
-
-
-def render_span_timeline(
-    spans: List[Span],
-    left_actor: str = "client",
-    right_actor: str = "disk",
-    start_ms: Optional[float] = None,
-    end_ms: Optional[float] = None,
-) -> str:
-    """Two-column plain-text timeline of span *starts* (client vs disk)."""
-    lines = [f"{'time(ms)':>9}  {'client':<28}{'server disk':<28}"]
-    for span in sorted(spans, key=lambda s: (s.start, s.seq)):
-        time_ms = span.start * 1000.0
-        if start_ms is not None and time_ms < start_ms:
-            continue
-        if end_ms is not None and time_ms > end_ms:
-            continue
-        label = span.attrs.get("label", span.name)
-        left = label if span.actor.startswith(left_actor) else ""
-        right = label if span.actor.startswith(right_actor) else ""
-        lines.append(f"{time_ms:9.1f}  {left:<28}{right:<28}")
-    return "\n".join(lines)

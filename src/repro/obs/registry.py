@@ -22,11 +22,11 @@ from typing import Dict, List, Union
 
 from repro.sim.core import Environment
 from repro.sim.errors import SimError
-from repro.sim.monitor import Counter, Ratio, Tally, TimeWeighted, UtilizationMeter
+from repro.sim.monitor import Counter, Ratio, Tally, UtilizationMeter
 
 __all__ = ["MetricsRegistry", "registry_for"]
 
-Instrument = Union[Tally, Counter, Ratio, TimeWeighted, UtilizationMeter]
+Instrument = Union[Tally, Counter, Ratio, UtilizationMeter]
 
 
 class MetricsRegistry:
@@ -73,20 +73,10 @@ class MetricsRegistry:
             name, Ratio, lambda: Ratio(name, numerator, denominator)
         )
 
-    def time_weighted(self, name: str, initial: float = 0.0) -> TimeWeighted:
-        """A piecewise-constant level (queue lengths)."""
-        return self._register(
-            name, TimeWeighted, lambda: TimeWeighted(self.env, initial)
-        )
-
     # -- introspection ------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
-
-    def get(self, name: str) -> Instrument:
-        """The instrument registered under ``name`` (KeyError if absent)."""
-        return self._instruments[name]
 
     def names(self) -> List[str]:
         """Every registered name, sorted."""
@@ -127,17 +117,11 @@ class MetricsRegistry:
                     "numerator": instrument.numerator.value,
                     "denominator": instrument.denominator.value,
                 }
-            elif isinstance(instrument, UtilizationMeter):
+            else:  # UtilizationMeter
                 out[name] = {
                     "kind": "utilization",
                     "utilization": instrument.utilization(),
                     "busy_time": instrument.busy_time,
-                }
-            else:  # TimeWeighted
-                out[name] = {
-                    "kind": "time_weighted",
-                    "value": instrument.value,
-                    "mean": instrument.mean(),
                 }
         return out
 

@@ -34,7 +34,6 @@ from repro.cluster.oracle import ClusterOracle
 from repro.metrics.collect import latency_summary_ms
 from repro.metrics.report import ExperimentReport
 from repro.obs import registry_for
-from repro.payload import PAYLOAD_FULL
 from repro.sim import AllOf
 
 __all__ = ["ReplicaRunResult", "replica_storm", "run_replica", "run_replica_arm"]
@@ -117,7 +116,6 @@ def run_replica_arm(
     file_kb: int = 64,
     think_time: float = CLUSTER_THINK_TIME,
     crashes: Optional[Sequence[ShardCrash]] = None,
-    payload: str = PAYLOAD_FULL,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
     check_clients(clients)
@@ -146,7 +144,6 @@ def run_replica_arm(
                     _client_files(host, files_per_client),
                     nbytes,
                     think_time,
-                    payload,
                 ),
                 name=f"workload:{host}",
             )
@@ -272,7 +269,6 @@ def run_replica(
     think_time: float = CLUSTER_THINK_TIME,
     storm_crashes: int = 3,
     progress=None,
-    payload: str = PAYLOAD_FULL,
 ) -> ReplicaRunResult:
     """Sweep the replication factor under the crash-and-promote storm.
 
@@ -293,7 +289,6 @@ def run_replica(
             file_kb=file_kb,
             think_time=think_time,
             crashes=crashes,
-            payload=payload,
         )
         arms.append(arm)
         if progress is not None:

@@ -47,10 +47,6 @@ class RpcCall:
         if self.size <= 0:
             raise ValueError(f"RPC call size must be positive, got {self.size}")
 
-    @property
-    def is_retransmission(self) -> bool:
-        return self.attempt > 1
-
 
 @dataclass(slots=True)
 class RpcReply:

@@ -1,13 +1,7 @@
 """NFS server: nfsd pool, dispatch, CPU model, standard write path."""
 
 from repro.server.base import NfsServer, StableStorageViolation
-from repro.server.config import (
-    WRITE_PATH_GATHER,
-    WRITE_PATH_SIVA,
-    WRITE_PATH_STANDARD,
-    ServerConfig,
-    WritePath,
-)
+from repro.server.config import ServerConfig, WritePath
 from repro.server.cpu import Cpu
 from repro.server.standard import StandardWritePath
 
@@ -16,9 +10,6 @@ __all__ = [
     "StableStorageViolation",
     "ServerConfig",
     "WritePath",
-    "WRITE_PATH_STANDARD",
-    "WRITE_PATH_GATHER",
-    "WRITE_PATH_SIVA",
     "Cpu",
     "StandardWritePath",
 ]

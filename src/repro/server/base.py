@@ -47,12 +47,7 @@ from repro.obs import (
 from repro.rpc.dupcache import DuplicateRequestCache
 from repro.rpc.messages import RPC_HEADER_BYTES
 from repro.rpc.server import REPLY_DONE, SvcServer, TransportHandle
-from repro.server.config import (
-    WRITE_PATH_ASYNC_COMMIT,
-    WRITE_PATH_GATHER,
-    WRITE_PATH_SIVA,
-    ServerConfig,
-)
+from repro.server.config import ServerConfig, WritePath
 from repro.server.cpu import Cpu
 from repro.server.standard import StandardWritePath
 from repro.sim import Counter, Environment
@@ -178,15 +173,15 @@ class NfsServer:
             env.process(self._nfsd(nfsd_id), name=f"nfsd{nfsd_id}@{host}")
 
     def _make_write_path(self):
-        if self.config.write_path == WRITE_PATH_GATHER:
+        if self.config.write_path == WritePath.GATHER:
             from repro.core.gather import GatheringWritePath
 
             return GatheringWritePath(self, self.config.gather_policy)
-        if self.config.write_path == WRITE_PATH_SIVA:
+        if self.config.write_path == WritePath.SIVA:
             from repro.core.siva import SivaWritePath
 
             return SivaWritePath(self)
-        if self.config.write_path == WRITE_PATH_ASYNC_COMMIT:
+        if self.config.write_path == WritePath.ASYNC_COMMIT:
             from repro.commit.path import AsyncCommitWritePath
 
             return AsyncCommitWritePath(self)

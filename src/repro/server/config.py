@@ -14,14 +14,7 @@ from typing import Optional, Union
 from repro.core.policy import GatherPolicy
 from repro.fs.ufs import CostModel
 
-__all__ = [
-    "ServerConfig",
-    "WritePath",
-    "WRITE_PATH_STANDARD",
-    "WRITE_PATH_GATHER",
-    "WRITE_PATH_SIVA",
-    "WRITE_PATH_ASYNC_COMMIT",
-]
+__all__ = ["ServerConfig", "WritePath"]
 
 
 class WritePath(str, enum.Enum):
@@ -52,13 +45,6 @@ class WritePath(str, enum.Enum):
             raise ValueError(
                 f"unknown write path {value!r} (expected one of: {names})"
             ) from None
-
-
-#: Legacy aliases, kept so pre-enum call sites keep importing cleanly.
-WRITE_PATH_STANDARD = WritePath.STANDARD
-WRITE_PATH_GATHER = WritePath.GATHER
-WRITE_PATH_SIVA = WritePath.SIVA
-WRITE_PATH_ASYNC_COMMIT = WritePath.ASYNC_COMMIT
 
 
 @dataclass

@@ -12,7 +12,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.errors import Interrupt, SimError, StopSimulation
-from repro.sim.monitor import Counter, Ratio, Tally, TimeWeighted, UtilizationMeter
+from repro.sim.monitor import Counter, Ratio, Tally, UtilizationMeter
 from repro.sim.resources import (
     Container,
     Hold,
@@ -46,6 +46,5 @@ __all__ = [
     "Tally",
     "Counter",
     "Ratio",
-    "TimeWeighted",
     "UtilizationMeter",
 ]

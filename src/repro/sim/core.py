@@ -272,7 +272,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         env = self.env
-        env._active_process = self
         self._target = None
         generator = self._generator
         while True:
@@ -312,7 +311,6 @@ class Process(Event):
             callbacks.append(self._resume)
             self._target = next_event
             break
-        env._active_process = None
 
 
 class Condition(Event):
@@ -399,7 +397,6 @@ class Environment:
         #: into its high bits (see ``_PRIORITY_SHIFT``).
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     # -- introspection ----------------------------------------------------
 
@@ -407,11 +404,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
@@ -430,10 +422,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` has fired."""

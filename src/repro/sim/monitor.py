@@ -13,7 +13,7 @@ from typing import List, Optional
 from repro.sim.core import Environment
 from repro.sim.errors import SimError
 
-__all__ = ["Tally", "Counter", "Ratio", "TimeWeighted", "UtilizationMeter"]
+__all__ = ["Tally", "Counter", "Ratio", "UtilizationMeter"]
 
 
 class Tally:
@@ -55,10 +55,6 @@ class Tally:
     @property
     def variance(self) -> float:
         return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
     def percentile(self, fraction: float) -> float:
         """Sample percentile (nearest-rank).  Requires ``keep_samples``."""
@@ -122,48 +118,6 @@ class Ratio:
         return self.numerator.value / self.denominator.value
 
 
-class TimeWeighted:
-    """A piecewise-constant value whose time-weighted mean is tracked.
-
-    Useful for queue lengths and levels.  ``set`` records a new value at the
-    current simulation time.
-    """
-
-    def __init__(self, env: Environment, initial: float = 0.0) -> None:
-        self.env = env
-        self._value = initial
-        self._last_change = env.now
-        self._area = 0.0
-        self._start = env.now
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self.env.now
-        self._area += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def adjust(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    def mean(self) -> float:
-        """Time-weighted mean from creation (or reset) to now."""
-        now = self.env.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (now - self._last_change)
-        return area / elapsed
-
-    def reset(self) -> None:
-        self._area = 0.0
-        self._start = self.env.now
-        self._last_change = self.env.now
-
-
 class UtilizationMeter:
     """Tracks what fraction of wall time a device is busy.
 
@@ -178,8 +132,7 @@ class UtilizationMeter:
         self._active = 0
         self._busy_since = 0.0
         self._busy_time = 0.0
-        #: Busy-slot-seconds, integrated in place as :class:`TimeWeighted`
-        #: would over ``_active`` (same float operations, one call less).
+        #: Busy-slot-seconds: the time integral of ``_active``.
         self._slot_area = 0.0
         self._last_change = env.now
         self._start = env.now

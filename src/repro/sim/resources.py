@@ -274,10 +274,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> Event:
         """Add ``item``; the returned event fires once it has been accepted.
 

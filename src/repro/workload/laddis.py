@@ -80,10 +80,6 @@ class LaddisResult:
     per_op_latency_ms: Dict[str, float] = field(default_factory=dict)
     op_counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def within_sfs_bound(self) -> bool:
-        return self.avg_latency_ms <= SFS_LATENCY_BOUND_MS
-
 
 class LaddisGenerator:
     """Drives one server with the SFS mix from several client hosts."""

@@ -57,8 +57,7 @@ class TestBalance:
 
     def test_every_server_serves_some_keys(self):
         shard_map = ShardMap(SERVERS, vnodes=32, seed=3)
-        assignments = shard_map.assignments(KEYS)
-        assert set(assignments.values()) == set(SERVERS)
+        assert all(count > 0 for count in shard_map.load(KEYS).values())
         assert shard_map.describe()["ring_points"] == 32 * len(SERVERS)
 
 
@@ -134,28 +133,21 @@ class TestCapacityWeights:
         assert [a.server_for(k) for k in KEYS] == [b.server_for(k) for k in KEYS]
 
     def test_grow_weight_only_moves_keys_to_that_server(self):
-        shard_map = ShardMap(SERVERS, vnodes=64, seed=0)
-        before = {k: shard_map.server_for(k) for k in KEYS}
-        shard_map.set_weight("server-2", 2.0)
+        # Ring points carry stable "{server}#{k}" labels, so a heavier
+        # server only adds points: keys move only to it.
+        plain = ShardMap(SERVERS, vnodes=64, seed=0)
+        heavier = ShardMap(SERVERS, vnodes=64, seed=0, weights={"server-2": 2.0})
         for key in KEYS:
-            after = shard_map.server_for(key)
-            if after != before[key]:
+            after = heavier.server_for(key)
+            if after != plain.server_for(key):
                 assert after == "server-2"
 
     def test_shrink_weight_only_moves_keys_from_that_server(self):
-        shard_map = ShardMap(SERVERS, vnodes=64, seed=0)
-        before = {k: shard_map.server_for(k) for k in KEYS}
-        shard_map.set_weight("server-2", 0.25)
+        plain = ShardMap(SERVERS, vnodes=64, seed=0)
+        lighter = ShardMap(SERVERS, vnodes=64, seed=0, weights={"server-2": 0.25})
         for key in KEYS:
-            if before[key] != "server-2":
-                assert shard_map.server_for(key) == before[key]
-
-    def test_reweight_round_trip_restores_placement(self):
-        shard_map = ShardMap(SERVERS, vnodes=64, seed=0)
-        before = {k: shard_map.server_for(k) for k in KEYS}
-        shard_map.set_weight("server-1", 4.0)
-        shard_map.set_weight("server-1", 1.0)
-        assert {k: shard_map.server_for(k) for k in KEYS} == before
+            if plain.server_for(key) != "server-2":
+                assert lighter.server_for(key) == plain.server_for(key)
 
     def test_weight_floor_keeps_at_least_one_point(self):
         shard_map = ShardMap(SERVERS, vnodes=4, seed=0, weights={"server-0": 0.01})
@@ -165,7 +157,7 @@ class TestCapacityWeights:
     def test_invalid_weight_rejected(self):
         shard_map = ShardMap(SERVERS, vnodes=8, seed=0)
         with pytest.raises(ValueError):
-            shard_map.set_weight("server-0", 0.0)
+            ShardMap(SERVERS, vnodes=8, seed=0, weights={"server-0": 0.0})
         with pytest.raises(ValueError):
             shard_map.add_server("server-9", weight=-1.0)
 

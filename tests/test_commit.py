@@ -220,7 +220,7 @@ class TestVerifierLifecycle:
             ).start()
             yield env.timeout(0.05)  # promotion lands
             state["controller"] = controller
-            state["group"] = cluster.group_for_shard(shard)
+            state["group"] = cluster.groups[shard]
             yield from client.close(open_file)  # COMMIT -> mismatch -> replay
 
         env.run(until=env.process(driver(env)))

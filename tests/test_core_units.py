@@ -2,8 +2,6 @@
 queue, policy, learned-client db, mbuf hunter."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     REPLY_FIFO,
@@ -166,14 +164,12 @@ class TestLearnedClients:
         for _ in range(8):
             db.observe_batch("pc", 1)
         assert not db.should_procrastinate("pc")
-        assert db.singleton_rate("pc") == 1.0
 
     def test_gathering_client_keeps_procrastination(self):
         db = LearnedClientDb(window=8, threshold=4)
         for _ in range(8):
             db.observe_batch("ws", 8)
         assert db.should_procrastinate("ws")
-        assert db.singleton_rate("ws") == 0.0
 
     def test_client_is_relearned_when_behaviour_changes(self):
         db = LearnedClientDb(window=8, threshold=5)
@@ -230,12 +226,3 @@ class TestMbufHunter:
         buffer.try_put(self.write_datagram((7, 0)))
         hunt(buffer, (7, 0))
         assert len(buffer) == 1
-
-
-@given(batches=st.lists(st.integers(1, 20), min_size=1, max_size=64))
-@settings(max_examples=50, deadline=None)
-def test_property_learned_db_rate_bounded(batches):
-    db = LearnedClientDb(window=16, threshold=8)
-    for size in batches:
-        db.observe_batch("host", size)
-    assert 0.0 <= db.singleton_rate("host") <= 1.0

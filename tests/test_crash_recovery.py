@@ -102,7 +102,7 @@ def test_presto_crash_preserves_nvram_accepted_writes():
     ino = ufs.root.entries["f"]
     expected = b"".join(patterned_chunk(i, 8 * KB) for i in range(32))
     assert ufs.durable_read(ino, 0, 256 * KB) == expected
-    assert testbed.storage.dirty_bytes == 0  # fully destaged after drain
+    assert testbed.storage.dirty_extents == []  # fully destaged after drain
     report = fsck(ufs, strict=False)
     assert report.clean, report.errors
 

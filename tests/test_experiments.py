@@ -1,8 +1,6 @@
 """Tests for the experiment harness: testbed, filecopy, tables, trace,
 LADDIS curves, and report rendering."""
 
-import pytest
-
 from repro.experiments import (
     PAPER,
     TABLES,
@@ -150,12 +148,6 @@ class TestLaddisCurve:
             CurvePoint(300, 240, 80.0),
         ]
         assert curve.capacity() == 190
-
-    def test_latency_interpolation(self):
-        curve = LaddisCurve(write_path="standard", presto=False)
-        curve.points = [CurvePoint(100, 100, 10.0), CurvePoint(200, 200, 30.0)]
-        assert curve.latency_at(150) == pytest.approx(20.0)
-        assert curve.latency_at(500) is None
 
     def test_run_curve_small(self):
         curve = run_curve(

@@ -10,7 +10,7 @@ MB = 1024 * 1024
 
 def test_groups_partition_capacity():
     alloc = Allocator(capacity_bytes=256 * MB, group_size=32 * MB)
-    assert alloc.total_groups == 8
+    assert len(alloc.groups) == 8
 
 
 def test_sequential_allocations_are_contiguous():

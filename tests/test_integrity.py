@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.disk import RZ26, DiskDevice
 from repro.experiments import EXPERIMENT_KINDS, Testbed, TestbedConfig, resolve
 from repro.faults import (
     AtTime,
@@ -24,12 +25,14 @@ from repro.faults import (
     ServerCrash,
     SlowDisk,
 )
-from repro.fs.buffer_cache import DurableImage
+from repro.fs.buffer_cache import BufferCache, DurableImage
 from repro.fs.fsck import fsck
+from repro.fs.inode import InodeSnapshot
 from repro.fs.ufs import FsError
 from repro.integrity import CorruptBlockError, block_digest
 from repro.integrity.experiment import ScrubConfig, run_scrub, run_scrub_arm
 from repro.net import FDDI
+from repro.sim import Environment
 from repro.workload import write_file
 
 KB = 1024
@@ -98,7 +101,7 @@ def test_durable_image_verify_detects_rot():
 def test_durable_image_lost_content_is_detectable():
     image = DurableImage()
     image.commit_block(8192, b"y" * 8192)
-    image.lose_block(8192)
+    assert image.lose_range(8192, 16384, 8192) == [8192]
     with pytest.raises(CorruptBlockError) as excinfo:
         image.verify_block(8192)
     assert excinfo.value.reason == "missing"
@@ -132,6 +135,29 @@ def test_never_committed_block_verifies_trivially():
     DurableImage().verify_block(12345)  # a fresh hole carries no digest
 
 
+def test_indirect_view_follows_the_committed_inode_address():
+    image = DurableImage()
+
+    def snapshot(indirect_addr):
+        return InodeSnapshot(16 * 8192, 0.0, (None,) * 12, indirect_addr, 0)
+
+    # An indirect block no committed inode names belongs to no file.
+    image.commit_indirect(8192, {12: 65536})
+    assert 3 not in image.indirects
+    image.commit_inode(3, snapshot(8192))
+    assert image.indirects[3] == {12: 65536}
+    image.commit_indirect(8192, {12: 65536, 13: 73728})
+    assert image.indirects[3] == {12: 65536, 13: 73728}
+    # Naming another address drops the old block from the view.
+    image.commit_inode(3, snapshot(16384))
+    assert 3 not in image.indirects
+    image.commit_indirect(16384, {12: 81920})
+    assert image.indirects[3] == {12: 81920}
+    image.retire_inode(3)
+    assert 3 not in image.indirects
+    assert image.indirect_blocks[16384] == {12: 81920}
+
+
 def test_torn_commit_keeps_intended_digest_over_mangled_bytes():
     image = DurableImage()
     intended = b"a" * 8192
@@ -141,6 +167,35 @@ def test_torn_commit_keeps_intended_digest_over_mangled_bytes():
     assert image.checksums[0] == block_digest(intended)
     with pytest.raises(CorruptBlockError):
         image.verify_block(0)
+
+
+def test_armed_torn_write_tears_the_multi_block_flush_in_flight_at_a_crash():
+    env = Environment()
+    cache = BufferCache(env, DiskDevice(env, RZ26))
+    block = cache.block_size
+    intended = [bytes([index + 1]) * block for index in range(8)]
+    for index, data in enumerate(intended):
+        buffer = cache.get(index * block)
+        buffer.data = data
+        cache.mark_dirty(buffer)
+    runs = cache.plan_runs(index * block for index in range(8))
+    assert [len(run.buffers) for run in runs] == [8]
+    cache.flush_runs_async(runs)
+    cache.arm_torn_write(seed=1)
+    cache.reset_volatile()  # the crash, with the 64K run still in flight
+    env.run()
+    durable = cache.durable
+    # Seed 1 tears at the fourth block.
+    for index in range(3):
+        assert durable.blocks[index * block] == intended[index]
+        durable.verify_block(index * block)
+    torn = 3 * block
+    assert durable.blocks[torn] != intended[3]
+    assert durable.checksums[torn] == block_digest(intended[3])
+    with pytest.raises(CorruptBlockError) as excinfo:
+        durable.verify_block(torn)
+    assert excinfo.value.reason == "checksum"
+    assert sorted(durable.blocks) == [index * block for index in range(4)]
 
 
 # -- the device-level fault hooks -------------------------------------------

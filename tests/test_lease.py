@@ -74,6 +74,25 @@ class TestGrants:
         assert _rpcs(client) == before
         assert client.cache.negative_hits.value == 1
 
+    def test_own_rename_drops_both_cached_names(self):
+        testbed = _testbed()
+        client = testbed.clients[0]
+
+        def go():
+            open_file = yield from client.create("old")
+            yield from client.close(open_file)
+            yield from client.lookup("old")  # a cached positive entry
+            with pytest.raises(NfsError):
+                yield from client.lookup("new")  # a cached negative entry
+            yield from client.rename("old", "new")
+            with pytest.raises(NfsError):
+                yield from client.lookup("old")
+            fhandle, _fattr = yield from client.lookup("new")
+            return open_file.fhandle, fhandle
+
+        created, renamed = _run(testbed.env, go())
+        assert renamed == created
+
     def test_getattr_and_read_served_from_cache(self):
         testbed = _testbed()
         client = testbed.clients[0]

@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments.bench import run_bench_cell
 from repro.experiments.testbed import Testbed, TestbedConfig
-from repro.faults.campaign import ChaosCampaign, run_plan
 from repro.faults.events import AtTime, FaultPlan, ServerCrash
 from repro.faults.oracle import Oracle
 from repro.fs.buffer_cache import _zero_block
@@ -97,18 +96,6 @@ def _config() -> TestbedConfig:
 
 
 class TestCrashContractAgreement:
-    def test_run_plan_identical_results_and_clean_in_both_modes(self):
-        results = {
-            mode: run_plan(_config(), _crash_plan(), file_kb=64, payload=mode)
-            for mode in (PAYLOAD_FULL, PAYLOAD_FLYWEIGHT)
-        }
-        for mode, result in results.items():
-            assert result.clean, (mode, result.violations)
-            assert result.crashes == 1
-        assert (
-            results[PAYLOAD_FULL].to_dict() == results[PAYLOAD_FLYWEIGHT].to_dict()
-        )
-
     def test_acked_ranges_agree_under_crash(self):
         """The oracle's acked byte ranges — the durability promise — must
         be identical whether the workload wrote real bytes or extents."""
@@ -140,41 +127,6 @@ class TestCrashContractAgreement:
         assert full.acked_inos() == fly.acked_inos()
         for ino in full.acked_inos():
             assert full.acked_runs(ino) == fly.acked_runs(ino)
-
-    def test_chaos_campaign_clean_in_flyweight_mode(self):
-        report = ChaosCampaign(
-            seed=0,
-            plans_per_combo=1,
-            write_paths=("gather",),
-            presto_modes=(False,),
-            file_kb=64,
-            payload=PAYLOAD_FLYWEIGHT,
-        ).execute()
-        assert report.clean, report.violations
-
-
-class TestReplicaAgreement:
-    def test_replica_report_identical_across_modes(self):
-        from repro.cluster.fleet import ClusterConfig
-        from repro.replica.experiment import run_replica
-
-        reports = {
-            mode: run_replica(
-                ClusterConfig(servers=2, seed=0),
-                replica_counts=(0, 1),
-                clients=2,
-                files_per_client=1,
-                file_kb=32,
-                storm_crashes=1,
-                payload=mode,
-            )
-            for mode in (PAYLOAD_FULL, PAYLOAD_FLYWEIGHT)
-        }
-        for mode, report in reports.items():
-            assert report.clean, (mode, [a.violations for a in report.arms])
-        assert (
-            reports[PAYLOAD_FULL].to_json() == reports[PAYLOAD_FLYWEIGHT].to_json()
-        )
 
 
 class TestLaddisHoldsNoBytes:

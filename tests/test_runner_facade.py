@@ -22,7 +22,7 @@ from repro.faults.campaign import ChaosCampaign
 from repro.integrity.experiment import ScrubConfig
 from repro.lease.experiment import CacheConfig
 from repro.overload.experiment import OverloadConfig
-from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
+from repro.payload import PAYLOAD_FLYWEIGHT
 from repro.replica.experiment import run_replica
 from repro.tiering.experiment import TieringConfig
 
@@ -51,11 +51,6 @@ class TestSpecValidation:
             run("copy", seed=5)
         with pytest.raises(TypeError):
             run("tiering", skew=9)
-
-    def test_payload_defaults_per_kind(self):
-        assert _default(run_bench, "payload") == PAYLOAD_FLYWEIGHT
-        assert _default(ChaosCampaign, "payload") == PAYLOAD_FULL
-        assert _default(run_replica, "payload") == PAYLOAD_FULL
 
     def test_file_kb_defaults_per_kind(self):
         assert _default(figure1, "file_kb") == 256
@@ -159,12 +154,10 @@ _ONE_TO_ONE = {
     ("bench", "file_mb"): (run_bench, "file_mb"),
     ("bench", "biods"): (run_bench, "biods"),
     ("bench", "seed"): (run_bench, "seed"),
-    ("bench", "payload"): (run_bench, "payload"),
     ("chaos", "seed"): (ChaosCampaign, "seed"),
     ("chaos", "plans"): (ChaosCampaign, "plans_per_combo"),
     ("chaos", "write_paths"): (ChaosCampaign, "write_paths"),
     ("chaos", "file_kb"): (ChaosCampaign, "file_kb"),
-    ("chaos", "payload"): (ChaosCampaign, "payload"),
     ("cluster", "files"): (run_cluster, "files_per_client"),
     ("cluster", "file_kb"): (run_cluster, "file_kb"),
     ("overload", "seed"): (OverloadConfig, "seed"),
@@ -176,7 +169,6 @@ _ONE_TO_ONE = {
     ("replica", "files"): (run_replica, "files_per_client"),
     ("replica", "file_kb"): (run_replica, "file_kb"),
     ("replica", "crashes"): (run_replica, "storm_crashes"),
-    ("replica", "payload"): (run_replica, "payload"),
     ("cache", "seed"): (CacheConfig, "seed"),
     ("cache", "clients"): (CacheConfig, "clients"),
     ("cache", "ops"): (CacheConfig, "ops_per_client"),

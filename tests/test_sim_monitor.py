@@ -1,10 +1,10 @@
-"""Tests for the measurement helpers (Tally, Counter, TimeWeighted, meters)."""
+"""Tests for the measurement helpers (Tally, Counter, meters)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Counter, Environment, SimError, Tally, TimeWeighted, UtilizationMeter
+from repro.sim import Counter, Environment, SimError, Tally, UtilizationMeter
 
 
 def test_tally_basic_stats():
@@ -84,27 +84,6 @@ def test_counter_rejects_negative():
     env = Environment()
     with pytest.raises(SimError):
         Counter(env).add(-1)
-
-
-def test_time_weighted_mean():
-    env = Environment()
-    level = TimeWeighted(env, initial=0)
-
-    def proc(env):
-        yield env.timeout(10)  # 0 for 10s
-        level.set(4)
-        yield env.timeout(10)  # 4 for 10s
-
-    env.process(proc(env))
-    env.run()
-    assert level.mean() == pytest.approx(2.0)
-
-
-def test_time_weighted_adjust():
-    env = Environment()
-    level = TimeWeighted(env, initial=1)
-    level.adjust(2)
-    assert level.value == 3
 
 
 def test_utilization_meter_simple():

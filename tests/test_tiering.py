@@ -210,10 +210,12 @@ def run_migration(
     write_path=None,
     close_after=True,
     crash_at=0.05,
+    max_retries=4,
+    racks=1,
 ):
     """Drive one live migration under an active writer, optionally with a
     fault injected mid-copy.  Returns (cluster, oracle, engine, state)."""
-    kw = {"replicas": replicas}
+    kw = {"replicas": replicas, "racks": racks}
     if lease_ttl is not None:
         kw["lease_ttl"] = lease_ttl
     if write_path is not None:
@@ -235,7 +237,9 @@ def run_migration(
         return open_file
 
     proc = env.process(writer(), name="writer")
-    engine = MigrationEngine(cluster, oracle=oracle, copy_pace=0.002)
+    engine = MigrationEngine(
+        cluster, oracle=oracle, copy_pace=0.002, max_retries=max_retries
+    )
     source = cluster.shard_map.server_for("victim")
     dest = next(h for h in cluster.shard_map.servers if h != source)
     engine.start([MigrationPlan(at=0.02, name="victim", dest=dest)])
@@ -310,6 +314,28 @@ class TestLiveMigration:
         )
         assert_migrated_clean(cluster, oracle, engine)
 
+    def test_aborted_last_attempt_gives_up_and_purges_the_dest_copy(self):
+        # One attempt, aborted by the source crash mid-copy: the engine
+        # gives up and purges the partial copy it left on the destination.
+        cluster, oracle, engine, _ = run_migration(
+            crash_picks=lambda s, d: s, max_retries=1
+        )
+        record = engine.records[0]
+        assert record["outcome"] == "gave-up"
+        assert record["attempts"] == 1 and len(record["aborts"]) == 1
+        state = engine.active["victim"]
+        assert state["phase"] == "failed"
+        assert state["authority"] == state["source"]
+        # The attempt had adopted the file on the destination before the
+        # abort; the give-up purge removed it.
+        dest = cluster.server_by_host(state["dest"])
+        assert "victim" not in dest.ufs.root.entries
+        assert state["ino"] not in dest.ufs.inodes
+        assert state["ino"] not in dest.ufs.cache.durable.inodes
+        assert engine.check_contract() == []
+        assert oracle.clean, oracle.violations
+        assert cluster.router.server_for_name("victim") == state["source"]
+
     def test_migration_of_absent_name_is_gone(self):
         cluster = Cluster(ClusterConfig(servers=2, seed=1))
         oracle = ClusterOracle(cluster)
@@ -375,6 +401,16 @@ class TestRepointRaces:
         # the recall or the cached dirty data.
         cluster, oracle, engine, _ = run_migration(lease_ttl=0.2, chunks=60)
         assert_migrated_clean(cluster, oracle, engine, chunks=60)
+
+    def test_cutover_to_another_rack_restarts_calls_on_its_transport(self):
+        # One shard per rack: a write in flight at the cutover re-resolves
+        # to a shard its rack's transport cannot reach, so the router
+        # restarts the call on the destination rack's endpoint.
+        cluster, oracle, engine, _ = run_migration(racks=3)
+        state = engine.active["victim"]
+        racks = cluster._rack_of_server
+        assert racks[state["source"]] != racks[state["dest"]]
+        assert_migrated_clean(cluster, oracle, engine)
 
 
 class TestTieringExperiment:

@@ -21,8 +21,23 @@ Installed as the ``repro`` console script (also usable as
     repro replica --json          # K=0/1/2 replication cost + promote storm
     repro cache --json            # lease-cache TTL x sharing sweep + chaos probes
 
-Each subcommand is one :class:`_Command`: its flag declarations, how the
-flags become the driver's arguments, and how its report reads as text.
+Each subcommand is one :class:`_Command`: its flags, how the flags become
+the driver's arguments, and how its report reads as text.
+
+Each flag is declared once, as a :class:`_Flag` record: its spelling, the
+*target* it sets (a config class or a driver, named in :data:`_TARGETS`),
+the target parameter's name, and its help text.  argparse's ``default``,
+``type`` and ``nargs``, and the help's "(default: ...)" suffix, are read
+from that parameter's default in ``inspect.signature(target)``, so each
+default lives only in the driver or config it feeds.  A record states a
+default of its own only where the CLI deliberately departs from the
+target's, and a :class:`_Form` converts a value whose shape differs
+between flag and target (``--net`` names a NetSpec, ``--presto
+off|on|both`` names ``presto_modes``).  The same records build the
+driver's arguments: ``Config(**flags aimed at Config)`` plus the flags
+aimed at the driver.  A subcommand's targets are imported only when that
+subcommand is parsed: :func:`main` reads the command name first.
+
 :func:`main` runs every subcommand through the same loop: a
 ``ValueError`` while building the arguments is a usage error
 (``<command>: <message>`` on stderr, exit 2); the header and progress
@@ -35,12 +50,16 @@ report's canonical JSON; and the exit status is 1 when the report's
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
+import operator
 import sys
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.policy import GatherPolicy
 from repro.experiments import PAPER, TABLES, run, sweepable_fields, table_to_dict
+from repro.experiments.sweep import sweep_config
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics import format_comparison
 from repro.net import ETHERNET, FDDI, NETWORKS
@@ -48,544 +67,191 @@ from repro.server.config import WritePath
 
 __all__ = ["main", "build_parser"]
 
-#: ``--presto off|on|both`` as the drivers' ``presto_modes``.
+#: Each flag target by name: a config class or a driver, imported from its
+#: module only when a subcommand that sets it is parsed.
+_TARGETS = {
+    "TestbedConfig": "repro.experiments.testbed",
+    "ClusterConfig": "repro.cluster",
+    "ShardCrash": "repro.cluster",
+    "ChaosCampaign": "repro.faults.campaign",
+    "OverloadConfig": "repro.overload.experiment",
+    "CacheConfig": "repro.lease.experiment",
+    "CommitConfig": "repro.commit.experiment",
+    "ScrubConfig": "repro.integrity.experiment",
+    "TieringConfig": "repro.tiering.experiment",
+    "run_table": "repro.experiments.tables",
+    "run_filecopy": "repro.experiments.filecopy",
+    "sweep": "repro.experiments.sweep",
+    "run_curve": "repro.experiments.laddis_curves",
+    "run_bench": "repro.experiments.bench",
+    "run_cluster": "repro.cluster.experiment",
+    "run_replica": "repro.replica.experiment",
+}
+
+
+def _target(name: str):
+    return getattr(importlib.import_module(_TARGETS[name]), name)
+
+
+class _Form(NamedTuple):
+    """How a flag's value differs in shape from its target parameter's."""
+
+    #: The target's default -> the flag's default.
+    to_flag: Callable
+    #: The parsed value -> the target's argument.
+    to_target: Callable
+    #: The argparse options the flag's shape implies.
+    options: dict = {}
+
+
+class _Flag(NamedTuple):
+    """One flag, declared once: see the module docstring."""
+
+    spelling: str
+    #: A key of :data:`_TARGETS`; None for a flag the loop or the
+    #: subcommand's own code reads (``--json``, ``--no-adapt``).
+    target: Optional[str]
+    param: str
+    help: Optional[str]
+    form: Optional[_Form]
+    #: What a default cannot say (choices, metavar, the type of a None
+    #: default), and the CLI's deliberate departures from the target.
+    options: dict
+
+
+def _dest(spelling: str) -> str:
+    return spelling.lstrip("-").replace("-", "_")
+
+
+def _flag(spelling, target=None, param=None, help=None, form=None, **options) -> _Flag:
+    """A flag record; ``param`` defaults to the flag's own name."""
+    return _Flag(spelling, target, param or _dest(spelling), help, form, options)
+
+
+def _argparse_options(flag: _Flag) -> dict:
+    """argparse's options for ``flag``, read from its target's default."""
+    options = {"help": flag.help, **(flag.form.options if flag.form else {}), **flag.options}
+    if flag.target is not None and "default" not in options:
+        default = inspect.signature(_target(flag.target)).parameters[flag.param].default
+        if default is not inspect.Parameter.empty:
+            options["default"] = flag.form.to_flag(default) if flag.form else default
+    default = options.get("default")
+    if default is False:
+        return {"action": "store_true", **options}
+    if isinstance(default, (list, tuple)):
+        options = {"nargs": "+", "type": type(default[0]), **options}
+        default = " ".join(map(str, default))
+    elif default is not None:
+        options = {"type": type(default), **options}
+    if flag.target is not None and default is not None:
+        options["help"] = f"{flag.help or ''} (default: {default})".lstrip()
+    return options
+
+
+def _target_values(command: "_Command", args) -> dict:
+    """The parsed flags, grouped by target and in the target's shape."""
+    groups: dict = {}
+    for flag in command.flags:
+        if flag.target is None:
+            continue
+        value = getattr(args, _dest(flag.spelling))
+        if flag.form is not None:
+            value = flag.form.to_target(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        groups.setdefault(flag.target, {})[flag.param] = value
+    return groups
+
+
+def _call(groups: dict, config: str = "config") -> dict:
+    """The driver's arguments: each config class built from the flags
+    aimed at it and passed as ``config``, plus the flags aimed at the
+    driver itself."""
+    kwargs = {}
+    for name, values in groups.items():
+        target = _target(name)
+        if inspect.isclass(target):
+            kwargs[config] = target(**values)
+        else:
+            kwargs.update(values)
+    return kwargs
+
+
+# -- forms and shared flags -----------------------------------------------------
+
+_WRITE_PATHS = [member.value for member in WritePath]
+#: ``--net``: a network by name.
+_NET = _Form(lambda spec: spec.name, NETWORKS.__getitem__, {"choices": sorted(NETWORKS)})
+#: The ``--presto`` switch: 1 MB of NVRAM, or none.
+_PRESTO = _Form(lambda presto_bytes: presto_bytes is not None, lambda on: (1 << 20) if on else None)
+#: ``--presto off|on|both``: the NVRAM arms to run, as ``presto_modes``.
 _PRESTO_MODES = {"off": (False,), "on": (True,), "both": (False, True)}
+_PRESTO_ARMS = _Form(
+    lambda modes: next(name for name, arm in _PRESTO_MODES.items() if arm == tuple(modes)),
+    _PRESTO_MODES.__getitem__,
+    {"choices": list(_PRESTO_MODES)},
+)
+#: ``--no-chaos`` and the like: a switch that turns a True field off.
+_NEGATED = _Form(operator.not_, operator.not_)
+#: ``--interval-ms``: a procrastination override, as a GatherPolicy.
+_INTERVAL_MS = _Form(
+    lambda policy: None,
+    lambda ms: GatherPolicy() if ms is None else GatherPolicy(interval=ms / 1000.0),
+    {"type": float},
+)
+#: ``overload --loads``: per-client offered rates in KB/s, kept in bytes/s.
+_KBS = _Form(
+    lambda rates: [rate / 1024 for rate in rates],
+    lambda kbs: tuple(int(round(kb * 1024)) for kb in kbs),
+)
+#: ``cluster --servers/--clients``: several values run a scaling sweep;
+#: one cell takes the first.
+_ONE_OR_MORE = _Form(lambda value: [value], lambda values: values[0])
 
 
-def _add_write_path_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--write-path",
-        choices=[member.value for member in WritePath],
-        default=None,
-        help="rfs_write implementation to run (default: standard)",
+def _parse_value(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    return text
+
+
+_SWEEP_VALUES = _Form(None, lambda texts: [_parse_value(text) for text in texts], {"nargs": "+"})
+
+# copy and sweep run the paper's cell, FDDI with 7 biods, where
+# TestbedConfig defaults to Ethernet with 4.
+_PAPER_NET = _flag("--net", "TestbedConfig", "netspec", form=_NET, default="fddi")
+_PAPER_BIODS = _flag("--biods", "TestbedConfig", "nbiods", default=7)
+
+
+def _write_path(target: str, **options) -> _Flag:
+    # A name, not a WritePath: argparse checks it against the choices, and
+    # the config coerces it.
+    return _flag(
+        "--write-path", target, help="rfs_write implementation to run",
+        type=str, choices=_WRITE_PATHS, **options,
     )
 
 
-def _add_net_fault_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--loss-rate",
-        type=float,
-        default=0.0,
-        help="per-frame network loss probability in [0, 1) (default: 0)",
-    )
-    parser.add_argument(
-        "--net-seed",
-        type=int,
-        default=None,
-        help="seed for the network RNG (default: the testbed seed)",
-    )
-
-
-def _resolve_write_path(args) -> WritePath:
-    """Resolve --write-path (default: standard)."""
-    if args.write_path is not None:
-        return WritePath.coerce(args.write_path)
-    return WritePath.STANDARD
-
-
-def _config_from_args(args, tracing: bool = False) -> TestbedConfig:
-    """Build the TestbedConfig the copy/sweep subcommands share."""
-    policy = GatherPolicy()
-    if getattr(args, "interval_ms", None) is not None:
-        policy = GatherPolicy(interval=args.interval_ms / 1000.0)
-    return TestbedConfig(
-        netspec=NETWORKS[args.net],
-        write_path=_resolve_write_path(args),
-        nbiods=args.biods,
-        presto_bytes=(1 << 20) if getattr(args, "presto", False) else None,
-        stripes=getattr(args, "stripes", 1),
-        nfsds=getattr(args, "nfsds", 8),
-        gather_policy=policy,
-        tracing=tracing,
-        loss_rate=args.loss_rate,
-        net_seed=args.net_seed,
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994).",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    table = subparsers.add_parser("table", help="regenerate one of Tables 1-6")
-    table.add_argument("number", type=int, choices=sorted(TABLES))
-    table.add_argument("--file-mb", type=float, default=10.0, help="copy size (paper: 10)")
-    table.add_argument("--json", action="store_true", help="emit the table as JSON")
-
-    copy = subparsers.add_parser("copy", help="run one file-copy cell")
-    copy.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    copy.add_argument("--biods", type=int, default=7)
-    _add_write_path_options(copy)
-    copy.add_argument("--presto", action="store_true", help="NVRAM accelerator")
-    copy.add_argument("--stripes", type=int, default=1)
-    copy.add_argument("--nfsds", type=int, default=8)
-    copy.add_argument("--file-mb", type=float, default=10.0)
-    copy.add_argument("--interval-ms", type=float, default=None, help="procrastination override")
-    _add_net_fault_options(copy)
-    copy.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON (runs traced: includes per-phase latency percentiles)",
-    )
-
-    subparsers.add_parser("trace", help="print the Figure 1 timelines")
-
-    laddis = subparsers.add_parser("laddis", help="run a Figure 2/3 LADDIS curve")
-    laddis.add_argument("--presto", action="store_true")
-    laddis.add_argument(
-        "--loads",
-        type=float,
-        nargs="+",
-        default=[150.0, 300.0, 450.0, 550.0, 650.0],
-    )
-    laddis.add_argument("--duration", type=float, default=3.0)
-    _add_net_fault_options(laddis)
-
-    subparsers.add_parser("claims", help="one-screen summary of the headline results")
-
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="run a seeded fault-injection campaign (repro.faults)",
-        description=(
-            "Generate and run randomized-but-reproducible fault plans "
-            "(crashes, packet loss, partitions, duplication, reordering, "
-            "slow disks, socket-buffer shrink) against every selected "
-            "write path with Presto on and off, asserting the crash "
-            "contract: every client-acked write is durable with correct "
-            "content, and fsck finds no structural damage.  Exits 1 on "
-            "any violation."
+def _net_faults(target: str) -> Tuple[_Flag, ...]:
+    return (
+        _flag("--loss-rate", target, help="per-frame network loss probability in [0, 1)"),
+        _flag(
+            "--net-seed", target, type=int,
+            help="seed for the network RNG (default: the testbed seed)",
         ),
     )
-    chaos.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
-    chaos.add_argument(
-        "--plans",
-        type=int,
-        default=5,
-        help="plans per write path x presto combination (default: 5)",
-    )
-    chaos.add_argument(
-        "--write-paths",
-        nargs="+",
-        choices=[member.value for member in WritePath],
-        default=[member.value for member in WritePath],
-        help="write paths to campaign over (default: all)",
-    )
-    chaos.add_argument(
-        "--presto",
-        choices=["off", "on", "both"],
-        default="both",
-        help="NVRAM accelerator arms to run (default: both)",
-    )
-    chaos.add_argument(
-        "--file-kb", type=int, default=192, help="per-file workload size (default: 192)"
-    )
-    chaos.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
-    sweep_cmd = subparsers.add_parser("sweep", help="sweep one parameter of a file-copy")
-    sweep_cmd.add_argument("field", help="TestbedConfig field, or interval_ms / presto_mb")
-    sweep_cmd.add_argument("values", nargs="+", help="values to sweep")
-    sweep_cmd.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    _add_write_path_options(sweep_cmd)
-    sweep_cmd.add_argument("--biods", type=int, default=7)
-    sweep_cmd.add_argument("--file-mb", type=float, default=4.0)
-    _add_net_fault_options(sweep_cmd)
-    sweep_cmd.add_argument("--json", action="store_true", help="emit results as JSON")
 
-    cluster_cmd = subparsers.add_parser(
-        "cluster",
-        help="run the sharded server fleet (repro.cluster)",
-        description=(
-            "Stand up N independent NFS servers behind a consistent-hash "
-            "shard map and a client-side mount router, run a seeded "
-            "multi-client write workload, and verify the cluster-wide "
-            "crash contract.  Multiple --servers or --clients values run "
-            "a scaling sweep with a per-cell efficiency table.  Exits 1 "
-            "on any oracle violation."
-        ),
-    )
-    cluster_cmd.add_argument(
-        "--servers",
-        type=int,
-        nargs="+",
-        default=[2],
-        help="fleet size(s); more than one value runs a sweep (default: 2)",
-    )
-    cluster_cmd.add_argument(
-        "--clients",
-        type=int,
-        nargs="+",
-        default=[4],
-        help="client count(s); more than one value runs a sweep (default: 4)",
-    )
-    cluster_cmd.add_argument(
-        "--vnodes", type=int, default=64, help="virtual nodes per server (default: 64)"
-    )
-    cluster_cmd.add_argument(
-        "--racks", type=int, default=1, help="network segments (default: 1)"
-    )
-    cluster_cmd.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    _add_write_path_options(cluster_cmd)
-    cluster_cmd.add_argument("--presto", action="store_true", help="NVRAM on every shard")
-    cluster_cmd.add_argument("--biods", type=int, default=4)
-    cluster_cmd.add_argument("--nfsds", type=int, default=8)
-    cluster_cmd.add_argument(
-        "--file-kb", type=int, default=64, help="size of each written file (default: 64)"
-    )
-    cluster_cmd.add_argument(
-        "--files", type=int, default=2, help="files written per client (default: 2)"
-    )
-    cluster_cmd.add_argument("--seed", type=int, default=0)
-    cluster_cmd.add_argument(
-        "--crash-shard",
-        type=int,
-        default=None,
-        help="crash this shard index mid-run (single-cell runs only)",
-    )
-    cluster_cmd.add_argument(
-        "--crash-at", type=float, default=0.05, help="crash time in seconds (default: 0.05)"
-    )
-    cluster_cmd.add_argument(
-        "--outage",
-        type=float,
-        default=0.0,
-        help="seconds the crashed shard stays partitioned (default: 0)",
-    )
-    cluster_cmd.add_argument(
-        "--redirect",
-        action="store_true",
-        help="drop the crashed shard from the mount map during the outage",
-    )
-    cluster_cmd.add_argument("--json", action="store_true", help="emit the result as JSON")
+def _json(help: str = "emit the full report as JSON") -> _Flag:
+    return _flag("--json", help=help, action="store_true")
 
-    overload = subparsers.add_parser(
-        "overload",
-        help="goodput-vs-load sweep past saturation (repro.overload)",
-        description=(
-            "Drive a client fleet past server saturation through a "
-            "mid-run retransmit storm, comparing the paper-era static "
-            "1.1 s retransmission schedule against the adaptive stack "
-            "(Van Jacobson RTO with Karn's rule and seeded jitter, an "
-            "AIMD write window, and server admission control with "
-            "dup-cache-aware shedding).  Each combo also crashes the "
-            "server mid-storm and asserts that every client-acked write "
-            "survived.  Exits 1 on any crash-contract violation, a "
-            "non-monotone adaptive curve, or adaptive goodput below "
-            "static at the top load."
-        ),
-    )
-    overload.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
-    overload.add_argument(
-        "--write-paths",
-        nargs="+",
-        choices=[member.value for member in WritePath],
-        default=[member.value for member in WritePath],
-        help="write paths to sweep (default: all)",
-    )
-    overload.add_argument(
-        "--presto",
-        choices=["off", "on", "both"],
-        default="both",
-        help="NVRAM accelerator arms to run (default: both)",
-    )
-    overload.add_argument(
-        "--loads",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="KBS",
-        help="per-client offered rates in KB/s, ascending "
-        "(default: 3.9 7.8 15.6 46.9 156.2 468.8)",
-    )
-    overload.add_argument(
-        "--clients", type=int, default=12, help="fleet size (default: 12)"
-    )
-    overload.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        help="measured window per point, seconds (default: 5)",
-    )
-    overload.add_argument(
-        "--no-adapt",
-        action="store_true",
-        help="run only the static (no-adaptation) curve",
-    )
-    overload.add_argument(
-        "--adapt-only",
-        action="store_true",
-        help="run only the adaptive curve",
-    )
-    overload.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the perf-baseline grid and emit BENCH_<n>.json",
-        description=(
-            "One seeded file copy per cell of standard/gather/siva x "
-            "Presto off/on, reporting throughput, p50/p99 write latency, "
-            "and disk writes per MB.  CI uploads the JSON as an artifact "
-            "so perf-affecting PRs have a baseline to diff against."
-        ),
-    )
-    bench.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    bench.add_argument("--file-mb", type=float, default=2.0, help="copy size (default: 2)")
-    bench.add_argument("--biods", type=int, default=7)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the canonical JSON to this file (e.g. BENCH_1.json)",
-    )
-    bench.add_argument("--json", action="store_true", help="print the report as JSON")
-
-    replica = subparsers.add_parser(
-        "replica",
-        help="replicated shards under a crash-and-promote storm (repro.replica)",
-        description=(
-            "Run the sharded write workload once per replication factor "
-            "(default K=0, 1, 2) while a seeded storm kills acting "
-            "primaries mid-run.  With K>0 each kill promotes the shard's "
-            "freshest backup; the group oracle asserts that no acked "
-            "write is ever missing from the surviving replica set, and a "
-            "post-quiesce pass byte-compares the survivors.  The K=0 arm "
-            "is the unreplicated baseline, so the report prices the "
-            "guarantee: p99 write latency and throughput vs K=0.  Exits "
-            "1 on any violation."
-        ),
-    )
-    replica.add_argument(
-        "--servers", type=int, default=3, help="shard count (default: 3)"
-    )
-    replica.add_argument(
-        "--clients", type=int, default=6, help="client count (default: 6)"
-    )
-    replica.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=[0, 1, 2],
-        metavar="K",
-        help="backups per shard; each value is one arm (default: 0 1 2)",
-    )
-    replica.add_argument(
-        "--quorum",
-        type=int,
-        default=1,
-        help="backup acks required before a write is acked (default: 1)",
-    )
-    replica.add_argument(
-        "--files", type=int, default=2, help="files written per client (default: 2)"
-    )
-    replica.add_argument(
-        "--file-kb", type=int, default=64, help="size of each written file (default: 64)"
-    )
-    replica.add_argument(
-        "--crashes",
-        type=int,
-        default=3,
-        help="primary kills in the storm, round-robin over shards (default: 3)",
-    )
-    replica.add_argument("--net", choices=sorted(NETWORKS), default="fddi")
-    replica.add_argument("--seed", type=int, default=0)
-    replica.add_argument("--json", action="store_true", help="emit the result as JSON")
-
-    cache = subparsers.add_parser(
-        "cache",
-        help="lease-cache RPC-reduction sweep + staleness chaos probes (repro.lease)",
-        description=(
-            "Measure what client-side caching under server-granted "
-            "leases buys: RPCs per user operation on a shared-read/"
-            "private-write workload, swept over lease TTL x sharing "
-            "ratio with leases on vs off, plus compact before/after "
-            "profiles of the copy, LADDIS, cluster, and overload "
-            "workloads.  Then probe the staleness contract under chaos "
-            "(server crash mid-recall, a severed callback path, a "
-            "holder partitioned past its TTL) with an omniscient "
-            "oracle watching every served cache hit.  Exits 1 on any "
-            "staleness violation or if the headline cell misses its "
-            "required reduction."
-        ),
-    )
-    cache.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
-    cache.add_argument(
-        "--ttls",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="SEC",
-        help="lease TTL axis in seconds (default: 1 5 30; must include "
-        "the headline TTL)",
-    )
-    cache.add_argument(
-        "--sharing",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="RATIO",
-        help="shared-read fractions in [0,1] (default: 0.25 0.5 0.9; "
-        "must include the headline ratio)",
-    )
-    cache.add_argument(
-        "--clients", type=int, default=4, help="fleet size (default: 4)"
-    )
-    cache.add_argument(
-        "--ops", type=int, default=30, help="operations per client (default: 30)"
-    )
-    cache.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the chaos probes (sweep and workload profiles only)",
-    )
-    cache.add_argument("--json", action="store_true", help="emit the full report as JSON")
-
-    commit_cmd = subparsers.add_parser(
-        "commit",
-        help="async WRITE+COMMIT three-way comparison + verifier probes (repro.commit)",
-        description=(
-            "Compare the async_commit write path (unstable WRITEs acked "
-            "from volatile memory, boot verifiers, explicit COMMIT) "
-            "against the standard and gather paths on the seeded bench "
-            "copy, open both memory-pressure valves against a shrunken "
-            "volatile ceiling, run the K=1 crash-and-promote storm on "
-            "both paths, and probe the verifier lifecycle under chaos "
-            "(crash mid-unstable-window, crash between WRITE and COMMIT, "
-            "promotion mid-COMMIT).  Exits 1 on any oracle violation or "
-            "if async_commit fails to beat the standard path on p50 "
-            "write latency and throughput."
-        ),
-    )
-    commit_cmd.add_argument("--seed", type=int, default=0)
-    commit_cmd.add_argument(
-        "--file-mb",
-        type=float,
-        default=1.0,
-        help="bench copy size in MB (default: 1.0)",
-    )
-    commit_cmd.add_argument(
-        "--biods", type=int, default=7, help="client write-behind depth (default: 7)"
-    )
-    commit_cmd.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the verifier-lifecycle chaos probes",
-    )
-    commit_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    commit_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
-    scrub_cmd = subparsers.add_parser(
-        "scrub",
-        help="end-to-end integrity sweep: corruption x scrub bandwidth x K "
-        "(repro.integrity)",
-        description=(
-            "Run the seeded write workload under a media-fault storm (bit "
-            "rot, latent sector errors, a torn write and an NVRAM battery "
-            "degrade cashed in by a mid-run crash) while a background "
-            "scrubber walks the durable image verifying per-block "
-            "checksums.  With replicas (K>=1) every defect must self-heal "
-            "from a replica-group peer; standalone (K=0) every defect "
-            "must surface as a quarantine + EIO.  In every arm, zero "
-            "acked READs may return bytes differing from the acked write "
-            "image.  Exits 1 on any silent corruption, missed "
-            "convergence, or unhealed defect at K>=1."
-        ),
-    )
-    scrub_cmd.add_argument("--seed", type=int, default=0)
-    scrub_cmd.add_argument(
-        "--clients", type=int, default=3, help="client hosts (default: 3)"
-    )
-    scrub_cmd.add_argument(
-        "--files-per-client", type=int, default=2, help="files each (default: 2)"
-    )
-    scrub_cmd.add_argument(
-        "--file-kb", type=int, default=32, help="file size in KB (default: 32)"
-    )
-    scrub_cmd.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[0.25],
-        metavar="R",
-        help="corruption rates to sweep, fraction of durable blocks "
-        "afflicted per media fault (default: 0.25)",
-    )
-    scrub_cmd.add_argument(
-        "--bandwidths",
-        type=float,
-        nargs="+",
-        default=[2 << 20, 8 << 20],
-        metavar="BPS",
-        help="scrub read bandwidths in bytes/sec (default: 2MiB 8MiB)",
-    )
-    scrub_cmd.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=[0, 1],
-        metavar="K",
-        help="replication factors to sweep (default: 0 1)",
-    )
-    scrub_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    scrub_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-
-    tiering_cmd = subparsers.add_parser(
-        "tiering",
-        help="heterogeneous-tier placement sweep + crash-safe migration "
-        "storm (repro.tiering)",
-        description=(
-            "Run the Zipf-hot multi-tenant append workload against an "
-            "all-cold fleet (the baseline) and against a mixed fleet "
-            "whose hot tier carries Presto NVRAM, once per placement "
-            "policy.  Then replay it with replication while a "
-            "MigrationEngine live-demotes the hottest files hot->cold "
-            "under injected shard crashes, a network partition, and "
-            "replica promotions timed to land mid-copy.  The migration "
-            "contract — every acked range satisfiable at exactly one "
-            "authoritative location — is checked at every fault and at "
-            "quiesce.  Exits 1 on any oracle violation."
-        ),
-    )
-    tiering_cmd.add_argument("--seed", type=int, default=0)
-    tiering_cmd.add_argument(
-        "--tenants", type=int, default=6, help="tenant clients (default: 6)"
-    )
-    tiering_cmd.add_argument(
-        "--files-per-tenant", type=int, default=4, help="files each (default: 4)"
-    )
-    tiering_cmd.add_argument(
-        "--ops", type=int, default=48, help="appends per tenant (default: 48)"
-    )
-    tiering_cmd.add_argument(
-        "--skew",
-        type=float,
-        default=1.1,
-        help="per-tenant Zipf skew; 0 = uniform (default: 1.1)",
-    )
-    tiering_cmd.add_argument(
-        "--policies",
-        nargs="+",
-        default=None,
-        metavar="POLICY",
-        help="placement policies to sweep (default: hash mfs least-load "
-        "hot-first)",
-    )
-    tiering_cmd.add_argument(
-        "--out", help="also write the canonical JSON report to this file"
-    )
-    tiering_cmd.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-    return parser
+_OUT = _flag("--out", help="also write the canonical JSON report to this file")
 
 
 def _print_line(line: str) -> None:
@@ -686,29 +352,16 @@ def _render_claims(args, rows) -> None:
         )
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def _sweep_arguments(args) -> dict:
+def _sweep_arguments(args, groups) -> dict:
     if args.field not in sweepable_fields():
         raise ValueError(
             f"unknown field {args.field!r}; choose from "
             f"{', '.join(sorted(sweepable_fields()))}"
         )
-    return {
-        "base": _config_from_args(args),
-        "field": args.field,
-        "values": [_parse_value(v) for v in args.values],
-        "file_mb": args.file_mb,
-    }
+    kwargs = _call(groups, config="base")
+    for value in kwargs["values"]:
+        sweep_config(kwargs["base"], args.field, value)  # each point must build
+    return kwargs
 
 
 def _sweep_payload(args, results) -> dict:
@@ -743,20 +396,6 @@ def _bench_progress(cell) -> None:
 # -- the subsystem kinds --------------------------------------------------------
 
 
-def _chaos_arguments(args) -> dict:
-    from repro.faults.campaign import ChaosCampaign
-
-    return {
-        "config": ChaosCampaign(
-            seed=args.seed,
-            plans_per_combo=args.plans,
-            write_paths=args.write_paths,
-            presto_modes=_PRESTO_MODES[args.presto],
-            file_kb=args.file_kb,
-        )
-    }
-
-
 def _chaos_progress(result) -> None:
     presto = "presto" if result.presto else "plain "
     status = "ok" if result.clean else "VIOLATION"
@@ -778,30 +417,12 @@ def _render_chaos(args, report) -> None:
     _print_verdict(report, "crash")
 
 
-def _overload_arguments(args) -> dict:
-    from repro.overload import MODES, OverloadConfig
-
+def _overload_arguments(args, groups) -> dict:
     if args.no_adapt and args.adapt_only:
         raise ValueError("--no-adapt and --adapt-only are mutually exclusive")
-    modes = MODES
-    if args.no_adapt:
-        modes = ("static",)
-    elif args.adapt_only:
-        modes = ("adaptive",)
-    loads = {}
-    if args.loads is not None:
-        loads["loads"] = tuple(int(round(kb * 1024)) for kb in args.loads)
-    return {
-        "config": OverloadConfig(
-            seed=args.seed,
-            write_paths=tuple(args.write_paths),
-            presto_modes=_PRESTO_MODES[args.presto],
-            modes=modes,
-            clients=args.clients,
-            duration=args.duration,
-            **loads,
-        )
-    }
+    if args.no_adapt or args.adapt_only:
+        groups["OverloadConfig"]["modes"] = ("static",) if args.no_adapt else ("adaptive",)
+    return _call(groups)
 
 
 def _overload_header(args, kwargs) -> str:
@@ -836,45 +457,28 @@ def _cluster_sweep_mode(args) -> bool:
     return len(args.servers) > 1 or len(args.clients) > 1
 
 
-def _cluster_arguments(args) -> dict:
+def _cluster_arguments(args, groups) -> dict:
     from repro.cluster import ClusterConfig, ShardCrash
-    from repro.cluster.experiment import check_clients
+    from repro.cluster.experiment import check_workload
 
-    write_path = _resolve_write_path(args)
+    workload = groups["run_cluster"]
     for clients in args.clients:
-        check_clients(clients)
-    config = ClusterConfig(
-        servers=args.servers[0],
-        vnodes=args.vnodes,
-        racks=args.racks,
-        netspec=NETWORKS[args.net],
-        write_path=write_path,
-        nbiods=args.biods,
-        nfsds=args.nfsds,
-        presto_bytes=(1 << 20) if args.presto else None,
-        seed=args.seed,
-    )
-    workload = {"files_per_client": args.files, "file_kb": args.file_kb}
+        check_workload(clients, workload["files_per_client"])
+    config = ClusterConfig(**groups["ClusterConfig"])
     if _cluster_sweep_mode(args):
         if args.crash_shard is not None:
             raise ValueError("--crash-shard only applies to single-cell runs")
+        workload.pop("clients")
         return {
-            "base": config,
-            "server_counts": args.servers,
-            "client_counts": args.clients,
+            "base": config, "server_counts": args.servers, "client_counts": args.clients,
             **workload,
         }
     crashes = None
     if args.crash_shard is not None:
-        crashes = [
-            ShardCrash(
-                at=args.crash_at,
-                shard=args.crash_shard,
-                outage=args.outage,
-                redirect=args.redirect,
-            )
-        ]
-    return {"config": config, "clients": args.clients[0], "crashes": crashes, **workload}
+        if not 0 <= args.crash_shard < config.servers:
+            raise ValueError(f"no shard {args.crash_shard} in a {config.servers}-shard fleet")
+        crashes = [ShardCrash(**groups["ShardCrash"])]
+    return {"config": config, "crashes": crashes, **workload}
 
 
 def _run_cluster(args, kwargs):
@@ -953,25 +557,14 @@ def _render_cluster_cell(result) -> None:
     _print_verdict(result, "crash", "  ")
 
 
-def _replica_arguments(args) -> dict:
-    from repro.cluster import ClusterConfig
-    from repro.cluster.experiment import check_clients
+def _replica_arguments(args, groups) -> dict:
+    from repro.cluster.experiment import check_workload
 
-    check_clients(args.clients)
-    return {
-        "config": ClusterConfig(
-            servers=args.servers,
-            netspec=NETWORKS[args.net],
-            write_path=WritePath.GATHER,
-            quorum=args.quorum,
-            seed=args.seed,
-        ),
-        "replica_counts": args.replicas,
-        "clients": args.clients,
-        "files_per_client": args.files,
-        "file_kb": args.file_kb,
-        "storm_crashes": args.crashes,
-    }
+    kwargs = _call(groups)
+    check_workload(kwargs["clients"], kwargs["files_per_client"])
+    for replicas in kwargs["replica_counts"]:
+        kwargs["config"].variant(replicas=replicas)  # each arm's config must build
+    return kwargs
 
 
 def _replica_progress(arm) -> None:
@@ -999,25 +592,6 @@ def _render_replica(args, result) -> None:
         print("  zero-acked-write-loss guarantee held across every arm")
 
 
-def _cache_arguments(args) -> dict:
-    from repro.lease.experiment import CacheConfig
-
-    axes = {}
-    if args.ttls is not None:
-        axes["lease_ttls"] = tuple(args.ttls)
-    if args.sharing is not None:
-        axes["sharing_ratios"] = tuple(args.sharing)
-    return {
-        "config": CacheConfig(
-            seed=args.seed,
-            clients=args.clients,
-            ops_per_client=args.ops,
-            chaos=not args.no_chaos,
-            **axes,
-        )
-    }
-
-
 def _cache_header(args, kwargs) -> str:
     config = kwargs["config"]
     ttls = ", ".join(f"{t:g}" for t in config.lease_ttls)
@@ -1042,19 +616,6 @@ def _render_cache(args, report) -> None:
     _print_verdict(report, "staleness", "  ")
 
 
-def _commit_arguments(args) -> dict:
-    from repro.commit.experiment import CommitConfig
-
-    return {
-        "config": CommitConfig(
-            seed=args.seed,
-            file_mb=args.file_mb,
-            biods=args.biods,
-            chaos=not args.no_chaos,
-        )
-    }
-
-
 def _commit_header(args, kwargs) -> str:
     config = kwargs["config"]
     return (
@@ -1073,22 +634,6 @@ def _render_commit(args, report) -> None:
             f"throughput x{comparison['throughput_vs_standard']}"
         )
     _print_verdict(report, "commit", "  ")
-
-
-def _scrub_arguments(args) -> dict:
-    from repro.integrity.experiment import ScrubConfig
-
-    return {
-        "config": ScrubConfig(
-            seed=args.seed,
-            clients=args.clients,
-            files_per_client=args.files_per_client,
-            file_kb=args.file_kb,
-            corruption_rates=tuple(args.rates),
-            scrub_bandwidths=tuple(args.bandwidths),
-            replica_counts=tuple(args.replicas),
-        )
-    }
 
 
 def _scrub_header(args, kwargs) -> str:
@@ -1127,21 +672,6 @@ def _render_scrub(args, report) -> None:
         )
         for violation in arm.violations:
             print(f"    {violation}")
-
-
-def _tiering_arguments(args) -> dict:
-    from repro.tiering.experiment import POLICY_NAMES, TieringConfig
-
-    return {
-        "config": TieringConfig(
-            seed=args.seed,
-            tenants=args.tenants,
-            files_per_tenant=args.files_per_tenant,
-            ops_per_tenant=args.ops,
-            skew=args.skew,
-            policies=tuple(args.policies) if args.policies else POLICY_NAMES,
-        )
-    }
 
 
 def _tiering_header(args, kwargs) -> str:
@@ -1189,8 +719,13 @@ def _render_tiering(args, result) -> None:
 class _Command(NamedTuple):
     """One subcommand, as the loop in :func:`main` drives it."""
 
-    #: args -> the driver's keyword arguments; a ValueError is a usage error.
-    arguments: Callable = lambda args: {}
+    #: The one-line help ``repro --help`` lists.
+    help: str
+    description: Optional[str] = None
+    flags: Tuple[_Flag, ...] = ()
+    #: (args, flags grouped by target) -> the driver's keyword arguments;
+    #: a ValueError is a usage error.
+    arguments: Callable = lambda args, groups: _call(groups)
     #: (args, report) -> None: the text-mode output after the run.
     render: Optional[Callable] = None
     #: (args, kwargs) -> the line printed before the run (text mode only).
@@ -1206,31 +741,54 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "table": _Command(
-        arguments=lambda args: {"number": args.number, "file_mb": args.file_mb},
+        help="regenerate one of Tables 1-6",
+        flags=(
+            _flag("number", "run_table", type=int, choices=sorted(TABLES)),
+            _flag("--file-mb", "run_table", help="copy size (paper: 10)"),
+            _json("emit the table as JSON"),
+        ),
         render=_render_table,
         payload=lambda args, result: table_to_dict(result),
     ),
     "copy": _Command(
-        arguments=lambda args: {
-            "config": _config_from_args(args, tracing=args.json),
-            "file_mb": args.file_mb,
-        },
+        help="run one file-copy cell",
+        flags=(
+            _PAPER_NET,
+            _PAPER_BIODS,
+            _write_path("TestbedConfig"),
+            _flag("--presto", "TestbedConfig", "presto_bytes", "NVRAM accelerator", _PRESTO),
+            _flag("--stripes", "TestbedConfig"),
+            _flag("--nfsds", "TestbedConfig"),
+            _flag("--file-mb", "run_filecopy"),
+            _flag(
+                "--interval-ms", "TestbedConfig", "gather_policy",
+                "procrastination override", _INTERVAL_MS,
+            ),
+            *_net_faults("TestbedConfig"),
+            _flag(
+                "--json", "TestbedConfig", "tracing",
+                "emit JSON (runs traced: includes per-phase latency percentiles)",
+            ),
+        ),
         render=_render_copy,
         payload=lambda args, metrics: metrics.to_json(),
     ),
-    "trace": _Command(render=_render_trace),
+    "trace": _Command(help="print the Figure 1 timelines", render=_render_trace),
     "laddis": _Command(
-        arguments=lambda args: {
-            "presto": args.presto,
-            "loads": args.loads,
-            "duration": args.duration,
-            "loss_rate": args.loss_rate,
-            "net_seed": args.net_seed,
-        },
+        help="run a Figure 2/3 LADDIS curve",
+        flags=(
+            _flag("--presto", "run_curve"),
+            # A quick 5-point, 3 s curve; run_curve defaults to Figure 2/3's
+            # 7-point, 4 s axis.
+            _flag("--loads", "run_curve", default=[150.0, 300.0, 450.0, 550.0, 650.0]),
+            _flag("--duration", "run_curve", default=3.0),
+            *_net_faults("run_curve"),
+        ),
         execute=_run_laddis,
         render=_render_laddis,
     ),
     "claims": _Command(
+        help="one-screen summary of the headline results",
         header=lambda args, kwargs: (
             "Headline results (2 MB copies for speed; benches run full scale):"
         ),
@@ -1238,7 +796,33 @@ _COMMANDS = {
         render=_render_claims,
     ),
     "chaos": _Command(
-        arguments=_chaos_arguments,
+        help="run a seeded fault-injection campaign (repro.faults)",
+        description=(
+            "Generate and run randomized-but-reproducible fault plans "
+            "(crashes, packet loss, partitions, duplication, reordering, "
+            "slow disks, socket-buffer shrink) against every selected "
+            "write path with Presto on and off, asserting the crash "
+            "contract: every client-acked write is durable with correct "
+            "content, and fsck finds no structural damage.  Exits 1 on "
+            "any violation."
+        ),
+        flags=(
+            _flag("--seed", "ChaosCampaign", help="campaign seed"),
+            _flag(
+                "--plans", "ChaosCampaign", "plans_per_combo",
+                "plans per write path x presto combination",
+            ),
+            _flag(
+                "--write-paths", "ChaosCampaign", choices=_WRITE_PATHS,
+                help="write paths to campaign over",
+            ),
+            _flag(
+                "--presto", "ChaosCampaign", "presto_modes",
+                "NVRAM accelerator arms to run", _PRESTO_ARMS,
+            ),
+            _flag("--file-kb", "ChaosCampaign", help="per-file workload size"),
+            _json(),
+        ),
         header=lambda args, kwargs: (
             f"chaos campaign: seed={args.seed}, {args.plans} plans x "
             f"{len(kwargs['config'].combos())} combos, {args.file_kb} KB files"
@@ -1246,22 +830,169 @@ _COMMANDS = {
         progress=_chaos_progress,
         render=_render_chaos,
     ),
-    "overload": _Command(
-        arguments=_overload_arguments,
-        header=_overload_header,
-        progress=_print_line,
-        render=_render_overload,
-    ),
     "sweep": _Command(
-        arguments=_sweep_arguments, render=_render_sweep, payload=_sweep_payload
+        help="sweep one parameter of a file-copy",
+        flags=(
+            _flag("field", "sweep", help="TestbedConfig field, or interval_ms / presto_mb"),
+            _flag("values", "sweep", help="values to sweep", form=_SWEEP_VALUES),
+            _PAPER_NET,
+            _write_path("TestbedConfig"),
+            _PAPER_BIODS,
+            _flag("--file-mb", "sweep"),
+            *_net_faults("TestbedConfig"),
+            _json("emit results as JSON"),
+        ),
+        arguments=_sweep_arguments,
+        render=_render_sweep,
+        payload=_sweep_payload,
     ),
     "cluster": _Command(
+        help="run the sharded server fleet (repro.cluster)",
+        description=(
+            "Stand up N independent NFS servers behind a consistent-hash "
+            "shard map and a client-side mount router, run a seeded "
+            "multi-client write workload, and verify the cluster-wide "
+            "crash contract.  Multiple --servers or --clients values run "
+            "a scaling sweep with a per-cell efficiency table.  Exits 1 "
+            "on any oracle violation."
+        ),
+        flags=(
+            _flag(
+                "--servers", "ClusterConfig", form=_ONE_OR_MORE,
+                help="fleet size(s); more than one value runs a sweep",
+            ),
+            _flag(
+                "--clients", "run_cluster", form=_ONE_OR_MORE,
+                help="client count(s); more than one value runs a sweep",
+            ),
+            _flag("--vnodes", "ClusterConfig", help="virtual nodes per server"),
+            _flag("--racks", "ClusterConfig", help="network segments"),
+            _flag("--net", "ClusterConfig", "netspec", form=_NET),
+            # The standard path, where ClusterConfig defaults to gather.
+            _write_path("ClusterConfig", default="standard"),
+            _flag("--presto", "ClusterConfig", "presto_bytes", "NVRAM on every shard", _PRESTO),
+            _flag("--biods", "ClusterConfig", "nbiods"),
+            _flag("--nfsds", "ClusterConfig"),
+            _flag("--file-kb", "run_cluster", help="size of each written file"),
+            _flag("--files", "run_cluster", "files_per_client", "files written per client"),
+            _flag("--seed", "ClusterConfig"),
+            _flag(
+                "--crash-shard", "ShardCrash", "shard", type=int,
+                help="crash this shard index mid-run (single-cell runs only)",
+            ),
+            # ShardCrash.at has no default of its own.
+            _flag("--crash-at", "ShardCrash", "at", "crash time in seconds", default=0.05),
+            _flag("--outage", "ShardCrash", help="seconds the crashed shard stays partitioned"),
+            _flag(
+                "--redirect", "ShardCrash",
+                help="drop the crashed shard from the mount map during the outage",
+            ),
+            _json("emit the result as JSON"),
+        ),
         arguments=_cluster_arguments,
         execute=_run_cluster,
         progress=_cluster_progress,
         render=_render_cluster,
     ),
+    "overload": _Command(
+        help="goodput-vs-load sweep past saturation (repro.overload)",
+        description=(
+            "Drive a client fleet past server saturation through a "
+            "mid-run retransmit storm, comparing the paper-era static "
+            "1.1 s retransmission schedule against the adaptive stack "
+            "(Van Jacobson RTO with Karn's rule and seeded jitter, an "
+            "AIMD write window, and server admission control with "
+            "dup-cache-aware shedding).  Each combo also crashes the "
+            "server mid-storm and asserts that every client-acked write "
+            "survived.  Exits 1 on any crash-contract violation, a "
+            "non-monotone adaptive curve, or adaptive goodput below "
+            "static at the top load."
+        ),
+        flags=(
+            _flag("--seed", "OverloadConfig", help="sweep seed"),
+            _flag(
+                "--write-paths", "OverloadConfig", choices=_WRITE_PATHS, help="write paths to sweep"
+            ),
+            _flag(
+                "--presto", "OverloadConfig", "presto_modes",
+                "NVRAM accelerator arms to run", _PRESTO_ARMS,
+            ),
+            _flag(
+                "--loads", "OverloadConfig", form=_KBS, metavar="KBS",
+                help="per-client offered rates in KB/s, ascending",
+            ),
+            _flag("--clients", "OverloadConfig", help="fleet size"),
+            _flag("--duration", "OverloadConfig", help="measured window per point, seconds"),
+            _flag(
+                "--no-adapt", help="run only the static (no-adaptation) curve", action="store_true"
+            ),
+            _flag("--adapt-only", help="run only the adaptive curve", action="store_true"),
+            _json(),
+        ),
+        arguments=_overload_arguments,
+        header=_overload_header,
+        progress=_print_line,
+        render=_render_overload,
+    ),
+    "bench": _Command(
+        help="run the perf-baseline grid and emit BENCH_<n>.json",
+        description=(
+            "One seeded file copy per cell of standard/gather/siva x "
+            "Presto off/on, reporting throughput, p50/p99 write latency, "
+            "and disk writes per MB.  CI uploads the JSON as an artifact "
+            "so perf-affecting PRs have a baseline to diff against."
+        ),
+        flags=(
+            _flag("--net", "run_bench", "netspec", form=_NET),
+            _flag("--file-mb", "run_bench", help="copy size"),
+            _flag("--biods", "run_bench"),
+            _flag("--seed", "run_bench"),
+            _flag(
+                "--out", metavar="PATH",
+                help="also write the canonical JSON to this file (e.g. BENCH_1.json)",
+            ),
+            _json("print the report as JSON"),
+        ),
+        header=lambda args, kwargs: (
+            f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "
+            f"seed {args.seed}"
+        ),
+        progress=_bench_progress,
+        payload=lambda args, report: report,
+    ),
     "replica": _Command(
+        help="replicated shards under a crash-and-promote storm (repro.replica)",
+        description=(
+            "Run the sharded write workload once per replication factor "
+            "(default K=0, 1, 2) while a seeded storm kills acting "
+            "primaries mid-run.  With K>0 each kill promotes the shard's "
+            "freshest backup; the group oracle asserts that no acked "
+            "write is ever missing from the surviving replica set, and a "
+            "post-quiesce pass byte-compares the survivors.  The K=0 arm "
+            "is the unreplicated baseline, so the report prices the "
+            "guarantee: p99 write latency and throughput vs K=0.  Exits "
+            "1 on any violation."
+        ),
+        flags=(
+            # Three shards, so the default three-crash storm kills every
+            # shard's primary once; ClusterConfig defaults to two.
+            _flag("--servers", "ClusterConfig", help="shard count", default=3),
+            _flag("--clients", "run_replica", help="client count"),
+            _flag(
+                "--replicas", "run_replica", "replica_counts", metavar="K",
+                help="backups per shard; each value is one arm",
+            ),
+            _flag("--quorum", "ClusterConfig", help="backup acks required before a write is acked"),
+            _flag("--files", "run_replica", "files_per_client", "files written per client"),
+            _flag("--file-kb", "run_replica", help="size of each written file"),
+            _flag(
+                "--crashes", "run_replica", "storm_crashes",
+                "primary kills in the storm, round-robin over shards",
+            ),
+            _flag("--net", "ClusterConfig", "netspec", form=_NET),
+            _flag("--seed", "ClusterConfig"),
+            _json("emit the result as JSON"),
+        ),
         arguments=_replica_arguments,
         header=lambda args, kwargs: (
             f"replica: {args.servers} shards x {args.clients} clients, "
@@ -1270,40 +1001,141 @@ _COMMANDS = {
         progress=_replica_progress,
         render=_render_replica,
     ),
-    "bench": _Command(
-        arguments=lambda args: {
-            "netspec": NETWORKS[args.net],
-            "file_mb": args.file_mb,
-            "biods": args.biods,
-            "seed": args.seed,
-        },
-        header=lambda args, kwargs: (
-            f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "
-            f"seed {args.seed}"
-        ),
-        progress=_bench_progress,
-        payload=lambda args, report: report,
-    ),
     "cache": _Command(
-        arguments=_cache_arguments,
+        help="lease-cache RPC-reduction sweep + staleness chaos probes (repro.lease)",
+        description=(
+            "Measure what client-side caching under server-granted "
+            "leases buys: RPCs per user operation on a shared-read/"
+            "private-write workload, swept over lease TTL x sharing "
+            "ratio with leases on vs off, plus compact before/after "
+            "profiles of the copy, LADDIS, cluster, and overload "
+            "workloads.  Then probe the staleness contract under chaos "
+            "(server crash mid-recall, a severed callback path, a "
+            "holder partitioned past its TTL) with an omniscient "
+            "oracle watching every served cache hit.  Exits 1 on any "
+            "staleness violation or if the headline cell misses its "
+            "required reduction."
+        ),
+        flags=(
+            _flag("--seed", "CacheConfig", help="sweep seed"),
+            _flag(
+                "--ttls", "CacheConfig", "lease_ttls", metavar="SEC",
+                help="lease TTL axis in seconds; must include the headline TTL",
+            ),
+            _flag(
+                "--sharing", "CacheConfig", "sharing_ratios", metavar="RATIO",
+                help="shared-read fractions in [0,1]; must include the headline ratio",
+            ),
+            _flag("--clients", "CacheConfig", help="fleet size"),
+            _flag("--ops", "CacheConfig", "ops_per_client", "operations per client"),
+            _flag(
+                "--no-chaos", "CacheConfig", "chaos",
+                "skip the chaos probes (sweep and workload profiles only)", _NEGATED,
+            ),
+            _json(),
+        ),
         header=_cache_header,
         progress=_print_line,
         render=_render_cache,
     ),
     "commit": _Command(
-        arguments=_commit_arguments,
+        help="async WRITE+COMMIT three-way comparison + verifier probes (repro.commit)",
+        description=(
+            "Compare the async_commit write path (unstable WRITEs acked "
+            "from volatile memory, boot verifiers, explicit COMMIT) "
+            "against the standard and gather paths on the seeded bench "
+            "copy, open both memory-pressure valves against a shrunken "
+            "volatile ceiling, run the K=1 crash-and-promote storm on "
+            "both paths, and probe the verifier lifecycle under chaos "
+            "(crash mid-unstable-window, crash between WRITE and COMMIT, "
+            "promotion mid-COMMIT).  Exits 1 on any oracle violation or "
+            "if async_commit fails to beat the standard path on p50 "
+            "write latency and throughput."
+        ),
+        flags=(
+            _flag("--seed", "CommitConfig"),
+            _flag("--file-mb", "CommitConfig", help="bench copy size in MB"),
+            _flag("--biods", "CommitConfig", help="client write-behind depth"),
+            _flag(
+                "--no-chaos", "CommitConfig", "chaos",
+                "skip the verifier-lifecycle chaos probes", _NEGATED,
+            ),
+            _OUT,
+            _json(),
+        ),
         header=_commit_header,
         progress=_print_line,
         render=_render_commit,
     ),
     "scrub": _Command(
-        arguments=_scrub_arguments,
+        help="end-to-end integrity sweep: corruption x scrub bandwidth x K "
+        "(repro.integrity)",
+        description=(
+            "Run the seeded write workload under a media-fault storm (bit "
+            "rot, latent sector errors, a torn write and an NVRAM battery "
+            "degrade cashed in by a mid-run crash) while a background "
+            "scrubber walks the durable image verifying per-block "
+            "checksums.  With replicas (K>=1) every defect must self-heal "
+            "from a replica-group peer; standalone (K=0) every defect "
+            "must surface as a quarantine + EIO.  In every arm, zero "
+            "acked READs may return bytes differing from the acked write "
+            "image.  Exits 1 on any silent corruption, missed "
+            "convergence, or unhealed defect at K>=1."
+        ),
+        flags=(
+            _flag("--seed", "ScrubConfig"),
+            _flag("--clients", "ScrubConfig", help="client hosts"),
+            _flag("--files-per-client", "ScrubConfig", help="files each"),
+            _flag("--file-kb", "ScrubConfig", help="file size in KB"),
+            _flag(
+                "--rates", "ScrubConfig", "corruption_rates", metavar="R",
+                help="corruption rates to sweep, fraction of durable blocks "
+                "afflicted per media fault",
+            ),
+            # Rates in bytes/sec parse as floats, as ScrubConfig declares
+            # them, though its defaults are whole numbers.
+            _flag(
+                "--bandwidths", "ScrubConfig", "scrub_bandwidths", metavar="BPS",
+                type=float, help="scrub read bandwidths in bytes/sec",
+            ),
+            _flag(
+                "--replicas", "ScrubConfig", "replica_counts", metavar="K",
+                help="replication factors to sweep",
+            ),
+            _OUT,
+            _json(),
+        ),
         header=_scrub_header,
         progress=_scrub_progress,
         render=_render_scrub,
     ),
     "tiering": _Command(
-        arguments=_tiering_arguments,
+        help="heterogeneous-tier placement sweep + crash-safe migration "
+        "storm (repro.tiering)",
+        description=(
+            "Run the Zipf-hot multi-tenant append workload against an "
+            "all-cold fleet (the baseline) and against a mixed fleet "
+            "whose hot tier carries Presto NVRAM, once per placement "
+            "policy.  Then replay it with replication while a "
+            "MigrationEngine live-demotes the hottest files hot->cold "
+            "under injected shard crashes, a network partition, and "
+            "replica promotions timed to land mid-copy.  The migration "
+            "contract — every acked range satisfiable at exactly one "
+            "authoritative location — is checked at every fault and at "
+            "quiesce.  Exits 1 on any oracle violation."
+        ),
+        flags=(
+            _flag("--seed", "TieringConfig"),
+            _flag("--tenants", "TieringConfig", help="tenant clients"),
+            _flag("--files-per-tenant", "TieringConfig", help="files each"),
+            _flag("--ops", "TieringConfig", "ops_per_tenant", "appends per tenant"),
+            _flag("--skew", "TieringConfig", help="per-tenant Zipf skew; 0 = uniform"),
+            _flag(
+                "--policies", "TieringConfig", metavar="POLICY", help="placement policies to sweep"
+            ),
+            _OUT,
+            _json(),
+        ),
         header=_tiering_header,
         progress=_tiering_progress,
         render=_render_tiering,
@@ -1311,12 +1143,29 @@ _COMMANDS = {
 }
 
 
+def build_parser(commands: Optional[Iterable[str]] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser; only the subcommands in ``commands`` (default:
+    all) get their flags, so only their targets are imported."""
+    commands = _COMMANDS if commands is None else commands
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994).",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=command.help, description=command.description)
+        for flag in command.flags if name in commands else ():
+            subparser.add_argument(flag.spelling, **_argparse_options(flag))
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[:1]).parse_args(argv)
     command = _COMMANDS[args.command]
     as_json = getattr(args, "json", False)
     try:
-        kwargs = command.arguments(args)
+        kwargs = command.arguments(args, _target_values(command, args))
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

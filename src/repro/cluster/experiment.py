@@ -33,7 +33,7 @@ from repro.workload.sequential import write_file
 __all__ = [
     "ClusterRunResult",
     "ScalingSweepResult",
-    "check_clients",
+    "check_workload",
     "run_cluster",
     "run_scaling_sweep",
 ]
@@ -139,10 +139,12 @@ def _client_workload(
 CLUSTER_THINK_TIME = 0.006
 
 
-def check_clients(clients: int) -> None:
-    """Reject an empty client population before any fleet is built."""
+def check_workload(clients: int, files_per_client: int) -> None:
+    """Reject an empty workload before any fleet is built."""
     if clients < 1:
         raise ValueError(f"need at least one client, got {clients}")
+    if files_per_client < 1:
+        raise ValueError(f"need at least one file per client, got {files_per_client}")
 
 
 def run_cluster(
@@ -154,7 +156,7 @@ def run_cluster(
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ClusterRunResult:
     """Run the sharded write workload (optionally under shard crashes)."""
-    check_clients(clients)
+    check_workload(clients, files_per_client)
     config = config or ClusterConfig()
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)

@@ -86,6 +86,8 @@ class ClusterConfig(StackConfig):
             self.servers = sum(tier.shards for tier in self.tiers)
         if self.servers < 1:
             raise ValueError(f"need at least one server, got {self.servers}")
+        if self.vnodes < 1:
+            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
         if not 1 <= self.racks <= self.servers:
             raise ValueError(
                 f"racks must be in [1, servers]; got {self.racks} racks "

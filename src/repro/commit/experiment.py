@@ -85,6 +85,8 @@ class CommitConfig:
             raise ValueError("the verdict needs the standard baseline arm")
         if self.file_mb <= 0:
             raise ValueError(f"file_mb must be positive, got {self.file_mb}")
+        if self.biods < 0:
+            raise ValueError(f"biods must be >= 0, got {self.biods}")
         if self.pressure_limit_bytes < 1:
             raise ValueError(
                 f"pressure_limit_bytes must be >= 1, got {self.pressure_limit_bytes}"

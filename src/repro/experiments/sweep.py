@@ -23,7 +23,7 @@ from repro.experiments.filecopy import run_filecopy
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
 
-__all__ = ["sweep", "sweepable_fields"]
+__all__ = ["sweep", "sweep_config", "sweepable_fields"]
 
 _DERIVED = {
     "interval_ms": "procrastination interval (ms); None = transport default",
@@ -42,7 +42,9 @@ def sweepable_fields() -> dict:
     return names
 
 
-def _apply(base: TestbedConfig, field: str, value) -> TestbedConfig:
+def sweep_config(base: TestbedConfig, field: str, value) -> TestbedConfig:
+    """The config of the sweep point ``field=value``; a ValueError if it
+    cannot be built."""
     if field == "interval_ms":
         interval = None if value is None else float(value) / 1000.0
         return base.variant(gather_policy=GatherPolicy(interval=interval))
@@ -67,6 +69,6 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     results = []
     for value in values:
-        config = _apply(base, field, value)
+        config = sweep_config(base, field, value)
         results.append(run_filecopy(config, file_mb=file_mb))
     return results

@@ -298,6 +298,8 @@ class ChaosCampaign:
     ) -> None:
         if plans_per_combo < 1:
             raise ValueError(f"plans_per_combo must be >= 1, got {plans_per_combo}")
+        if file_kb < 1:
+            raise ValueError(f"file_kb must be >= 1, got {file_kb}")
         self.seed = seed
         self.plans_per_combo = plans_per_combo
         self.write_paths = tuple(write_paths)

@@ -114,6 +114,8 @@ class OverloadConfig:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if not self.loads:
             raise ValueError("need at least one load point")
+        if min(self.loads) <= 0:
+            raise ValueError(f"loads must be positive, got {list(self.loads)}")
         if list(self.loads) != sorted(self.loads):
             raise ValueError("loads must be ascending (the curve sweeps up)")
         for mode in self.modes:

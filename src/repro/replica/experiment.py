@@ -26,7 +26,7 @@ from repro.cluster.experiment import (
     CLUSTER_THINK_TIME,
     _client_files,
     _client_workload,
-    check_clients,
+    check_workload,
 )
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
@@ -118,7 +118,7 @@ def run_replica_arm(
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
-    check_clients(clients)
+    check_workload(clients, files_per_client)
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     env = cluster.env

@@ -71,6 +71,14 @@ class StackConfig:
 
     def __post_init__(self) -> None:
         self.write_path = WritePath.coerce(self.write_path)
+        if self.nbiods < 0:
+            raise ValueError(f"nbiods must be >= 0, got {self.nbiods}")
+        if self.stripes < 1:
+            raise ValueError(f"need at least one stripe, got {self.stripes}")
+        if self.nfsds < 1:
+            raise ValueError(f"need at least one nfsd, got {self.nfsds}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss rate must be in [0, 1), got {self.loss_rate}")
 
     def variant(self, **changes):
         """A copy with some fields replaced (sweeps build on this)."""

@@ -1,10 +1,14 @@
 """Tests for the `repro` command-line interface."""
 
+import inspect
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments import resolve
+from repro.net import FDDI
 from repro.server.config import WritePath
 
 
@@ -21,7 +25,8 @@ class TestParser:
         args = build_parser().parse_args(["copy"])
         assert args.net == "fddi"
         assert args.biods == 7
-        assert args.write_path is None
+        # Read from TestbedConfig's signature rather than left as None.
+        assert WritePath.coerce(args.write_path) == WritePath.STANDARD
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -351,6 +356,19 @@ class TestBenchCommand:
         ["tiering", "--tenants", "0"],
         ["replica", "--clients", "0"],
         ["scrub", "--clients", "0"],
+        ["copy", "--stripes", "0"],
+        ["copy", "--biods", "-1"],
+        ["copy", "--loss-rate", "1.5"],
+        ["sweep", "stripes", "0"],
+        ["cluster", "--vnodes", "0"],
+        ["cluster", "--crash-shard", "9"],
+        ["cluster", "--files", "0"],
+        ["replica", "--replicas", "1", "--quorum", "5"],
+        ["replica", "--replicas", "0", "--files", "0"],
+        ["overload", "--loads", "0"],
+        ["chaos", "--file-kb", "0"],
+        ["commit", "--biods", "-1"],
+        ["tiering", "--skew", "-1"],
     ],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):
@@ -360,3 +378,67 @@ def test_bad_config_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"{argv[0]}: ")
     assert "Traceback" not in captured.err
+
+
+#: The positionals a bare subcommand needs, and what they build.
+_POSITIONALS = {
+    "table": (["1"], {"number": 1}),
+    "sweep": (["nbiods", "0", "7"], {"field": "nbiods", "values": [0, 7]}),
+}
+
+#: The CLI's deliberate departures from its drivers' defaults, by driver
+#: argument (a dict: the fields of the config that argument carries).
+_CLI_DEFAULTS = {
+    "copy": {"config": {"netspec": FDDI, "nbiods": 7}},
+    "sweep": {"base": {"netspec": FDDI, "nbiods": 7}},
+    "cluster": {"config": {"write_path": WritePath.STANDARD}},
+    "replica": {"config": {"servers": 3}},
+    "laddis": {"loads": (150.0, 300.0, 450.0, 550.0, 650.0), "duration": 3.0},
+}
+
+
+def _bare(command):
+    args = build_parser().parse_args([command] + _POSITIONALS.get(command, ([], {}))[0])
+    spec = cli._COMMANDS[command]
+    return args, spec.arguments(args, cli._target_values(spec, args))
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_bare_command_builds_driver_defaults(command):
+    _, kwargs = _bare(command)
+    if command in ("trace", "claims"):
+        assert kwargs == {}
+        return
+    driver = resolve({"laddis": "curve"}.get(command, command))
+    expected = dict(_POSITIONALS.get(command, ([], {}))[1])
+    overrides = _CLI_DEFAULTS.get(command, {})
+    for name, value in kwargs.items():
+        if name in expected:
+            continue
+        if name in ("config", "base"):
+            # The config a bare run builds: the class's own defaults.
+            assert vars(value) == vars(type(value)(**overrides.get(name, {}))), name
+            expected[name] = value
+        else:
+            default = inspect.signature(driver).parameters[name].default
+            expected[name] = overrides.get(name, default)
+    assert kwargs == expected
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_shows_every_default(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps help at hyphens
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    args, _ = _bare(command)
+    for flag in cli._COMMANDS[command].flags:
+        default = getattr(args, cli._dest(flag.spelling))
+        if flag.target is None or not flag.spelling.startswith("--"):
+            continue
+        if default is None or default is False:
+            continue
+        if isinstance(default, (list, tuple)):
+            default = " ".join(str(item) for item in default)
+        assert f"(default: {default})" in shown, flag.spelling

@@ -112,7 +112,8 @@ class TestOverloadCommand:
         assert args.seed == 0
         assert args.presto == "both"
         assert args.clients == 12
-        assert args.loads is None
+        # OverloadConfig's own loads, shown in KB/s.
+        assert [rate * 1024 for rate in args.loads] == list(OverloadConfig().loads)
         assert not args.no_adapt
         assert not args.adapt_only
 

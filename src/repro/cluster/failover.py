@@ -81,8 +81,15 @@ class FailoverController:
     """Drives scripted :class:`ShardCrash` events against a cluster."""
 
     def __init__(self, cluster, crashes: Sequence[ShardCrash], oracle=None) -> None:
-        self.cluster = cluster
+        # The parts the crashes act on, not the cluster: nothing under a
+        # cluster may hold the cluster.
         self.env = cluster.env
+        self.servers = cluster.servers
+        self.groups = getattr(cluster, "groups", None)
+        self.segments = cluster.segments
+        self._rack_of_server = cluster._rack_of_server
+        self.shard_map = cluster.shard_map
+        self.router = cluster.router
         self.plan = list(crashes)
         self.oracle = oracle
         self.obs = collector_for(self.env)
@@ -94,10 +101,10 @@ class FailoverController:
     def start(self) -> "FailoverController":
         """Spawn one driver process per planned crash; returns self."""
         for index, crash in enumerate(self.plan):
-            if not 0 <= crash.shard < len(self.cluster.servers):
+            if not 0 <= crash.shard < len(self.servers):
                 raise ValueError(
                     f"crash #{index} names shard {crash.shard}; cluster has "
-                    f"{len(self.cluster.servers)} shards"
+                    f"{len(self.servers)} shards"
                 )
             self.env.process(
                 self._drive(crash), name=f"failover:{index}:shard{crash.shard}"
@@ -107,13 +114,13 @@ class FailoverController:
     def _drive(self, crash: ShardCrash):
         if crash.at > self.env.now:
             yield self.env.timeout(crash.at - self.env.now)
-        server = self.cluster.servers[crash.shard]
+        server = self.servers[crash.shard]
         group = self._group_of(crash.shard)
         if group is not None:
             # A crash always hits the shard's *acting* primary — which may
             # already be a promoted backup from an earlier crash.
             server = group.primary
-        segment = self.cluster.segment_of(server.host)
+        segment = self.segments[self._rack_of_server[server.host]]
         started = self.env.now
         server.simulate_crash()
         self.crashes += 1
@@ -127,14 +134,14 @@ class FailoverController:
         # The ring holds *logical* shard names; after a promotion the
         # acting primary is a backup host that was never a ring member,
         # so redirect must add/remove the logical name, not server.host.
-        logical = self.cluster.servers[crash.shard].host
+        logical = self.servers[crash.shard].host
         ring_weight = 1.0
         if crash.outage > 0:
             segment.partition(server.host)
             if crash.redirect:
-                if len(self.cluster.shard_map) > 1:
-                    ring_weight = self.cluster.shard_map.weight_of(logical)
-                    self.cluster.shard_map.remove_server(logical)
+                if len(self.shard_map) > 1:
+                    ring_weight = self.shard_map.weight_of(logical)
+                    self.shard_map.remove_server(logical)
                     redirected = True
                 else:
                     # A 1-shard map cannot lose its only server; record the
@@ -143,7 +150,7 @@ class FailoverController:
             yield self.env.timeout(crash.outage)
             segment.heal(server.host)
             if redirected:
-                self.cluster.shard_map.add_server(logical, weight=ring_weight)
+                self.shard_map.add_server(logical, weight=ring_weight)
         record = {
             "kind": "shard_crash",
             "shard": crash.shard,
@@ -170,7 +177,7 @@ class FailoverController:
             )
 
     def _group_of(self, shard: int):
-        groups = getattr(self.cluster, "groups", None)
+        groups = self.groups
         if not groups or shard >= len(groups):
             return None
         return groups[shard]
@@ -194,7 +201,7 @@ class FailoverController:
         if server.replicator is not None:
             segment.partition(server.replicator.endpoint_host)
         group.promote(promoted)
-        self.cluster.router.repoint(group.logical_host, promoted.host)
+        self.router.repoint(group.logical_host, promoted.host)
         if promoted.leases is not None:
             # The dead primary's grants are invisible to the promoted
             # table: open a one-TTL grace window so they drain by expiry

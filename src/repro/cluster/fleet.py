@@ -15,6 +15,7 @@ cluster oracle both depend on that.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -30,9 +31,9 @@ from repro.rpc.client import RpcClient
 from repro.server.base import NfsServer
 from repro.server.config import WritePath
 from repro.sim import Environment
-from repro.stack import ServerStack, StackConfig, build_stack, make_client
+from repro.stack import ServerStack, StackConfig, build_stack, close_system, make_client
 
-__all__ = ["ClusterConfig", "Cluster", "build_cluster"]
+__all__ = ["ClusterConfig", "Cluster", "build_cluster", "stack_by_host"]
 
 #: Inode-number stride between shards: shard k allocates file inodes from
 #: ``(k + 1) * INO_STRIDE`` upward, so handles never collide fleet-wide.
@@ -169,6 +170,11 @@ class Cluster:
         )
         self.router = MountRouter(self.shard_map, root_fhandle=(ROOT_INO, 0))
         self.clients: List[NfsClient] = []
+        # Dropping the cluster ends the fleet (see _close_fleet); a
+        # cluster still alive at interpreter exit is left alone.
+        weakref.finalize(
+            self, _close_fleet, self.env, self.segments, self.stacks, self.router, self.clients
+        ).atexit = False
 
     @property
     def disks(self) -> List[List[DiskDevice]]:
@@ -284,11 +290,7 @@ class Cluster:
 
     def stack_by_host(self, host: str) -> ServerStack:
         """The member stack serving as ``host`` (a primary or a backup)."""
-        for shard in self.stacks:
-            for stack in shard:
-                if stack.server.host == host:
-                    return stack
-        raise KeyError(f"no shard named {host!r}")
+        return stack_by_host(self.stacks, host)
 
     def server_by_host(self, host: str) -> NfsServer:
         return self.stack_by_host(host).server
@@ -361,6 +363,24 @@ class Cluster:
         if total_writes:
             aggregate["gather_ratio"] = round(gathered / total_writes, 4)
         return aggregate
+
+
+def _close_fleet(env, segments, stacks, router, clients) -> None:
+    """A dropped cluster's finalizer: every member, backups and grown
+    shards included, plus the router's placement policy (which reads the
+    router back)."""
+    router.placement = None
+    servers = [stack.server for shard in stacks for stack in shard]
+    close_system(env, segments, servers, clients)
+
+
+def stack_by_host(stacks: List[List[ServerStack]], host: str) -> ServerStack:
+    """The member stack serving as ``host`` in a cluster's ``stacks``."""
+    for shard in stacks:
+        for stack in shard:
+            if stack.server.host == host:
+                return stack
+    raise KeyError(f"no shard named {host!r}")
 
 
 def build_cluster(config: ClusterConfig, clients: int = 1) -> Cluster:

@@ -21,20 +21,25 @@ class ClusterOracle(Oracle):
 
     def __init__(self, cluster) -> None:
         super().__init__(cluster)
-        self.cluster = cluster
+        # The parts the checks read, not the cluster: every client's ack
+        # hooks hold this oracle, and nothing under a cluster may hold
+        # the cluster.
+        self.router = cluster.router
+        self.groups = getattr(cluster, "groups", [])
         # Every shard check runs against the primary's role in its group.
         self.role = "primary"
         #: Extra contract checks (repro.tiering's migration contract):
-        #: each is called with the check label inside :meth:`check`, so
-        #: every fault check and the final check walk them for free.
+        #: each is called with this oracle and the check label inside
+        #: :meth:`check`, so every fault check and the final check walk
+        #: them for free.
         self._extra_checks: List = []
 
     def _holder(self, fhandle) -> str:
-        return self.cluster.router.server_for_fhandle(fhandle)
+        return self.router.server_for_fhandle(fhandle)
 
     def add_check(self, check) -> None:
-        """Register ``check(label) -> List[str]`` to run at every check
-        point (shard crashes, quiesce, final)."""
+        """Register ``check(oracle, label) -> List[str]`` to run at every
+        check point (shard crashes, quiesce, final)."""
         self._extra_checks.append(check)
 
     def check(self, label: str = "final") -> List[str]:
@@ -47,11 +52,11 @@ class ClusterOracle(Oracle):
         whichever survivors hold the bytes.
         """
         before = len(self.violations)
-        for group in self.cluster.groups:
+        for group in self.groups:
             members = [(member.host, member.ufs) for member in group.surviving()]
             self._walk(label, group.logical_host, members, group=group.replicas > 0)
         for check in self._extra_checks:
-            self.violations.extend(check(label))
+            self.violations.extend(check(self, label))
         return self.violations[before:]
 
     def check_divergence(self, label: str = "quiesce") -> List[str]:
@@ -65,7 +70,7 @@ class ClusterOracle(Oracle):
         """
         before = len(self.violations)
         stamp = f"[{label} t={self.env.now:.6f}]"
-        for group in self.cluster.groups:
+        for group in self.groups:
             survivors = group.surviving()
             if len(survivors) < 2:
                 continue

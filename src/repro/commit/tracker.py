@@ -41,10 +41,13 @@ RANGES_PER_SLOT = 4
 
 
 class UncommittedTracker:
-    """Per-file uncommitted write ranges, tagged with their verifier."""
+    """Per-file uncommitted write ranges, tagged with their verifier.
+
+    The client owns its tracker and passes itself to the calls that
+    need it; the tracker keeps no reference back.
+    """
 
     def __init__(self, client) -> None:
-        self.client = client
         self.env = client.env
         #: fhandle -> list of [offset, data, verifier] (mutable rows so a
         #: discharge can drop exactly the rows a COMMIT snapshot covered).
@@ -86,24 +89,24 @@ class UncommittedTracker:
             if any(v != verifier for _offset, _data, v in rows)
         ]
 
-    def _pressure_limit(self) -> int:
-        window = self.client.write_window
+    def _pressure_limit(self, client) -> int:
+        window = client.write_window
         if window is not None:
             slots = window.slots
         else:
-            slots = max(1, self.client.nbiods)
+            slots = max(1, client.nbiods)
         return max(2, slots) * RANGES_PER_SLOT
 
-    def over_pressure(self, fhandle) -> bool:
-        """Should the writer COMMIT inline before pushing more?"""
+    def over_pressure(self, client, fhandle) -> bool:
+        """Should ``client``'s writer COMMIT inline before pushing more?"""
         if fhandle in self._inflight:
             return False  # a train is already draining the file
-        return len(self._ranges.get(fhandle, ())) >= self._pressure_limit()
+        return len(self._ranges.get(fhandle, ())) >= self._pressure_limit(client)
 
     # -- the COMMIT train ------------------------------------------------------
 
-    def commit(self, fhandle) -> Generator:
-        """COMMIT the file's uncommitted ranges.
+    def commit(self, client, fhandle) -> Generator:
+        """COMMIT the file's uncommitted ranges through ``client``.
 
         On a verifier mismatch (any tracked range written under a
         different incarnation than the COMMIT reply's) the volatile data
@@ -123,12 +126,12 @@ class UncommittedTracker:
                     return
                 lo = min(offset for offset, _data, _v in snapshot)
                 hi = max(offset + len(data) for offset, data, _v in snapshot)
-                commit_verf = yield from self.client._call(
+                commit_verf = yield from client._call(
                     PROC_COMMIT, CommitArgs(fhandle, lo, hi - lo)
                 )
                 self.commits_sent.add(1)
                 if all(v == commit_verf for _offset, _data, v in snapshot):
-                    self._discharge(fhandle, snapshot)
+                    self._discharge(client, fhandle, snapshot)
                     return
                 # The server lost an incarnation under us; replay.
                 self.ranges_replayed.add(len(snapshot))
@@ -140,13 +143,13 @@ class UncommittedTracker:
                 ]
                 self._ranges[fhandle] = kept
                 for offset, data, _v in snapshot:
-                    yield from self.client._replay_write(fhandle, offset, data)
+                    yield from client._replay_write(fhandle, offset, data)
             raise NfsError("EIO")
         finally:
             del self._inflight[fhandle]
             gate.succeed()
 
-    def _discharge(self, fhandle, snapshot: List[list]) -> None:
+    def _discharge(self, client, fhandle, snapshot: List[list]) -> None:
         """A COMMIT under the right verifier succeeded: the covered
         ranges are durable — release them and tell the oracle hook."""
         ids = {id(row) for row in snapshot}
@@ -155,14 +158,14 @@ class UncommittedTracker:
             self._ranges[fhandle] = kept
         else:
             self._ranges.pop(fhandle, None)
-        hook = self.client.on_commit_acked
+        hook = client.on_commit_acked
         if hook is not None:
             for offset, data, _v in snapshot:
                 hook(fhandle, offset, data)
 
-    def replay_stale(self, verifier: int) -> Generator:
+    def replay_stale(self, client, verifier: int) -> Generator:
         """A reply carried ``verifier``; every file holding ranges tagged
         with a different one resends (via its COMMIT train's mismatch
         round) before the caller proceeds."""
         for fhandle in self.stale_files(verifier):
-            yield from self.commit(fhandle)
+            yield from self.commit(client, fhandle)

@@ -9,6 +9,7 @@ inside a fresh simulation environment.  The server stack itself comes from
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -17,7 +18,7 @@ from repro.nfs.client import NfsClient
 from repro.obs import RecordingCollector, install
 from repro.rpc.client import RpcClient
 from repro.sim import Environment
-from repro.stack import StackConfig, build_stack, make_client
+from repro.stack import StackConfig, build_stack, close_system, make_client
 
 __all__ = ["TestbedConfig", "Testbed", "build_testbed"]
 
@@ -72,6 +73,11 @@ class Testbed:
         self.disks = stack.disks
         self.storage = stack.storage
         self.clients: List[NfsClient] = []
+        # Dropping the testbed ends the system (see close_system); a
+        # testbed still alive at interpreter exit is left alone.
+        weakref.finalize(
+            self, close_system, self.env, [self.segment], [self.server], self.clients
+        ).atexit = False
 
     def add_client(
         self,

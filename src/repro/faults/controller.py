@@ -18,6 +18,7 @@ against the durable image at the instant of death.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Optional
 
 from repro.faults.events import (
@@ -61,13 +62,23 @@ class _SpanWaiter:
             self.done.succeed(span)
 
 
+def _offer_span(waiters: List[_SpanWaiter], span) -> None:
+    for waiter in waiters:
+        waiter.offer(span)
+
+
 class FaultController:
     """Executes one :class:`FaultPlan` against a server stack: a testbed,
     or one cluster member's :class:`~repro.stack.ServerStack`."""
 
     def __init__(self, testbed, plan: FaultPlan, oracle=None) -> None:
-        self.testbed = testbed
+        # The stack's parts, not the testbed: nothing under a testbed may
+        # hold the testbed.
         self.env = testbed.env
+        self.segment = testbed.segment
+        self.server = testbed.server
+        self.storage = testbed.storage
+        self.disks = testbed.disks
         self.plan = plan
         self.oracle = oracle
         self.obs = collector_for(self.env)
@@ -89,7 +100,10 @@ class FaultController:
                     f"plan {self.plan.name!r} has span-triggered faults; "
                     "build the testbed with tracing=True"
                 )
-            self.obs.subscribe(self._on_span)
+            # The waiter list, not a bound method: every component holds
+            # the collector, so a subscriber holding the controller (and
+            # through it the server) would close a cycle.
+            self.obs.subscribe(partial(_offer_span, self._span_waiters))
         for index, event in enumerate(self.plan.events):
             waiter: Optional[_SpanWaiter] = None
             if isinstance(event.trigger, OnSpan):
@@ -102,10 +116,6 @@ class FaultController:
         return self
 
     # -- internals -------------------------------------------------------------
-
-    def _on_span(self, span) -> None:
-        for waiter in self._span_waiters:
-            waiter.offer(span)
 
     def _drive(self, event: FaultEvent, waiter: Optional[_SpanWaiter]):
         trigger = event.trigger
@@ -134,14 +144,14 @@ class FaultController:
 
     def _apply(self, event: FaultEvent):
         """Inject one fault; returns a revert callable (or None)."""
-        segment = self.testbed.segment
-        server = self.testbed.server
+        segment = self.segment
+        server = self.server
         if isinstance(event, ServerCrash):
             server.simulate_crash()
             self.crashes += 1
             # An armed NVRAM battery fault bites now: the lost extents'
             # durable copies vanish (detectably — digests stay behind).
-            storage = self.testbed.storage
+            storage = self.storage
             if hasattr(storage, "take_degraded"):
                 lost = storage.take_degraded()
                 if lost:
@@ -187,7 +197,7 @@ class FaultController:
             # Token-stacked degradation: overlapping SlowDisk windows
             # compose multiplicatively and each revert removes exactly its
             # own contribution, whatever the overlap order.
-            disks = list(self.testbed.disks)
+            disks = list(self.disks)
             tokens = [disk.push_slowdown(event.factor) for disk in disks]
             return lambda: [
                 disk.pop_slowdown(token) for disk, token in zip(disks, tokens)
@@ -213,7 +223,7 @@ class FaultController:
             victims = self._pick_victims(event.kind, event.seed, event.count)
             block_size = server.ufs.block_size
             for addr in victims:
-                self.testbed.storage.inject_latent(addr, block_size)
+                self.storage.inject_latent(addr, block_size)
             self._apply_extra = {"victims": victims}
             return None
         if isinstance(event, BitRot):
@@ -227,7 +237,7 @@ class FaultController:
             server.ufs.cache.arm_torn_write(event.seed)
             return None
         if isinstance(event, NvramDegrade):
-            storage = self.testbed.storage
+            storage = self.storage
             if hasattr(storage, "arm_degrade"):
                 storage.arm_degrade(event.fraction, event.seed)
                 self._apply_extra = {"armed": True}
@@ -239,7 +249,7 @@ class FaultController:
 
     def _pick_victims(self, kind: str, seed: int, count: int) -> List[int]:
         """Seeded choice of durable block addresses to afflict."""
-        durable = self.testbed.server.ufs.cache.durable
+        durable = self.server.ufs.cache.durable
         pool = sorted(durable.blocks)
         if not pool or count <= 0:
             return []

@@ -154,14 +154,17 @@ class Oracle:
 
     Every promise is filed under its *holder*, the host whose durable
     image owes it, in one ledger keyed by ``(holder, ino)``.  A testbed's
-    oracle files everything under ``None`` and checks ``target.server``;
+    oracle files everything under ``None`` and checks its ``server``;
     :class:`~repro.cluster.oracle.ClusterOracle` files each ack under the
     shard the router pins its handle to.
     """
 
     def __init__(self, target) -> None:
-        self.target = target
         self.env = target.env
+        #: The testbed's server (a cluster has none; its oracle walks the
+        #: replica groups).  The oracle keeps parts, never the testbed:
+        #: the clients' ack hooks hold it.
+        self.server = getattr(target, "server", None)
         #: Acked byte ranges per ``(holder, ino)`` (an ino acked only with
         #: zero-length writes has an empty ledger: listed, but promising
         #: nothing).
@@ -387,9 +390,9 @@ class Oracle:
     # -- checking ---------------------------------------------------------------
 
     def check(self, label: str = "final") -> List[str]:
-        """Assert the crash contract on the target's durable image now;
+        """Assert the crash contract on the server's durable image now;
         returns (and records) the new violations."""
-        return self._walk(label, None, [(None, self.target.server.ufs)])
+        return self._walk(label, None, [(None, self.server.ufs)])
 
     def check_group(self, members, label: str = "final") -> List[str]:
         """Assert the *replica-group* crash contract (repro.replica).

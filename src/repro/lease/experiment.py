@@ -310,6 +310,8 @@ def _profile_laddis(config: CacheConfig, ttl: Optional[float]) -> dict:
         # recall handler, so give each one the full cache stack.
         for client in generator.clients:
             CacheStack(env, client)
+        # The testbed tears down the clients it carries when it is dropped.
+        testbed.clients.extend(generator.clients)
     setup = env.process(generator.setup(), name="cache-laddis-setup")
     env.run(until=setup)
     point = env.process(

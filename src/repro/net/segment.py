@@ -82,6 +82,12 @@ class Segment:
         self.env.process(self._host_transmitter(host), name=f"nic:{host}")
         return endpoint
 
+    def close(self) -> None:
+        """Detach every host once the environment is closed: endpoints
+        point back at their segment, so the table would keep a finished
+        system a reference cycle."""
+        self._endpoints.clear()
+
     def endpoint(self, host: str) -> UdpEndpoint:
         return self._endpoints[host]
 

@@ -107,6 +107,13 @@ class CacheStack:
         if hasattr(rpc, "on_reroute"):
             rpc.on_reroute = self.handle_reroute
 
+    def close(self) -> None:
+        """Cut the stack's back-edges once the environment is closed: the
+        client and its transport hold the stack, and an oracle's hit hook
+        may hold it too."""
+        self.client = None
+        self.on_cache_hit = None
+
     # -- lease bookkeeping --------------------------------------------------------
 
     def learn_grants(self, grants) -> None:
@@ -337,7 +344,7 @@ class CacheStack:
             # the lease to a conflicting holder, so our write-behind must
             # be *durable* first — COMMIT (and replay on a verifier
             # mismatch) before answering.
-            yield from tracker.commit(fhandle)
+            yield from tracker.commit(self.client, fhandle)
         return True
 
     def handle_reroute(self, logical: str, physical: str) -> None:

@@ -479,7 +479,7 @@ class NfsClient:
             yield AllOf(self.env, list(open_file.outstanding))
             open_file.outstanding.clear()
         if self.tracker is not None and self.tracker.has_ranges(open_file.fhandle):
-            yield from self.tracker.commit(open_file.fhandle)
+            yield from self.tracker.commit(self, open_file.fhandle)
         if open_file.error is not None:
             error, open_file.error = open_file.error, None
             raise NfsError(error)
@@ -585,8 +585,8 @@ class NfsClient:
                     # The verifier moved under us: the server lost an
                     # incarnation and our unstable data with it.  Resend
                     # every uncommitted range before proceeding.
-                    yield from self.tracker.replay_stale(verifier)
-                elif self.tracker.over_pressure(open_file.fhandle):
+                    yield from self.tracker.replay_stale(self, verifier)
+                elif self.tracker.over_pressure(self, open_file.fhandle):
                     self.tracker.pressure_commits.add(1)
-                    yield from self.tracker.commit(open_file.fhandle)
+                    yield from self.tracker.commit(self, open_file.fhandle)
         return fattr

@@ -26,6 +26,7 @@ admission.
 
 from __future__ import annotations
 
+from repro.net.packet import Datagram
 from repro.net.udp import SocketBuffer, UdpEndpoint
 from repro.obs import PHASE_SHED, collector_for, registry_for
 from repro.rpc.dupcache import DuplicateRequestCache
@@ -54,13 +55,16 @@ class AdmissionQueue:
             names = ", ".join(SHED_POLICIES)
             raise ValueError(f"unknown shed policy {policy!r} (expected one of: {names})")
         self.env = env
-        self.endpoint = endpoint
+        # The endpoint's host and segment, not the endpoint: its socket
+        # buffer holds this queue.
+        self.host = endpoint.host
+        self.segment = endpoint.segment
         self.dup_cache = dup_cache
         self.max_requests = max_requests
         self.policy = policy
         self.obs = collector_for(env)
         metrics = registry_for(env)
-        prefix = f"admission.{endpoint.host}"
+        prefix = f"admission.{self.host}"
         self.admitted = metrics.counter(f"{prefix}.admitted")
         self.shed = metrics.counter(f"{prefix}.shed")
         self.evicted = metrics.counter(f"{prefix}.evicted")
@@ -89,7 +93,14 @@ class AdmissionQueue:
                 self._emit(call, "dup_dropped")
                 return False
             if disposition == "replay":
-                self.endpoint.send(call.client, cached_reply, cached_reply.size)
+                self.segment.send(
+                    Datagram(
+                        src=self.host,
+                        dst=call.client,
+                        payload=cached_reply,
+                        size=cached_reply.size,
+                    )
+                )
                 self.early_replies.add(1)
                 self._emit(call, "early_reply")
                 return False
@@ -117,7 +128,7 @@ class AdmissionQueue:
             return
         self.obs.emit(
             PHASE_SHED,
-            self.endpoint.host,
+            self.host,
             self.env.now,
             self.env.now,
             proc=call.proc,

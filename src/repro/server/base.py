@@ -172,6 +172,18 @@ class NfsServer:
         for nfsd_id in range(self.config.nfsds):
             env.process(self._nfsd(nfsd_id), name=f"nfsd{nfsd_id}@{host}")
 
+    def close(self) -> None:
+        """Cut the server's back-edges once its environment is closed.
+
+        The write path, replicator and migration agent each point back at
+        the server on every operation, and the action table holds bound
+        methods; dropping the server's side of those edges lets a
+        finished system die by refcount.
+        """
+        self._actions.clear()
+        self.ufs.on_write = None
+        self.write_path = self.replicator = self.migrator = None
+
     def _make_write_path(self):
         if self.config.write_path == WritePath.GATHER:
             from repro.core.gather import GatheringWritePath

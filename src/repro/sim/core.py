@@ -47,7 +47,7 @@ thousands of events), so the representation is tuned:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.errors import Interrupt, SimError, StopSimulation
 
@@ -227,6 +227,7 @@ class Process(Event):
         #: The event this process is currently waiting on (None if running
         #: or finished).  Inspected by interrupt() and by resources.
         self._target: Optional[Event] = None
+        env._live[self] = None
         Initialize(env, self)
 
     def __repr__(self) -> str:
@@ -282,12 +283,14 @@ class Process(Event):
                     event.defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
+                del env._live[self]
                 self._ok = True
                 self._value = exc.value
                 env._eid += 1
                 heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
                 break
             except BaseException as exc:
+                del env._live[self]
                 self._ok = False
                 self._value = exc
                 env._eid += 1
@@ -397,6 +400,9 @@ class Environment:
         #: into its high bits (see ``_PRIORITY_SHIFT``).
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
+        #: Every process whose generator has not exited, in creation order.
+        self._live: Dict[Process, None] = {}
+        self._closed = False
 
     # -- introspection ----------------------------------------------------
 
@@ -458,8 +464,10 @@ class Environment:
 
         ``until`` may be ``None`` (run until the queue empties), a number
         (run until that time), or an :class:`Event` (run until it fires and
-        return its value).
+        return its value).  A closed environment returns None at once.
         """
+        if self._closed:
+            return None
         stop_event: Optional[Event] = None
         if until is None:
             pass
@@ -497,6 +505,26 @@ class Environment:
         if stop_event is not None and not stop_event.processed:
             raise SimError("run() ended before the `until` event fired")
         return None
+
+    def close(self) -> None:
+        """End the simulation for good, so its system can die by refcount.
+
+        Every suspended process is closed (its generator gets
+        ``GeneratorExit``, so ``finally`` blocks run once); a process
+        started by such a block is closed too.  Then the queue is emptied
+        and the environment's metrics registry and span collector are
+        dropped.  Idempotent; a later :meth:`run` returns at once.
+        """
+        self._closed = True
+        live = self._live
+        while live:
+            process = next(iter(live))
+            del live[process]
+            process._target = None
+            process._generator.close()
+        self._queue.clear()
+        self.__dict__.pop("_obs_registry", None)
+        self.__dict__.pop("_obs_collector", None)
 
     @staticmethod
     def _stop_on(event: Event) -> None:

@@ -46,8 +46,10 @@ survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.fleet import stack_by_host
 from repro.fs.inode import FileType
 from repro.fs.ufs import ROOT_INO, FsError
 from repro.fs.vfs import IO_DELAYDATA
@@ -509,11 +511,13 @@ class MigrationEngine:
             raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         if max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        self.cluster = cluster
+        # The parts the engine drives, not the cluster: nothing under a
+        # cluster may hold the cluster.
         self.env = cluster.env
+        self.router = cluster.router
+        self.groups = cluster.groups
+        self._stacks = cluster.stacks
         self.oracle = oracle
-        if oracle is not None:
-            oracle.add_check(self.check_contract)
         self.chunk_bytes = chunk_bytes
         self.park_threshold = park_threshold
         self.max_rounds = max_rounds
@@ -533,6 +537,12 @@ class MigrationEngine:
         )
         #: Per-file migration state; the contract check walks this.
         self.active: Dict[str, dict] = {}
+        if oracle is not None:
+            # Over the engine's parts, not a bound method: the engine holds
+            # the oracle, so the oracle must not hold the engine.
+            oracle.add_check(
+                partial(migration_contract, self.env, self.router, self.groups, self.active)
+            )
         #: Completed fault/outcome log, in event order.
         self.records: List[dict] = []
         self.started = 0
@@ -600,7 +610,7 @@ class MigrationEngine:
         return reply
 
     def _attempt(self, plan: MigrationPlan):
-        router = self.cluster.router
+        router = self.router
         name = plan.name
         reply = yield from self._call_lookup(name)
         if reply is None:
@@ -686,7 +696,7 @@ class MigrationEngine:
 
         # Cutover: one sim instant, no yields between the fence check and
         # the pin repoint — nothing can interleave.
-        acting = self.cluster.server_by_host(router.resolve(source))
+        acting = stack_by_host(self._stacks, router.resolve(source)).server
         migrator = getattr(acting, "migrator", None)
         session = migrator.sessions.get(ino) if migrator is not None else None
         if session is None or not session.parked:
@@ -724,7 +734,7 @@ class MigrationEngine:
 
     def _call_lookup(self, name: str):
         """Resolve the file's handle (pinning it); None when it's gone."""
-        args = LookupArgs(self.cluster.router.root_fhandle, name)
+        args = LookupArgs(self.router.root_fhandle, name)
         try:
             reply = yield from self.rpc.call(
                 PROC_LOOKUP,
@@ -797,64 +807,10 @@ class MigrationEngine:
     # -- the migration contract ----------------------------------------------------
 
     def check_contract(self, label: str = "") -> List[str]:
-        """Every acked range satisfiable at exactly one authoritative
-        location, at every instant the oracle looks.
-
-        Registered with the :class:`~repro.cluster.oracle.ClusterOracle`,
-        so every fault check and the final check walk it for free:
-
-        * the router's pins agree with the engine's recorded authority
-          (clients can only reach the shard that holds the promise);
-        * the oracle files the ino's promises under exactly the
-          authority (no shard silently co-owns acked ranges);
-        * once a migration is done *and purged*, no source-group member
-          still holds the ino (no second physical copy at quiesce).
-        """
-        found: List[str] = []
-        router = self.cluster.router
-        now = self.env.now
-        for name, state in sorted(self.active.items()):
-            authority = state["authority"]
-            pinned = router._fhandle_pins.get(state["fhandle"])
-            if pinned is not None and pinned != authority:
-                found.append(
-                    f"[migration {name} t={now:.6f}] handle pinned to "
-                    f"{pinned} but authority is {authority} ({label})"
-                )
-            name_pin = router.server_for_name(name)
-            if name_pin != authority:
-                found.append(
-                    f"[migration {name} t={now:.6f}] name routes to "
-                    f"{name_pin} but authority is {authority} ({label})"
-                )
-            if self.oracle is not None:
-                holders = self.oracle.holders_of(state["ino"])
-                strays = [h for h in holders if h != authority]
-                if strays:
-                    found.append(
-                        f"[migration {name} t={now:.6f}] acked ranges "
-                        f"tracked at {strays}, authority is {authority} "
-                        f"({label})"
-                    )
-            if state.get("phase") == "done" and state.get("purged"):
-                found.extend(self._check_single_copy(name, state, label))
-        return found
-
-    def _check_single_copy(self, name: str, state: dict, label: str) -> List[str]:
-        found: List[str] = []
-        source = state["source"]
-        ino = state["ino"]
-        for group in self.cluster.groups:
-            if group.logical_host != source:
-                continue
-            for member in group.surviving():
-                inode = member.ufs.inodes.get(ino)
-                if inode is not None and inode.ftype == FileType.FILE:
-                    found.append(
-                        f"[migration {name}] purged source copy still "
-                        f"present on {member.host} ({label})"
-                    )
-        return found
+        """The migration contract now (see :func:`migration_contract`)."""
+        return migration_contract(
+            self.env, self.router, self.groups, self.active, self.oracle, label
+        )
 
     def summary(self) -> dict:
         """JSON-ready counters + per-migration outcomes."""
@@ -864,3 +820,65 @@ class MigrationEngine:
             "aborts": self.aborts,
             "migrations": [dict(record) for record in self.records],
         }
+
+
+def migration_contract(env, router, groups, active, oracle, label: str = "") -> List[str]:
+    """Every acked range satisfiable at exactly one authoritative
+    location, at every instant the oracle looks.
+
+    Registered with the :class:`~repro.cluster.oracle.ClusterOracle` over
+    the engine's parts (the oracle passes itself), so every fault check
+    and the final check walk it for free:
+
+    * the router's pins agree with the engine's recorded authority
+      (clients can only reach the shard that holds the promise);
+    * the oracle files the ino's promises under exactly the
+      authority (no shard silently co-owns acked ranges);
+    * once a migration is done *and purged*, no source-group member
+      still holds the ino (no second physical copy at quiesce).
+    """
+    found: List[str] = []
+    now = env.now
+    for name, state in sorted(active.items()):
+        authority = state["authority"]
+        pinned = router._fhandle_pins.get(state["fhandle"])
+        if pinned is not None and pinned != authority:
+            found.append(
+                f"[migration {name} t={now:.6f}] handle pinned to "
+                f"{pinned} but authority is {authority} ({label})"
+            )
+        name_pin = router.server_for_name(name)
+        if name_pin != authority:
+            found.append(
+                f"[migration {name} t={now:.6f}] name routes to "
+                f"{name_pin} but authority is {authority} ({label})"
+            )
+        if oracle is not None:
+            holders = oracle.holders_of(state["ino"])
+            strays = [h for h in holders if h != authority]
+            if strays:
+                found.append(
+                    f"[migration {name} t={now:.6f}] acked ranges "
+                    f"tracked at {strays}, authority is {authority} "
+                    f"({label})"
+                )
+        if state.get("phase") == "done" and state.get("purged"):
+            found.extend(_check_single_copy(groups, name, state, label))
+    return found
+
+
+def _check_single_copy(groups, name: str, state: dict, label: str) -> List[str]:
+    found: List[str] = []
+    source = state["source"]
+    ino = state["ino"]
+    for group in groups:
+        if group.logical_host != source:
+            continue
+        for member in group.surviving():
+            inode = member.ufs.inodes.get(ino)
+            if inode is not None and inode.ftype == FileType.FILE:
+                found.append(
+                    f"[migration {name}] purged source copy still "
+                    f"present on {member.host} ({label})"
+                )
+    return found

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.cluster.fleet import stack_by_host
+
 __all__ = [
     "PlacementPolicy",
     "HashPlacement",
@@ -46,7 +48,12 @@ class PlacementPolicy:
     name = "hash"
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        # The parts placement reads, not the cluster: the router holds
+        # the policy, and nothing under a cluster may hold the cluster.
+        self.router = cluster.router
+        self.shard_map = cluster.shard_map
+        self.tier_of = cluster.tier_of
+        self._stacks = cluster.stacks
 
     def place(self, name: str) -> str:
         raise NotImplementedError
@@ -55,8 +62,7 @@ class PlacementPolicy:
 
     def _acting(self, logical: str):
         """The server object currently acting for a logical shard."""
-        cluster = self.cluster
-        return cluster.server_by_host(cluster.router.resolve(logical))
+        return stack_by_host(self._stacks, self.router.resolve(logical)).server
 
     def free_bytes(self, logical: str) -> int:
         server = self._acting(logical)
@@ -72,7 +78,7 @@ class PlacementPolicy:
         return len(server.endpoint.inbox)
 
     def candidates(self) -> List[str]:
-        return self.cluster.shard_map.servers
+        return self.shard_map.servers
 
 
 class HashPlacement(PlacementPolicy):
@@ -81,7 +87,7 @@ class HashPlacement(PlacementPolicy):
     name = "hash"
 
     def place(self, name: str) -> str:
-        return self.cluster.shard_map.server_for(name)
+        return self.shard_map.server_for(name)
 
 
 class MostFreePlacement(PlacementPolicy):
@@ -130,7 +136,7 @@ class HotFirstPlacement(PlacementPolicy):
         self.spills = 0
 
     def _split(self) -> Tuple[List[str], List[str]]:
-        tier_of = getattr(self.cluster, "tier_of", {})
+        tier_of = self.tier_of
         hot = [h for h in self.candidates() if tier_of.get(h) == self.hot_tier]
         cold = [h for h in self.candidates() if tier_of.get(h) != self.hot_tier]
         return hot, cold

@@ -1,9 +1,12 @@
 """Unit and property tests for the simulation kernel (events, processes)."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import RecordingCollector, install, registry_for
 from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimError
 
 
@@ -360,3 +363,108 @@ def test_determinism_same_structure_same_trace():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+# -- Environment.close() ---------------------------------------------------------
+
+
+def test_close_runs_a_suspended_finally_exactly_once():
+    env = Environment()
+    ran = []
+
+    def proc(env):
+        try:
+            yield env.timeout(10)
+        finally:
+            ran.append(env.now)
+
+    env.process(proc(env))
+    env.run(until=1)
+    env.close()
+    env.close()
+    assert ran == [1.0]
+
+
+def test_close_ends_a_process_started_by_a_finally():
+    env = Environment()
+    spawned = []
+
+    def child(env):
+        yield env.timeout(1)
+
+    def parent(env):
+        try:
+            yield env.event()
+        finally:
+            spawned.append(env.process(child(env)))
+
+    env.process(parent(env))
+    env.run(until=1)
+    env.close()
+    (process,) = spawned
+    assert inspect.getgeneratorstate(process._generator) == inspect.GEN_CLOSED
+    assert env._live == {}
+
+
+def test_short_processes_leave_the_live_table_empty():
+    """10,000 processes, half of them failing, all leave the table."""
+    env = Environment()
+
+    def failing(env):
+        yield env.timeout(0.001)
+        raise ValueError("expected")
+
+    def waiter(env):
+        try:
+            yield env.process(failing(env))
+        except ValueError:
+            pass
+
+    for _ in range(5_000):
+        env.process(waiter(env))
+    env.run(until=0.0005)
+    assert len(env._live) == 10_000
+    env.run()
+    assert env._live == {}
+
+
+def test_close_schedules_no_event_and_drops_the_obs_state():
+    env = Environment()
+    collector = RecordingCollector()
+    install(env, collector)
+    registry_for(env).counter("kept").add(1)
+
+    def waiter(env, event):
+        yield event
+
+    def sleeper(env):
+        yield env.timeout(5)
+
+    pending = env.event()
+    env.process(waiter(env, pending))
+    env.process(sleeper(env))
+    env.run(until=1)
+    scheduled = env._eid
+    env.close()
+    env.close()
+    assert env._eid == scheduled
+    assert env._queue == [] and env._live == {}
+    assert collector.spans == []
+    assert "_obs_registry" not in vars(env) and "_obs_collector" not in vars(env)
+
+
+def test_run_after_close_returns_at_once():
+    env = Environment()
+
+    def ticker(env):
+        while True:
+            yield env.timeout(1)
+
+    env.process(ticker(env))
+    env.run(until=2.5)
+    env.close()
+    stop = env.event()
+    assert env.run() is None
+    assert env.run(until=10) is None
+    assert env.run(until=stop) is None
+    assert env.now == 2.5

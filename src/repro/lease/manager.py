@@ -23,6 +23,7 @@ conflict with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.nfs.protocol import (
@@ -53,6 +54,13 @@ LEASE_WRITE = "write"
 #: Retry budget for one recall callback; expiry bounds the *wait* either
 #: way, this merely stops the background sender from retrying forever.
 RECALL_MAX_ATTEMPTS = 8
+
+
+def _settle(wait: Event, _ack: Event) -> None:
+    """Recall-ack callback: wake the waiter unless the lease's expiry
+    deadline got there first."""
+    if not wait.triggered:
+        wait.succeed()
 
 
 @dataclass(frozen=True)
@@ -288,13 +296,8 @@ class LeaseManager:
             remaining = lease.expires_at - self.env.now
             if remaining > 0:
                 wait = Event(self.env)
-
-                def _first(_event: Event, w: Event = wait) -> None:
-                    if not w.triggered:
-                        w.succeed()
-
-                self.env.timeout(remaining).callbacks.append(_first)
-                ack.callbacks.append(_first)
+                self.env.deadline(remaining, wait)
+                ack.callbacks.append(partial(_settle, wait))
                 yield wait
             if not ack.triggered:
                 self.recall_expirations.add(1)

@@ -12,7 +12,6 @@ with respect to other types of requests").
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Any, Dict, Generator, Optional
 
 from repro.net.udp import UdpEndpoint
@@ -24,7 +23,7 @@ from repro.rpc.messages import (
     RpcCall,
     RpcReply,
 )
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Event
 
 __all__ = ["RpcClient", "RpcTimeoutPolicy", "RpcTimeoutError"]
 
@@ -37,13 +36,6 @@ MAX_BACKOFF_EXPONENT = 16
 
 #: What a retransmit timer wakes its caller with, in place of a reply.
 _TIMEOUT = object()
-
-
-def _expire(wait: Event, _timer: Event) -> None:
-    """Retransmit-timer callback: wake the caller unless its reply got
-    there first."""
-    if not wait.triggered:
-        wait.succeed(_TIMEOUT)
 
 
 class RpcTimeoutError(Exception):
@@ -235,11 +227,11 @@ class RpcClient:
                     weight, call.attempt, self.endpoint.host, xid
                 )
                 # One wait per transmission, filed under the xid: the
-                # receiver succeeds it with the reply, the timer with
-                # _TIMEOUT, whichever comes first.
+                # receiver succeeds it with the reply, the retransmit
+                # deadline with _TIMEOUT, whichever comes first.
                 wait = Event(self.env)
                 pending[xid] = wait
-                Timeout(self.env, interval).callbacks.append(partial(_expire, wait))
+                self.env.deadline(interval, wait, _TIMEOUT)
                 reply = yield wait
                 if reply is not _TIMEOUT:
                     break

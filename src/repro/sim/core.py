@@ -39,6 +39,15 @@ thousands of events), so the representation is tuned:
 * heap entries are ``(time, seq, event)`` 3-tuples where ``seq`` folds the
   scheduling priority into the high bits of the insertion counter, so
   same-instant ordering needs one integer compare instead of two;
+* :meth:`Environment.deadline` ("succeed this event at ``now + delay``
+  unless it triggered first") is lazy.  It reserves the ``seq`` a
+  :class:`Timeout` would have taken, so ``_eid`` advances exactly as if
+  the timer were scheduled and counts reserved seqs as well as queued
+  events.  Deadlines wait in a side heap, and only the earliest one is
+  armed on the kernel heap; a retransmit timer that loses to its reply is
+  never scheduled.  When the side heap empties, the latest deadline ever
+  set is armed as a no-op if it lies ahead, so a draining :meth:`run`
+  ends at the same time as if every timer had been queued;
 * resources and stores may hand back *synchronously processed* events
   (``callbacks is None`` before ever touching the queue) for uncontended
   grants; :meth:`Process._resume` consumes those without a scheduler round.
@@ -209,6 +218,26 @@ class Initialize(Event):
         heapq.heappush(env._queue, (env._now, env._eid, self))
 
 
+class _Expiry(Event):
+    """One :meth:`Environment.deadline`: succeed ``target`` with ``result``
+    at its reserved place unless ``target`` has triggered by then.
+
+    It is *triggered* once armed on the kernel heap, so ``triggered``
+    tells whether it ever was.
+    """
+
+    __slots__ = ("target", "result")
+
+    def __init__(self, env: "Environment", target: Event, result: Any) -> None:
+        self.env = env
+        self.callbacks = None  # set when armed
+        self._ok = True
+        self._value = _PENDING
+        self.defused = False
+        self.target = target
+        self.result = result
+
+
 class Process(Event):
     """A process is a running generator; it is also an event.
 
@@ -248,7 +277,12 @@ class Process(Event):
 
         Interrupting a finished process is an error; interrupting a process
         that is about to be resumed anyway is allowed (the interrupt wins,
-        and the yielded event's eventual value is discarded).
+        and the yielded event's eventual value is discarded).  Once
+        interrupted, the process waits on nothing until the interrupt
+        resumes it, so a second interrupt in that window is an error too.
+        If its event was already running callbacks, the process may resume
+        from it first: the interrupt then lands at its next yield, or is
+        dropped if it has finished.
         """
         if self.triggered:
             raise SimError(f"{self!r} has terminated and cannot be interrupted")
@@ -260,15 +294,25 @@ class Process(Event):
         interrupt_event.defused = True
         # Detach from the old target so its trigger no longer resumes us.
         target = self._target
+        self._target = None
         if not target.processed and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        interrupt_event.callbacks = [self._resume]
+        interrupt_event.callbacks = [self._interrupted]
         self.env._schedule(interrupt_event, PRIORITY_URGENT, 0.0)
 
     # -- kernel internals ------------------------------------------------
+
+    def _interrupted(self, event: Event) -> None:
+        """Deliver an interrupt at the process's current yield."""
+        if self.triggered:
+            return
+        target = self._target
+        if target is not None:
+            target.callbacks.remove(self._resume)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
@@ -399,6 +443,12 @@ class Environment:
         #: Heap of ``(time, seq, event)``; ``seq`` has the priority folded
         #: into its high bits (see ``_PRIORITY_SHIFT``).
         self._queue: List[Tuple[float, int, Event]] = []
+        #: Side heap of ``(time, seq, expiry)`` for every deadline not yet
+        #: known to be over; its top is always armed on ``_queue``.
+        self._deadlines: List[Tuple[float, int, _Expiry]] = []
+        #: The deadline entry with the latest time ever set (drain rule).
+        self._last_deadline: Optional[Tuple[float, int, _Expiry]] = None
+        #: Last seq handed out, reserved deadline seqs included.
         self._eid = 0
         #: Every process whose generator has not exited, in creation order.
         self._live: Dict[Process, None] = {}
@@ -433,6 +483,26 @@ class Environment:
         """Event that fires when any of ``events`` has fired."""
         return AnyOf(self, events)
 
+    def deadline(self, delay: float, event: Event, value: Any = None) -> None:
+        """Succeed ``event`` with ``value`` after ``delay`` seconds, unless
+        it has triggered by then.
+
+        Same outcome and order as a :class:`Timeout` whose callback does
+        that, but lazy: only the earliest deadline is armed on the heap,
+        so one whose event triggers first usually never gets there.
+        """
+        if delay < 0:
+            raise SimError(f"negative deadline delay: {delay!r}")
+        self._eid += 1
+        entry = (self._now + delay, _NORMAL_BIAS + self._eid, _Expiry(self, event, value))
+        deadlines = self._deadlines
+        heapq.heappush(deadlines, entry)
+        if deadlines[0] is entry:
+            self._arm(entry)
+        last = self._last_deadline
+        if last is None or entry[0] > last[0]:
+            self._last_deadline = entry
+
     # -- scheduling / execution --------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
@@ -443,6 +513,32 @@ class Environment:
             self._queue,
             (self._now + delay, (priority << _PRIORITY_SHIFT) + self._eid, event),
         )
+
+    def _arm(self, entry: Tuple[float, int, _Expiry]) -> None:
+        expiry = entry[2]
+        expiry._value = None
+        expiry.callbacks = [self._expire]
+        heapq.heappush(self._queue, entry)
+
+    def _expire(self, expiry: _Expiry) -> None:
+        """An armed deadline's place: fire it if its event is still
+        pending, then arm the earliest deadline that is not over."""
+        target = expiry.target
+        if target._value is _PENDING:
+            target.succeed(expiry.result)
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][2].target._value is not _PENDING:
+            heapq.heappop(deadlines)
+        if deadlines:
+            entry = deadlines[0]
+        else:
+            # Drain rule: a drain ends at the latest deadline ever set,
+            # as if every deadline had been a queued timer.
+            entry = self._last_deadline
+            if entry[0] <= self._now:
+                return
+        if entry[2]._value is _PENDING:
+            self._arm(entry)
 
     def step(self) -> None:
         """Process the single next event.  Raises SimError on an empty queue."""
@@ -511,9 +607,10 @@ class Environment:
 
         Every suspended process is closed (its generator gets
         ``GeneratorExit``, so ``finally`` blocks run once); a process
-        started by such a block is closed too.  Then the queue is emptied
-        and the environment's metrics registry and span collector are
-        dropped.  Idempotent; a later :meth:`run` returns at once.
+        started by such a block is closed too.  Then the queue and the
+        deadlines are emptied and the environment's metrics registry and
+        span collector are dropped.  Idempotent; a later :meth:`run`
+        returns at once.
         """
         self._closed = True
         live = self._live
@@ -523,6 +620,8 @@ class Environment:
             process._target = None
             process._generator.close()
         self._queue.clear()
+        self._deadlines.clear()
+        self._last_deadline = None
         self.__dict__.pop("_obs_registry", None)
         self.__dict__.pop("_obs_collector", None)
 

@@ -13,6 +13,9 @@ compares byte-for-byte like the others.  ``laddis_seed.json`` pins a short
 gather LADDIS curve at full float precision (``repro laddis`` prints only
 rounded numbers); it was captured while the generator still wrote real
 bytes, so matching it proves flyweight LADDIS payloads moved nothing.
+``cache_seed.json`` pins the lease-cache sweep and its chaos probes; it
+was captured while lease recalls still raced a queued expiry ``Timeout``,
+before the kernel armed deadlines lazily.
 
 Any timing-affecting change to the simulator kernel, the network stack,
 or the server paths shows up here as a byte diff.  If the change is an
@@ -53,6 +56,7 @@ _CASES = {
         "--json",
     ],
     "commit": ["commit", "--file-mb", "0.25", "--json"],
+    "cache": ["cache", "--seed", "0", "--json"],
     "replica": [
         "replica",
         "--servers",
@@ -81,7 +85,7 @@ def _capture(argv):
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("name", ["chaos", "commit", "overload", "replica"])
+@pytest.mark.parametrize("name", ["chaos", "commit", "overload", "replica", "cache"])
 def test_seeded_json_matches_golden_byte_for_byte(name):
     golden = (GOLDEN_DIR / f"{name}_seed.json").read_text()
     assert _capture(_CASES[name]) == golden

@@ -254,6 +254,62 @@ def test_interrupted_process_can_resume_waiting():
     assert log == [7]
 
 
+def test_second_interrupt_before_resume_rejected():
+    """An interrupted process waits on nothing until the interrupt lands,
+    so a second interrupt in that instant is refused instead of resuming
+    it twice."""
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        for _ in range(2):
+            try:
+                yield env.timeout(100)
+            except Interrupt as interrupt:
+                log.append((env.now, interrupt.cause))
+
+    def interrupter(env, victim):
+        yield env.timeout(2)
+        victim.interrupt("first")
+        assert victim.target is None
+        with pytest.raises(SimError):
+            victim.interrupt("second")
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert log == [(2, "first")]
+    assert env.now == 102
+
+
+def test_interrupt_from_a_sibling_waiter_lands_at_the_next_yield():
+    """Two processes wait on one event; the first to resume interrupts the
+    other, which the event's callbacks then resume too.  The interrupt
+    lands at its next yield, once."""
+    env = Environment()
+    log = []
+    done = env.event()
+    env.timeout(1).callbacks.append(lambda _timer: done.succeed())
+
+    def first(env):
+        yield done
+        second.interrupt("late")
+
+    def waiter(env):
+        yield done
+        try:
+            yield env.timeout(5)
+        except Interrupt as interrupt:
+            log.append((env.now, interrupt.cause))
+        return "once"
+
+    env.process(first(env))
+    second = env.process(waiter(env))
+    env.run()
+    assert log == [(1, "late")]
+    assert second.value == "once"
+
+
 def test_all_of_collects_values():
     env = Environment()
 
@@ -444,11 +500,13 @@ def test_close_schedules_no_event_and_drops_the_obs_state():
     env.process(waiter(env, pending))
     env.process(sleeper(env))
     env.run(until=1)
+    env.deadline(2, pending)
     scheduled = env._eid
     env.close()
     env.close()
     assert env._eid == scheduled
     assert env._queue == [] and env._live == {}
+    assert env._deadlines == [] and env._last_deadline is None
     assert collector.spans == []
     assert "_obs_registry" not in vars(env) and "_obs_collector" not in vars(env)
 

@@ -110,11 +110,10 @@ class DiskDevice(Storage):
         self.spec = spec
         self.scheduler = scheduler
         self.model = DiskModel(spec)
-        # Service-time degradation is a *base* factor times a stack of
-        # revocable fault tokens, so two overlapping faults compose
-        # multiplicatively and each revert restores exactly the state the
-        # other fault expects (see push_slowdown/pop_slowdown).
-        self._base_slowdown = 1.0
+        # Service-time degradation is a stack of revocable fault tokens, so
+        # two overlapping faults compose multiplicatively and each revert
+        # restores exactly the state the other fault expects (see
+        # push_slowdown/pop_slowdown).
         self._slowdown_tokens: Dict[int, float] = {}
         self._next_token = 0
         self._effective_slowdown = 1.0
@@ -132,21 +131,10 @@ class DiskDevice(Storage):
         return self._effective_slowdown
 
     def _recompute_slowdown(self) -> None:
-        effective = self._base_slowdown
+        effective = 1.0
         for factor in self._slowdown_tokens.values():
             effective *= factor
         self._effective_slowdown = effective
-
-    def set_slowdown(self, factor: float) -> None:
-        """Degrade (or restore) the spindle: multiply service times by
-        ``factor``.  Requests already being served are unaffected.
-
-        This sets the *base* factor; fault windows stacked with
-        :meth:`push_slowdown` multiply on top of it."""
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be positive, got {factor}")
-        self._base_slowdown = factor
-        self._recompute_slowdown()
 
     def push_slowdown(self, factor: float) -> int:
         """Stack a revocable degradation on the spindle; returns a token

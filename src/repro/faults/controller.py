@@ -3,7 +3,7 @@
 One simulation process per event waits for its trigger (a clock time, or an
 obs span matching a predicate), applies the fault through the public
 injection hooks (`Segment.set_loss_rate`/`partition`/...,
-`DiskDevice.set_slowdown`, `NfsServer.simulate_crash`), holds it for the
+`DiskDevice.push_slowdown`, `NfsServer.simulate_crash`), holds it for the
 event's window, then reverts it.  Every applied fault is appended to
 :attr:`FaultController.log` and — when tracing is on — emitted as a
 ``fault.inject`` span, so exported timelines show crashes and partitions

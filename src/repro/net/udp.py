@@ -71,15 +71,6 @@ class SocketBuffer:
             return None
         return self._pop()
 
-    def steal(self, predicate: Callable[[Datagram], bool]) -> Optional[Datagram]:
-        """Remove the first queued datagram matching ``predicate``."""
-        for index, datagram in enumerate(self.items):
-            if predicate(datagram):
-                del self.items[index]
-                self.used_bytes -= datagram.size
-                return datagram
-        return None
-
     def scan(self, predicate: Callable[[Datagram], bool]) -> List[Datagram]:
         """Return (without removing) queued datagrams matching ``predicate``."""
         return [datagram for datagram in self.items if predicate(datagram)]

@@ -18,7 +18,7 @@
 * The NVRAM is small (the paper: "typically one or more MB"); when full,
   accepted writes block until the drain frees space.
 
-After a simulated crash, :meth:`crash_recover` reports the extents that must
+After a simulated crash, :attr:`dirty_extents` reports the extents that must
 be flushed before service resumes, modeling the "recovered and flushed to
 disk after server failure" clause of the SPEC baseline requirement.
 """
@@ -148,10 +148,6 @@ class PrestoCache(Storage):
             else:
                 merged.append((start, end))
         return merged
-
-    def crash_recover(self) -> List[Tuple[int, int]]:
-        """Extents that survived a crash in NVRAM and must be flushed."""
-        return self.dirty_extents
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -17,7 +17,6 @@ from repro.sim.resources import (
     Container,
     Hold,
     HoldQueue,
-    PriorityResource,
     Request,
     Resource,
     Store,
@@ -37,7 +36,6 @@ __all__ = [
     "SimError",
     "StopSimulation",
     "Resource",
-    "PriorityResource",
     "Request",
     "Hold",
     "HoldQueue",

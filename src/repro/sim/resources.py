@@ -2,8 +2,7 @@
 
 Four families, mirroring what the NFS stack needs:
 
-* :class:`Resource` / :class:`PriorityResource` — capacity-limited resources
-  held for as long as the holder likes (a vnode lock).  ``request()``
+* :class:`Resource` — capacity-limited resources held for as long as the holder likes (a vnode lock).  ``request()``
   returns an event that fires when a slot is granted; release with
   ``release()`` or use the request as a context manager inside a process.
 * :class:`HoldQueue` — capacity-limited slots held for a duration known up
@@ -11,8 +10,7 @@ Four families, mirroring what the NFS stack needs:
   :class:`Hold` that fires when the hold *ends*, so a holder wakes once per
   hold; ``release()`` starts the next queued hold at that same instant.
 * :class:`Store` — a FIFO queue of Python objects (a socket buffer, a work
-  queue).  Optionally bounded; ``put`` on a full bounded store can either
-  wait or drop (the caller chooses via ``try_put``).
+  queue).  Optionally bounded; ``put`` on a full bounded store waits.
 * :class:`Container` — a continuous level (bytes of NVRAM in use).
 """
 
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Deque, List, Optional
 
 from repro.sim.core import _NORMAL_BIAS, Environment, Event
 from repro.sim.errors import SimError
@@ -28,7 +26,6 @@ from repro.sim.monitor import UtilizationMeter
 
 __all__ = [
     "Resource",
-    "PriorityResource",
     "Request",
     "Hold",
     "HoldQueue",
@@ -50,12 +47,11 @@ class Request(Event):
     make every claim a reference cycle, left for the cycle collector.
     """
 
-    __slots__ = ("resource", "priority", "_granted")
+    __slots__ = ("resource", "_granted")
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         self._granted = False
 
     def __enter__(self) -> "Request":
@@ -91,20 +87,20 @@ class Resource:
         """Number of slots currently granted."""
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot.  The returned event fires when the slot is granted.
 
         An uncontended request (nobody queued, free capacity) is granted
         *synchronously*: the returned event is already processed and a
         yielding process resumes inline without a scheduler round.
         """
-        request = Request(self, priority)
-        if self._idle() and len(self.users) < self.capacity:
+        request = Request(self)
+        if not self.queue and len(self.users) < self.capacity:
             request._granted = True
             self.users.append(request)
             request._finish_now()
         else:
-            self._enqueue(request)
+            self.queue.append(request)
             self._grant()
         return request
 
@@ -115,64 +111,17 @@ class Resource:
             request._granted = False
             self._grant()
         else:
-            self._withdraw(request)
-
-    # -- overridable queueing discipline -----------------------------------
-
-    def _idle(self) -> bool:
-        """True when no request is waiting (cheap fast-path check)."""
-        return not self.queue
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _pop_next(self) -> Request:
-        return self.queue.popleft()
-
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
+            try:
+                self.queue.remove(request)
+            except ValueError:
+                pass
 
     def _grant(self) -> None:
         while self.queue and len(self.users) < self.capacity:
-            request = self._pop_next()
+            request = self.queue.popleft()
             request._granted = True
             self.users.append(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """A resource granting by (priority, arrival order); lower wins."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[tuple] = []
-        self._seq = 0
-
-    def _idle(self) -> bool:
-        return not self._heap
-
-    def _enqueue(self, request: Request) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (request.priority, self._seq, request))
-
-    def _pop_next(self) -> Request:
-        return heapq.heappop(self._heap)[2]
-
-    def _withdraw(self, request: Request) -> None:
-        self._heap = [entry for entry in self._heap if entry[2] is not request]
-        heapq.heapify(self._heap)
-
-    @property
-    def queue(self):  # type: ignore[override]
-        return [entry[2] for entry in sorted(self._heap)]
-
-    @queue.setter
-    def queue(self, value) -> None:
-        # Base-class __init__ assigns an empty deque; ignore it.
-        pass
 
 
 class Hold(Event):
@@ -257,9 +206,8 @@ class HoldQueue:
 class Store:
     """A FIFO object queue with blocking ``get`` and optional capacity.
 
-    ``items`` is inspectable (the mbuf hunter of §6.5 scans the socket
-    buffer's pending datagrams), and items can be *stolen* out of the middle
-    of the queue with :meth:`steal`.
+    ``items`` is inspectable: the mbuf hunter of §6.5 scans the socket
+    buffer's pending datagrams.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -289,14 +237,6 @@ class Store:
             self._putters.append((event, item))
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put.  Returns False (drops) if the store is full."""
-        if len(self.items) >= self.capacity:
-            return False
-        self.items.append(item)
-        self._dispatch()
-        return True
-
     def get(self) -> Event:
         """Remove the oldest item; the returned event fires with the item.
 
@@ -313,27 +253,6 @@ class Store:
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def try_get(self) -> Any:
-        """Non-blocking get.  Returns None if nothing is immediately ready."""
-        if self.items and not self._getters:
-            item = self.items.popleft()
-            self._admit_putters()
-            return item
-        return None
-
-    def steal(self, predicate: Callable[[Any], bool]) -> Optional[Any]:
-        """Remove and return the first queued item matching ``predicate``.
-
-        Returns None if no queued item matches.  This models the paper's
-        "mbuf hunter" pulling a specific request out of the socket buffer.
-        """
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[index]
-                self._admit_putters()
-                return item
-        return None
 
     def _admit_putters(self) -> None:
         while self._putters and len(self.items) < self.capacity:

@@ -236,15 +236,14 @@ def test_slowdown_tokens_compose_and_revert_in_any_order():
     assert disk.slowdown == pytest.approx(3.0)
     disk.pop_slowdown(second)
     assert disk.slowdown == pytest.approx(1.0)
-    # Tokens compose with the base factor, and unknown pops are no-ops.
-    disk.set_slowdown(2.0)
+    # Unknown pops are no-ops.
     token = disk.push_slowdown(4.0)
-    assert disk.slowdown == pytest.approx(8.0)
+    assert disk.slowdown == pytest.approx(4.0)
     disk.pop_slowdown(999)
-    assert disk.slowdown == pytest.approx(8.0)
+    assert disk.slowdown == pytest.approx(4.0)
     disk.pop_slowdown(token)
     disk.pop_slowdown(token)  # double-pop is a no-op too
-    assert disk.slowdown == pytest.approx(2.0)
+    assert disk.slowdown == pytest.approx(1.0)
 
 
 def test_overlapping_slow_disk_windows_revert_cleanly():

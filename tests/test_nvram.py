@@ -129,12 +129,12 @@ def test_crash_recover_reports_unflushed_extents():
 
     def driver(env):
         yield presto.submit(0, 8 * KB)
-        snapshots.append(presto.crash_recover())
+        snapshots.append(presto.dirty_extents)
 
     env.process(driver(env))
     env.run()
     assert snapshots[0] == [(0, 8 * KB)]
-    assert presto.crash_recover() == []  # drained by end of run
+    assert presto.dirty_extents == []  # drained by end of run
 
 
 def test_invalid_configs_rejected():

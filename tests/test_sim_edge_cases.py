@@ -9,7 +9,6 @@ from repro.sim import (
     Container,
     Environment,
     Interrupt,
-    PriorityResource,
     Resource,
     SimError,
     Store,
@@ -113,18 +112,6 @@ class TestInterruptsAndResources:
         assert log == [("interrupted", 5)]
         assert len(resource.queue) == 0
 
-    def test_priority_resource_withdraw_from_heap(self):
-        env = Environment()
-        resource = PriorityResource(env)
-        holder = resource.request()
-        env.run()
-        abandoned = resource.request(priority=1)
-        kept = resource.request(priority=2)
-        resource.release(abandoned)
-        resource.release(holder)
-        env.run()
-        assert kept.triggered  # the withdrawn request did not win the slot
-
     def test_double_release_of_withdrawn_request_is_noop(self):
         env = Environment()
         resource = Resource(env)
@@ -141,7 +128,7 @@ class TestStoreAndContainerEdges:
     def test_store_getter_waits_even_with_pending_putter(self):
         env = Environment()
         store = Store(env, capacity=1)
-        store.try_put("a")
+        store.put("a")
         put_event = store.put("b")  # blocked: full
         assert not put_event.triggered
 

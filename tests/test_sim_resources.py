@@ -1,4 +1,4 @@
-"""Tests for Resource / PriorityResource / HoldQueue / Store / Container."""
+"""Tests for Resource / HoldQueue / Store / Container."""
 
 import gc
 import weakref
@@ -13,7 +13,6 @@ from repro.sim import (
     Environment,
     HoldQueue,
     Interrupt,
-    PriorityResource,
     Resource,
     SimError,
     Store,
@@ -82,26 +81,6 @@ def test_resource_release_ungranted_request_withdraws():
     assert resource.count == 0
 
 
-def test_priority_resource_grants_lowest_priority_first():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name, priority, arrive):
-        yield env.timeout(arrive)
-        with resource.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(10)
-
-    env.process(user(env, "low", 5, 0))  # grabs first (resource idle)
-    env.process(user(env, "urgent", 0, 1))
-    env.process(user(env, "medium", 3, 1))
-    env.process(user(env, "slow", 9, 1))
-    env.run()
-    assert order == ["low", "urgent", "medium", "slow"]
-
-
 def test_store_fifo_order():
     env = Environment()
     store = Store(env)
@@ -121,15 +100,6 @@ def test_store_fifo_order():
     env.process(consumer(env))
     env.run()
     assert got == [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
-
-
-def test_store_bounded_try_put_drops():
-    env = Environment()
-    store = Store(env, capacity=2)
-    assert store.try_put("a")
-    assert store.try_put("b")
-    assert not store.try_put("c")  # full: dropped, like a full socket buffer
-    assert len(store) == 2
 
 
 def test_store_blocking_put_waits_for_space():
@@ -153,27 +123,6 @@ def test_store_blocking_put_waits_for_space():
     env.run()
     assert ("x-in", 0) in times
     assert ("y-in", 5) in times
-
-
-def test_store_steal_removes_matching_item():
-    env = Environment()
-    store = Store(env)
-    for i in range(5):
-        store.try_put({"id": i})
-    stolen = store.steal(lambda item: item["id"] == 3)
-    assert stolen == {"id": 3}
-    assert store.steal(lambda item: item["id"] == 3) is None
-    remaining = [item["id"] for item in store.items]
-    assert remaining == [0, 1, 2, 4]
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.try_put("a")
-    assert store.try_get() == "a"
-    assert store.try_get() is None
 
 
 def test_container_levels():

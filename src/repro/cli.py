@@ -156,7 +156,10 @@ def _target_values(command: "_Command", args) -> dict:
             continue
         value = getattr(args, _dest(flag.spelling))
         if flag.form is not None:
-            value = flag.form.to_target(value)
+            try:
+                value = flag.form.to_target(value)
+            except ValueError as exc:
+                raise ValueError(f"{flag.param} {exc}") from None
         elif isinstance(value, list):
             value = tuple(value)
         groups.setdefault(flag.target, {})[flag.param] = value
@@ -221,6 +224,17 @@ def _parse_value(text: str):
 
 
 _SWEEP_VALUES = _Form(None, lambda texts: [_parse_value(text) for text in texts], {"nargs": "+"})
+
+
+def _positive(value):
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+#: ``--file-mb``, ``--duration``: a size or a span no run can be built with
+#: unless it is positive.
+_POSITIVE = _Form(lambda default: default, _positive)
 
 # copy and sweep run the paper's cell, FDDI with 7 biods, where
 # TestbedConfig defaults to Ethernet with 4.
@@ -463,7 +477,7 @@ def _cluster_arguments(args, groups) -> dict:
 
     workload = groups["run_cluster"]
     for clients in args.clients:
-        check_workload(clients, workload["files_per_client"])
+        check_workload(clients, workload["files_per_client"], workload["file_kb"])
     config = ClusterConfig(**groups["ClusterConfig"])
     if _cluster_sweep_mode(args):
         if args.crash_shard is not None:
@@ -561,7 +575,7 @@ def _replica_arguments(args, groups) -> dict:
     from repro.cluster.experiment import check_workload
 
     kwargs = _call(groups)
-    check_workload(kwargs["clients"], kwargs["files_per_client"])
+    check_workload(kwargs["clients"], kwargs["files_per_client"], kwargs["file_kb"])
     for replicas in kwargs["replica_counts"]:
         kwargs["config"].variant(replicas=replicas)  # each arm's config must build
     return kwargs
@@ -744,7 +758,7 @@ _COMMANDS = {
         help="regenerate one of Tables 1-6",
         flags=(
             _flag("number", "run_table", type=int, choices=sorted(TABLES)),
-            _flag("--file-mb", "run_table", help="copy size (paper: 10)"),
+            _flag("--file-mb", "run_table", help="copy size (paper: 10)", form=_POSITIVE),
             _json("emit the table as JSON"),
         ),
         render=_render_table,
@@ -759,7 +773,7 @@ _COMMANDS = {
             _flag("--presto", "TestbedConfig", "presto_bytes", "NVRAM accelerator", _PRESTO),
             _flag("--stripes", "TestbedConfig"),
             _flag("--nfsds", "TestbedConfig"),
-            _flag("--file-mb", "run_filecopy"),
+            _flag("--file-mb", "run_filecopy", form=_POSITIVE),
             _flag(
                 "--interval-ms", "TestbedConfig", "gather_policy",
                 "procrastination override", _INTERVAL_MS,
@@ -781,7 +795,7 @@ _COMMANDS = {
             # A quick 5-point, 3 s curve; run_curve defaults to Figure 2/3's
             # 7-point, 4 s axis.
             _flag("--loads", "run_curve", default=[150.0, 300.0, 450.0, 550.0, 650.0]),
-            _flag("--duration", "run_curve", default=3.0),
+            _flag("--duration", "run_curve", default=3.0, form=_POSITIVE),
             *_net_faults("run_curve"),
         ),
         execute=_run_laddis,
@@ -838,7 +852,7 @@ _COMMANDS = {
             _PAPER_NET,
             _write_path("TestbedConfig"),
             _PAPER_BIODS,
-            _flag("--file-mb", "sweep"),
+            _flag("--file-mb", "sweep", form=_POSITIVE),
             *_net_faults("TestbedConfig"),
             _json("emit results as JSON"),
         ),
@@ -944,7 +958,7 @@ _COMMANDS = {
         ),
         flags=(
             _flag("--net", "run_bench", "netspec", form=_NET),
-            _flag("--file-mb", "run_bench", help="copy size"),
+            _flag("--file-mb", "run_bench", help="copy size", form=_POSITIVE),
             _flag("--biods", "run_bench"),
             _flag("--seed", "run_bench"),
             _flag(

@@ -139,12 +139,14 @@ def _client_workload(
 CLUSTER_THINK_TIME = 0.006
 
 
-def check_workload(clients: int, files_per_client: int) -> None:
+def check_workload(clients: int, files_per_client: int, file_kb: int) -> None:
     """Reject an empty workload before any fleet is built."""
     if clients < 1:
         raise ValueError(f"need at least one client, got {clients}")
     if files_per_client < 1:
         raise ValueError(f"need at least one file per client, got {files_per_client}")
+    if file_kb < 1:
+        raise ValueError(f"file_kb must be >= 1, got {file_kb}")
 
 
 def run_cluster(
@@ -156,7 +158,7 @@ def run_cluster(
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ClusterRunResult:
     """Run the sharded write workload (optionally under shard crashes)."""
-    check_workload(clients, files_per_client)
+    check_workload(clients, files_per_client, file_kb)
     config = config or ClusterConfig()
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)

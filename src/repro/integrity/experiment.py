@@ -28,6 +28,7 @@ from repro.cluster.experiment import (
     CLUSTER_THINK_TIME,
     _client_files,
     _client_workload,
+    check_workload,
 )
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
@@ -83,11 +84,7 @@ class ScrubConfig:
     presto_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.clients < 1 or self.files_per_client < 1:
-            raise ValueError(
-                f"need at least one client and one file each, got "
-                f"{self.clients} x {self.files_per_client}"
-            )
+        check_workload(self.clients, self.files_per_client, self.file_kb)
         for rate in self.corruption_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"corruption rate must be in [0, 1], got {rate}")

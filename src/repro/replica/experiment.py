@@ -118,7 +118,7 @@ def run_replica_arm(
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
-    check_workload(clients, files_per_client)
+    check_workload(clients, files_per_client, file_kb)
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     env = cluster.env

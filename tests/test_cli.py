@@ -369,6 +369,15 @@ class TestBenchCommand:
         ["chaos", "--file-kb", "0"],
         ["commit", "--biods", "-1"],
         ["tiering", "--skew", "-1"],
+        ["copy", "--file-mb", "0"],
+        ["table", "1", "--file-mb", "0"],
+        ["sweep", "nbiods", "0", "7", "--file-mb", "0"],
+        ["bench", "--file-mb", "0"],
+        ["cluster", "--file-kb", "0"],
+        ["cluster", "--servers", "1", "2", "--file-kb", "0"],
+        ["replica", "--file-kb", "0"],
+        ["scrub", "--file-kb", "0"],
+        ["laddis", "--duration", "0"],
     ],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):

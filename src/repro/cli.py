@@ -40,11 +40,12 @@ subcommand is parsed: :func:`main` reads the command name first.
 
 :func:`main` runs every subcommand through the same loop: a
 ``ValueError`` while building the arguments is a usage error
-(``<command>: <message>`` on stderr, exit 2); the header and progress
-lines print only without ``--json``; the run goes through
-:func:`repro.experiments.run`; ``--out`` and ``--json`` write the
-report's canonical JSON; and the exit status is 1 when the report's
-``ok`` verdict is false, 0 otherwise.
+(``<command>: <message>`` on stderr, exit 2); the run calls the
+command's driver (its kind's, through :func:`repro.experiments.resolve`);
+without ``--json`` the header prints first, and a driver that takes
+``progress`` gets a printer that indents each of its lines by two spaces;
+``--out`` and ``--json`` write the report's canonical JSON; and the exit
+status is 1 when the report's ``ok`` verdict is false, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import sys
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.policy import GatherPolicy
-from repro.experiments import PAPER, TABLES, run, sweepable_fields, table_to_dict
+from repro.experiments import PAPER, TABLES, resolve, run, sweepable_fields, table_to_dict
 from repro.experiments.sweep import sweep_config
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics import format_comparison
@@ -268,10 +269,6 @@ def _json(help: str = "emit the full report as JSON") -> _Flag:
 _OUT = _flag("--out", help="also write the canonical JSON report to this file")
 
 
-def _print_line(line: str) -> None:
-    print(f"  {line}")
-
-
 def _print_verdict(report, contract: str, indent: str = "") -> None:
     if report.clean:
         print(f"{indent}{contract} contract held: zero violations")
@@ -320,7 +317,7 @@ def _render_trace(args, sides) -> None:
         )
 
 
-def _run_laddis(args, kwargs) -> dict:
+def _run_laddis(**kwargs) -> dict:
     return {
         name: run("curve", path, **kwargs)
         for name, path in (("standard", "standard"), ("gathering", "gather"))
@@ -340,7 +337,7 @@ def _render_laddis(args, curves) -> None:
     print(f"capacity: standard {std_cap:.0f}, gathering {gat_cap:.0f} ({delta:+.0f}%)")
 
 
-def _run_claims(args, kwargs) -> list:
+def _run_claims() -> list:
     rows = [
         ("FDDI @7 biods, standard", TestbedConfig(netspec=FDDI, write_path="standard", nbiods=7)),
         ("FDDI @7 biods, gathering", TestbedConfig(netspec=FDDI, write_path="gather", nbiods=7)),
@@ -396,28 +393,7 @@ def _render_sweep(args, results) -> None:
         )
 
 
-def _bench_progress(cell) -> None:
-    presto = "presto" if cell["presto"] else "plain "
-    print(
-        f"  {cell['write_path']:<8} {presto} "
-        f"{cell['client_kb_per_sec']:>8.1f} KB/s  "
-        f"p50 {cell['write_latency_ms']['p50']:>7.2f} ms  "
-        f"p99 {cell['write_latency_ms']['p99']:>7.2f} ms  "
-        f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
-    )
-
-
 # -- the subsystem kinds --------------------------------------------------------
-
-
-def _chaos_progress(result) -> None:
-    presto = "presto" if result.presto else "plain "
-    status = "ok" if result.clean else "VIOLATION"
-    print(
-        f"  {result.plan.name:<24} {presto} "
-        f"acked={result.acked_writes:<4} crashes={result.crashes} "
-        f"retrans={result.retransmissions:<3} {status}"
-    )
 
 
 def _render_chaos(args, report) -> None:
@@ -495,20 +471,12 @@ def _cluster_arguments(args, groups) -> dict:
     return {"config": config, "crashes": crashes, **workload}
 
 
-def _run_cluster(args, kwargs):
+def _cluster_driver(args) -> Callable:
     if _cluster_sweep_mode(args):
         from repro.cluster.experiment import run_scaling_sweep
 
-        return run_scaling_sweep(**kwargs)
-    kwargs.pop("progress", None)  # one cell has no per-cell progress
-    return run("cluster", **kwargs)
-
-
-def _cluster_progress(row) -> None:
-    print(
-        f"  ran {row.servers} servers x {row.clients} clients: "
-        f"{row.aggregate_kb_per_sec:.0f} KB/s"
-    )
+        return run_scaling_sweep
+    return resolve("cluster")
 
 
 def _render_cluster(args, report) -> None:
@@ -581,17 +549,6 @@ def _replica_arguments(args, groups) -> dict:
     return kwargs
 
 
-def _replica_progress(arm) -> None:
-    print(
-        f"  K={arm.replicas} quorum={arm.quorum}: "
-        f"{arm.aggregate_kb_per_sec:>8.0f} KB/s  "
-        f"p50 {arm.write_latency_ms['p50']:>7.2f} ms  "
-        f"p99 {arm.write_latency_ms['p99']:>7.2f} ms  "
-        f"{arm.crashes} crashes, {arm.promotions} promotions, "
-        f"{'clean' if arm.clean else 'VIOLATIONS'}"
-    )
-
-
 def _render_replica(args, result) -> None:
     for row in result.comparison():
         print(
@@ -658,21 +615,6 @@ def _scrub_header(args, kwargs) -> str:
     )
 
 
-def _scrub_progress(arm) -> None:
-    healed = (
-        f"{arm.repairs} repaired"
-        if arm.replicas
-        else f"{arm.quarantines} quarantined, {arm.eio_reads} EIO"
-    )
-    print(
-        f"  K={arm.replicas} rate={arm.corruption_rate} "
-        f"bw={arm.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
-        f"{arm.detections} detected, {healed}, "
-        f"{arm.silent_read_corruptions} silent "
-        f"[{'clean' if arm.clean else 'DIRTY'}]"
-    )
-
-
 def _render_scrub(args, report) -> None:
     if report.clean:
         print("  integrity contract held: nothing silent, all healed/surfaced")
@@ -694,23 +636,6 @@ def _tiering_header(args, kwargs) -> str:
         f"tiering: {config.tenants} tenants x {config.files_per_tenant} "
         f"files x {config.ops_per_tenant} appends, skew {config.skew}, "
         f"seed {config.seed}"
-    )
-
-
-def _tiering_progress(arm) -> None:
-    if isinstance(arm, dict):  # the storm report
-        print(
-            f"  storm: {arm['completed']}/{arm['started']} migrations, "
-            f"{arm['crashes']} crashes, {arm['promotions']} promotions "
-            f"[{'clean' if arm['clean'] else 'DIRTY'}]"
-        )
-        return
-    latency = arm.write_latency_ms
-    print(
-        f"  {arm.fleet:<8} {arm.policy:<10} "
-        f"p50 {latency['p50']:>8.2f} ms  p99 {latency['p99']:>8.2f} ms  "
-        f"{arm.placement['files_by_tier']} "
-        f"[{'clean' if arm.clean else 'DIRTY'}]"
     )
 
 
@@ -744,13 +669,11 @@ class _Command(NamedTuple):
     render: Optional[Callable] = None
     #: (args, kwargs) -> the line printed before the run (text mode only).
     header: Optional[Callable] = None
-    #: Handed to the driver as ``progress`` (text mode only).
-    progress: Optional[Callable] = None
     #: (args, report) -> the document ``--json`` prints and ``--out`` writes.
     payload: Callable = lambda args, report: report.to_dict()
-    #: (args, kwargs) -> report, for subcommands that are not one
-    #: ``run(<command>, **kwargs)`` call.
-    execute: Optional[Callable] = None
+    #: args -> the function the driver's keyword arguments are passed to:
+    #: the command's kind, unless the subcommand is not one kind's run.
+    driver: Callable = lambda args: resolve(args.command)
 
 
 _COMMANDS = {
@@ -798,7 +721,7 @@ _COMMANDS = {
             _flag("--duration", "run_curve", default=3.0, form=_POSITIVE),
             *_net_faults("run_curve"),
         ),
-        execute=_run_laddis,
+        driver=lambda args: _run_laddis,
         render=_render_laddis,
     ),
     "claims": _Command(
@@ -806,7 +729,7 @@ _COMMANDS = {
         header=lambda args, kwargs: (
             "Headline results (2 MB copies for speed; benches run full scale):"
         ),
-        execute=_run_claims,
+        driver=lambda args: _run_claims,
         render=_render_claims,
     ),
     "chaos": _Command(
@@ -841,7 +764,6 @@ _COMMANDS = {
             f"chaos campaign: seed={args.seed}, {args.plans} plans x "
             f"{len(kwargs['config'].combos())} combos, {args.file_kb} KB files"
         ),
-        progress=_chaos_progress,
         render=_render_chaos,
     ),
     "sweep": _Command(
@@ -904,8 +826,7 @@ _COMMANDS = {
             _json("emit the result as JSON"),
         ),
         arguments=_cluster_arguments,
-        execute=_run_cluster,
-        progress=_cluster_progress,
+        driver=_cluster_driver,
         render=_render_cluster,
     ),
     "overload": _Command(
@@ -945,7 +866,6 @@ _COMMANDS = {
         ),
         arguments=_overload_arguments,
         header=_overload_header,
-        progress=_print_line,
         render=_render_overload,
     ),
     "bench": _Command(
@@ -971,7 +891,6 @@ _COMMANDS = {
             f"bench: {args.net}, {args.file_mb} MB copy, {args.biods} biods, "
             f"seed {args.seed}"
         ),
-        progress=_bench_progress,
         payload=lambda args, report: report,
     ),
     "replica": _Command(
@@ -1012,7 +931,6 @@ _COMMANDS = {
             f"replica: {args.servers} shards x {args.clients} clients, "
             f"{args.crashes}-crash storm, seed {args.seed}"
         ),
-        progress=_replica_progress,
         render=_render_replica,
     ),
     "cache": _Command(
@@ -1049,7 +967,6 @@ _COMMANDS = {
             _json(),
         ),
         header=_cache_header,
-        progress=_print_line,
         render=_render_cache,
     ),
     "commit": _Command(
@@ -1078,7 +995,6 @@ _COMMANDS = {
             _json(),
         ),
         header=_commit_header,
-        progress=_print_line,
         render=_render_commit,
     ),
     "scrub": _Command(
@@ -1120,7 +1036,6 @@ _COMMANDS = {
             _json(),
         ),
         header=_scrub_header,
-        progress=_scrub_progress,
         render=_render_scrub,
     ),
     "tiering": _Command(
@@ -1151,7 +1066,6 @@ _COMMANDS = {
             _json(),
         ),
         header=_tiering_header,
-        progress=_tiering_progress,
         render=_render_tiering,
     ),
 }
@@ -1183,15 +1097,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    driver = command.driver(args)
     if not as_json:
         if command.header is not None:
             print(command.header(args, kwargs))
-        if command.progress is not None:
-            kwargs["progress"] = command.progress
-    if command.execute is not None:
-        report = command.execute(args, kwargs)
-    else:
-        report = run(args.command, **kwargs)
+        if "progress" in inspect.signature(driver).parameters:
+            kwargs["progress"] = lambda line: print(f"  {line}")
+    report = driver(**kwargs)
     out = getattr(args, "out", None)
     if out or as_json:
         document = json.dumps(command.payload(args, report), indent=2, sort_keys=True)

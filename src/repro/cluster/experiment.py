@@ -25,6 +25,7 @@ from typing import Generator, List, Optional, Sequence
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import run_arms
 from repro.metrics.report import ExperimentReport
 from repro.nfs.client import NfsClient
 from repro.sim import AllOf, Environment
@@ -80,6 +81,12 @@ class ClusterRunResult(ExperimentReport):
             for s in self.per_shard
         )
         return gathered / total
+
+    def progress_line(self) -> str:
+        return (
+            f"ran {self.servers} servers x {self.clients} clients: "
+            f"{self.aggregate_kb_per_sec:.0f} KB/s"
+        )
 
     def to_dict(self) -> dict:
         payload = {
@@ -289,24 +296,24 @@ def run_scaling_sweep(
 ) -> ScalingSweepResult:
     """Sweep the fleet size against the client population.
 
-    Each cell is a fresh, independently seeded cluster run; ``progress``
-    (if given) is called with each finished :class:`ClusterRunResult`.
+    Each ``(servers, clients)`` cell is one arm: a fresh, independently
+    seeded cluster run.
     """
-    rows: List[ClusterRunResult] = []
-    for servers in server_counts:
-        for clients in client_counts:
-            result = run_cluster(
-                base.variant(servers=servers),
-                clients=clients,
-                files_per_client=files_per_client,
-                file_kb=file_kb,
-                think_time=think_time,
-            )
-            rows.append(result)
-            if progress is not None:
-                progress(result)
+
+    def run_cell(cell):
+        servers, clients = cell
+        result = run_cluster(
+            base.variant(servers=servers),
+            clients=clients,
+            files_per_client=files_per_client,
+            file_kb=file_kb,
+            think_time=think_time,
+        )
+        return result, result.progress_line()
+
+    cells = [(servers, clients) for servers in server_counts for clients in client_counts]
     return ScalingSweepResult(
         server_counts=list(server_counts),
         client_counts=list(client_counts),
-        rows=rows,
+        rows=run_arms(cells, run_cell, progress),
     )

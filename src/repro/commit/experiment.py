@@ -28,9 +28,11 @@ Everything is seeded; ``--json`` output is byte-identical across reruns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.bench import PRESTO_BYTES, run_bench_cell
+from repro.experiments.bench import grid_configs, run_bench_cell
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import FaultPlan, OnSpan, ServerCrash
@@ -98,38 +100,21 @@ class CommitConfig:
 # -- the bench grid -------------------------------------------------------------
 
 
-def _bench_cells(config: CommitConfig, progress=None) -> List[dict]:
-    cells = []
-    for write_path in config.write_paths:
-        for presto in config.presto_modes:
-            testbed_config = TestbedConfig(
-                netspec=config.netspec,
-                write_path=write_path,
-                nbiods=config.biods,
-                presto_bytes=PRESTO_BYTES if presto else None,
-                seed=config.seed,
-            )
-            cell = run_bench_cell(
-                testbed_config, config.file_mb, payload=PAYLOAD_FLYWEIGHT
-            )
-            # The one wall-clock-derived field; everything else in the
-            # cell is simulated and byte-stable under the seed.
-            cell.pop("sim_ops_per_sec", None)
-            cells.append(cell)
-            if progress is not None:
-                progress(
-                    f"bench {cell['write_path']}/"
-                    f"{'presto' if presto else 'plain'}: "
-                    f"{cell['client_kb_per_sec']:g} KB/s, "
-                    f"p50 {cell['write_latency_ms']['p50']:g} ms"
-                )
-    return cells
+def _bench_cell(file_mb: float, testbed_config: TestbedConfig) -> Tuple[dict, str]:
+    cell = run_bench_cell(testbed_config, file_mb, payload=PAYLOAD_FLYWEIGHT)
+    # The one wall-clock-derived field; everything else in the cell is
+    # simulated and byte-stable under the seed.
+    cell.pop("sim_ops_per_sec", None)
+    return cell, (
+        f"bench {cell['write_path']}/{'presto' if cell['presto'] else 'plain'}: "
+        f"{cell['client_kb_per_sec']:g} KB/s, p50 {cell['write_latency_ms']['p50']:g} ms"
+    )
 
 
 # -- the pressure section -------------------------------------------------------
 
 
-def _run_pressure(config: CommitConfig) -> dict:
+def _run_pressure(config: CommitConfig) -> Tuple[dict, str]:
     """A fleet against a tiny volatile ceiling: both valves must open."""
     from repro.overload.window import WriteWindow
 
@@ -171,7 +156,7 @@ def _run_pressure(config: CommitConfig) -> dict:
     oracle.check("final")
     path = testbed.server.write_path
     trackers = [c.tracker for c in testbed.clients if c.tracker is not None]
-    return {
+    pressure = {
         "clients": config.pressure_clients,
         "file_kb": config.pressure_file_kb,
         "unstable_limit_bytes": config.pressure_limit_bytes,
@@ -190,40 +175,37 @@ def _run_pressure(config: CommitConfig) -> dict:
         "violations": list(oracle.violations),
         "clean": oracle.clean,
     }
+    return pressure, (
+        f"pressure: {pressure['pressure_flushes']} server flushes, "
+        f"{pressure['client_pressure_commits']} client pressure COMMITs"
+    )
 
 
 # -- the replica section --------------------------------------------------------
 
 
-def _run_replica_arms(config: CommitConfig, progress=None) -> Dict[str, dict]:
-    """The K=1 promote storm on the standard and async_commit paths."""
+def _replica_arm(config: CommitConfig, write_path: str) -> Tuple[dict, str]:
+    """The K=1 promote storm on one write path."""
     from repro.cluster.fleet import ClusterConfig
     from repro.replica.experiment import replica_storm, run_replica_arm
 
-    arms: Dict[str, dict] = {}
-    for write_path in ("standard", "async_commit"):
-        arm = run_replica_arm(
-            ClusterConfig(
-                servers=config.replica_servers,
-                write_path=write_path,
-                replicas=1,
-                seed=config.seed,
-            ),
-            clients=config.replica_clients,
-            files_per_client=2,
-            file_kb=config.replica_file_kb,
-            crashes=replica_storm(
-                config.replica_servers, config.replica_crashes, promote=True
-            ),
-        )
-        arms[write_path] = arm.to_dict()
-        if progress is not None:
-            progress(
-                f"replica {write_path}: {arm.crashes} crashes, "
-                f"{arm.promotions} promotions, "
-                f"{'clean' if arm.clean else 'VIOLATIONS'}"
-            )
-    return arms
+    arm = run_replica_arm(
+        ClusterConfig(
+            servers=config.replica_servers,
+            write_path=write_path,
+            replicas=1,
+            seed=config.seed,
+        ),
+        clients=config.replica_clients,
+        files_per_client=2,
+        file_kb=config.replica_file_kb,
+        crashes=replica_storm(config.replica_servers, config.replica_crashes, promote=True),
+    )
+    return arm.to_dict(), (
+        f"replica {write_path}: {arm.crashes} crashes, "
+        f"{arm.promotions} promotions, "
+        f"{'clean' if arm.clean else 'VIOLATIONS'}"
+    )
 
 
 # -- the chaos probes -----------------------------------------------------------
@@ -473,32 +455,30 @@ class CommitReport(ExperimentReport):
         }
 
 
+_PROBES = (_probe_crash_mid_window, _probe_crash_before_commit, _probe_promotion_mid_commit)
+
+
+def _probe_arm(config: CommitConfig, index: int) -> Tuple[dict, str]:
+    record = _PROBES[index](config)
+    status = "clean" if record["clean"] else "VIOLATED"
+    return record, f"chaos {record['name']}: {status} ({record['ranges_replayed']} ranges replayed)"
+
+
 def run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitReport:
-    """Run the whole comparison; ``progress`` (if given) is called with a
-    line of text after every completed section."""
+    """Run the whole comparison, one arm each: the bench cells, the
+    pressure fleet, the K=1 storm per write path, then the chaos probes."""
     config = config or CommitConfig()
     report = CommitReport(config=config)
-    report.bench = _bench_cells(config, progress=progress)
-    report.pressure = _run_pressure(config)
-    if progress is not None:
-        valves = (
-            f"{report.pressure['pressure_flushes']} server flushes, "
-            f"{report.pressure['client_pressure_commits']} client pressure COMMITs"
-        )
-        progress(f"pressure: {valves}")
-    report.replica = _run_replica_arms(config, progress=progress)
+    report.bench = run_arms(
+        grid_configs(
+            config.netspec, config.write_paths, config.presto_modes, config.biods, config.seed
+        ),
+        partial(_bench_cell, config.file_mb),
+        progress,
+    )
+    [report.pressure] = run_arms([config], _run_pressure, progress)
+    paths = ("standard", "async_commit")
+    report.replica = dict(zip(paths, run_arms(paths, partial(_replica_arm, config), progress)))
     if config.chaos:
-        for probe in (
-            _probe_crash_mid_window,
-            _probe_crash_before_commit,
-            _probe_promotion_mid_commit,
-        ):
-            record = probe(config)
-            report.probes.append(record)
-            if progress is not None:
-                status = "clean" if record["clean"] else "VIOLATED"
-                progress(
-                    f"chaos {record['name']}: {status} "
-                    f"({record['ranges_replayed']} ranges replayed)"
-                )
+        report.probes = run_arms(range(len(_PROBES)), partial(_probe_arm, config), progress)
     return report

@@ -15,7 +15,10 @@ so any perf-affecting PR has a baseline to diff against.
 from __future__ import annotations
 
 import time
+from functools import partial
+from typing import List, Sequence, Tuple
 
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI, NetSpec
 from repro.obs import registry_for
@@ -23,7 +26,7 @@ from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.server.config import WritePath
 from repro.workload.sequential import write_file
 
-__all__ = ["BENCH_SCHEMA", "run_bench", "run_bench_cell"]
+__all__ = ["BENCH_SCHEMA", "grid_configs", "run_bench", "run_bench_cell"]
 
 BENCH_SCHEMA = "repro.bench/1"
 
@@ -92,6 +95,38 @@ def run_bench_cell(
     }
 
 
+def grid_configs(
+    netspec: NetSpec,
+    write_paths: Sequence,
+    presto_modes: Sequence[bool],
+    biods: int,
+    seed: int,
+) -> List[TestbedConfig]:
+    """One testbed per grid cell, write path × Presto, in report order."""
+    return [
+        TestbedConfig(
+            netspec=netspec,
+            write_path=write_path,
+            nbiods=biods,
+            presto_bytes=PRESTO_BYTES if presto else None,
+            seed=seed,
+        )
+        for write_path in write_paths
+        for presto in presto_modes
+    ]
+
+
+def _run_arm(file_mb: float, config: TestbedConfig) -> Tuple[dict, str]:
+    cell = run_bench_cell(config, file_mb, payload=PAYLOAD_FLYWEIGHT)
+    return cell, (
+        f"{cell['write_path']:<8} {'presto' if cell['presto'] else 'plain '} "
+        f"{cell['client_kb_per_sec']:>8.1f} KB/s  "
+        f"p50 {cell['write_latency_ms']['p50']:>7.2f} ms  "
+        f"p99 {cell['write_latency_ms']['p99']:>7.2f} ms  "
+        f"{cell['disk_writes_per_mb']:>6.1f} dw/MB"
+    )
+
+
 def run_bench(
     netspec: NetSpec = FDDI,
     file_mb: float = 2.0,
@@ -107,20 +142,8 @@ def run_bench(
     payloads: the throughput baseline needs no byte fidelity, and every
     simulated number is identical either way.
     """
-    cells = []
-    for write_path in WritePath:
-        for presto in (False, True):
-            config = TestbedConfig(
-                netspec=netspec,
-                write_path=write_path,
-                nbiods=biods,
-                presto_bytes=PRESTO_BYTES if presto else None,
-                seed=seed,
-            )
-            cell = run_bench_cell(config, file_mb, payload=PAYLOAD_FLYWEIGHT)
-            cells.append(cell)
-            if progress is not None:
-                progress(cell)
+    arms = grid_configs(netspec, WritePath, (False, True), biods, seed)
+    cells = run_arms(arms, partial(_run_arm, file_mb), progress)
     return {
         "schema": BENCH_SCHEMA,
         "net": netspec.name,

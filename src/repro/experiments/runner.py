@@ -49,9 +49,9 @@ but the paper kinds' (copy through bench) derives from
 from __future__ import annotations
 
 import importlib
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
-__all__ = ["EXPERIMENT_KINDS", "resolve", "run"]
+__all__ = ["EXPERIMENT_KINDS", "resolve", "run", "run_arms"]
 
 #: kind -> (module, attribute) of its driver.
 _DRIVERS = {
@@ -89,3 +89,19 @@ def run(kind: str, *args, **kwargs):
     """Run the experiment ``kind`` with the driver's own arguments and
     return its result (see the module docstring for the table)."""
     return resolve(kind)(*args, **kwargs)
+
+
+def run_arms(
+    arms: Iterable, run_arm: Callable, progress: Optional[Callable[[str], None]] = None
+) -> list:
+    """Run each arm in order and return the results in the same order.
+
+    ``run_arm(arm)`` returns ``(result, line)``; ``progress``, when given,
+    receives each arm's ``line`` as soon as that arm finishes."""
+    results = []
+    for arm in arms:
+        result, line = run_arm(arm)
+        results.append(result)
+        if progress:
+            progress(line)
+    return results

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.filecopy import run_filecopy
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics.collect import FileCopyMetrics
 from repro.metrics.report import format_paper_table
@@ -169,16 +170,23 @@ def run_table(number: int, file_mb: float = 10.0) -> TableResult:
     ``file_mb`` can be lowered for quick runs; 10 MB matches the paper.
     """
     spec = TABLES[number]
-    result = TableResult(spec)
-    for write_path, bucket in (("standard", result.standard), ("gather", result.gathering)):
-        for nbiods in spec.biods:
-            config = TestbedConfig(
-                netspec=spec.netspec,
-                write_path=write_path,
-                nbiods=nbiods,
-                presto_bytes=spec.presto_bytes,
-                stripes=spec.stripes,
-                cpu_scale=spec.cpu_scale,
-            )
-            bucket.append(run_filecopy(config, file_mb=file_mb))
-    return result
+
+    def run_cell(cell) -> tuple:
+        write_path, nbiods = cell
+        config = TestbedConfig(
+            netspec=spec.netspec,
+            write_path=write_path,
+            nbiods=nbiods,
+            presto_bytes=spec.presto_bytes,
+            stripes=spec.stripes,
+            cpu_scale=spec.cpu_scale,
+        )
+        metrics = run_filecopy(config, file_mb=file_mb)
+        return metrics, metrics.label
+
+    cells = run_arms(
+        [(write_path, nbiods) for write_path in ("standard", "gather") for nbiods in spec.biods],
+        run_cell,
+    )
+    count = len(spec.biods)
+    return TableResult(spec, standard=cells[:count], gathering=cells[count:])

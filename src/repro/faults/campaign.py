@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import (
@@ -81,6 +82,15 @@ class PlanResult:
     @property
     def clean(self) -> bool:
         return not self.violations and self.stable_violations == 0
+
+    def progress_line(self) -> str:
+        presto = "presto" if self.presto else "plain "
+        status = "ok" if self.clean else "VIOLATION"
+        return (
+            f"{self.plan.name:<24} {presto} "
+            f"acked={self.acked_writes:<4} crashes={self.crashes} "
+            f"retrans={self.retransmissions:<3} {status}"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -337,23 +347,20 @@ class ChaosCampaign:
             shed_policy="early-reply",
         )
 
+    def run_arm(self, arm: Tuple[str, bool, int]) -> Tuple[PlanResult, str]:
+        """One plan: ``(write path, presto, plan index)``."""
+        result = run_plan(self.config_for(*arm[:2]), self.plan_for(*arm), file_kb=self.file_kb)
+        return result, result.progress_line()
+
     def execute(self, progress=None) -> CampaignReport:
-        """Run every plan in every combo; ``progress`` (if given) is called
-        with each :class:`PlanResult`."""
-        report = CampaignReport(
+        """Run every plan in every combo, one arm each."""
+        arms = [(*combo, index) for combo in self.combos() for index in range(self.plans_per_combo)]
+        return CampaignReport(
             seed=self.seed,
             file_kb=self.file_kb,
             plans_per_combo=self.plans_per_combo,
+            results=run_arms(arms, self.run_arm, progress),
         )
-        for write_path, presto in self.combos():
-            config = self.config_for(write_path, presto)
-            for index in range(self.plans_per_combo):
-                plan = self.plan_for(write_path, presto, index)
-                result = run_plan(config, plan, file_kb=self.file_kb)
-                report.results.append(result)
-                if progress is not None:
-                    progress(result)
-        return report
 
 
 def run_campaign(

@@ -32,6 +32,7 @@ from repro.cluster.experiment import (
 )
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import run_arms
 from repro.faults.controller import FaultController
 from repro.faults.events import (
     AtTime,
@@ -165,6 +166,20 @@ class ScrubArm:
                 and self.eio_reads == 0
             )
         return True
+
+    def progress_line(self) -> str:
+        healed = (
+            f"{self.repairs} repaired"
+            if self.replicas
+            else f"{self.quarantines} quarantined, {self.eio_reads} EIO"
+        )
+        return (
+            f"K={self.replicas} rate={self.corruption_rate} "
+            f"bw={self.scrub_bandwidth / (1 << 20):.0f}MiB/s: "
+            f"{self.detections} detected, {healed}, "
+            f"{self.silent_read_corruptions} silent "
+            f"[{'clean' if self.clean else 'DIRTY'}]"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -371,12 +386,15 @@ class ScrubRunResult(ExperimentReport):
 def run_scrub(config: Optional[ScrubConfig] = None, progress=None) -> ScrubRunResult:
     """Sweep the integrity axes; each arm is a fresh, seeded cluster."""
     config = config or ScrubConfig()
-    arms: List[ScrubArm] = []
-    for rate in config.corruption_rates:
-        for bandwidth in config.scrub_bandwidths:
-            for replicas in config.replica_counts:
-                arm = run_scrub_arm(config, rate, float(bandwidth), replicas)
-                arms.append(arm)
-                if progress is not None:
-                    progress(arm)
-    return ScrubRunResult(config=config, arms=arms)
+
+    def run_arm(arm):
+        result = run_scrub_arm(config, *arm)
+        return result, result.progress_line()
+
+    arms = [
+        (rate, float(bandwidth), replicas)
+        for rate in config.corruption_rates
+        for bandwidth in config.scrub_bandwidths
+        for replicas in config.replica_counts
+    ]
+    return ScrubRunResult(config=config, arms=run_arms(arms, run_arm, progress))

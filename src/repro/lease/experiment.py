@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, NetworkPartition, ServerCrash
@@ -625,47 +627,51 @@ class CacheReport(ExperimentReport):
         }
 
 
+def _grid_cell(config: CacheConfig, baselines: dict, arm: tuple) -> Tuple[dict, str]:
+    """One TTL × sharing cell, against its sharing ratio's leases-off
+    baseline."""
+    ttl, sharing = arm
+    off = baselines[sharing]
+    on = _run_shared_arm(config, ttl, sharing)
+    cell = {
+        "ttl": ttl,
+        "sharing": sharing,
+        "off_rpcs_per_op": off["rpcs_per_op"],
+        "on": on,
+        "reduction": _reduction(off, on),
+    }
+    return cell, (
+        f"ttl={ttl:g}s sharing={sharing:g}: rpc/op "
+        f"{off['rpcs_per_op']} -> {on['rpcs_per_op']} (x{cell['reduction']:g})"
+    )
+
+
+def _workload_arm(config: CacheConfig, name: str) -> Tuple[dict, str]:
+    """One workload profile, leases off and on."""
+    off = _PROFILES[name](config, None)
+    on = _PROFILES[name](config, config.headline_ttl)
+    workload = {"name": name, "off": off, "on": on, "reduction": _reduction(off, on)}
+    return workload, (
+        f"workload {name}: rpc/op {off['rpcs_per_op']} -> "
+        f"{on['rpcs_per_op']} (x{workload['reduction']:g})"
+    )
+
+
+def _probe_arm(config: CacheConfig, index: int) -> Tuple[dict, str]:
+    record = _PROBES[index](config)
+    return record, f"chaos {record['name']}: {'clean' if record['clean'] else 'VIOLATED'}"
+
+
 def run_cache(config: Optional[CacheConfig] = None, progress=None) -> CacheReport:
-    """Run the whole sweep; ``progress`` (if given) is called with a line
-    of text after every completed section."""
+    """Run the whole sweep: the leases-off baselines first, then one arm
+    per grid cell, workload profile and chaos probe."""
     config = config or CacheConfig()
     report = CacheReport(config=config)
     for sharing in config.sharing_ratios:
         report.baselines[sharing] = _run_shared_arm(config, None, sharing)
-    for ttl in config.lease_ttls:
-        for sharing in config.sharing_ratios:
-            on = _run_shared_arm(config, ttl, sharing)
-            off = report.baselines[sharing]
-            cell = {
-                "ttl": ttl,
-                "sharing": sharing,
-                "off_rpcs_per_op": off["rpcs_per_op"],
-                "on": on,
-                "reduction": _reduction(off, on),
-            }
-            report.grid.append(cell)
-            if progress is not None:
-                progress(
-                    f"ttl={ttl:g}s sharing={sharing:g}: rpc/op "
-                    f"{off['rpcs_per_op']} -> {on['rpcs_per_op']} "
-                    f"(x{cell['reduction']:g})"
-                )
-    for name in config.workloads:
-        profile = _PROFILES[name]
-        off = profile(config, None)
-        on = profile(config, config.headline_ttl)
-        arm = {"name": name, "off": off, "on": on, "reduction": _reduction(off, on)}
-        report.workloads.append(arm)
-        if progress is not None:
-            progress(
-                f"workload {name}: rpc/op {off['rpcs_per_op']} -> "
-                f"{on['rpcs_per_op']} (x{arm['reduction']:g})"
-            )
+    cells = [(ttl, sharing) for ttl in config.lease_ttls for sharing in config.sharing_ratios]
+    report.grid = run_arms(cells, partial(_grid_cell, config, report.baselines), progress)
+    report.workloads = run_arms(config.workloads, partial(_workload_arm, config), progress)
     if config.chaos:
-        for probe in _PROBES:
-            record = probe(config)
-            report.probes.append(record)
-            if progress is not None:
-                status = "clean" if record["clean"] else "VIOLATED"
-                progress(f"chaos {record['name']}: {status}")
+        report.probes = run_arms(range(len(_PROBES)), partial(_probe_arm, config), progress)
     return report

@@ -30,9 +30,11 @@ Everything is seeded; same-seed reruns produce byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policy import GatherPolicy
+from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.faults.controller import FaultController
 from repro.faults.events import AtTime, FaultPlan, RetransmitStorm, ServerCrash
@@ -376,49 +378,48 @@ class OverloadReport(ExperimentReport):
         }
 
 
+def _run_arm(config: OverloadConfig, arm: Tuple[str, bool, str, bool]) -> Tuple[dict, str]:
+    """One arm: a mode's whole load curve, or (``crash``) its crash probe
+    at the top load."""
+    write_path, presto, mode, crash = arm
+    tag = f"{write_path}/presto={'on' if presto else 'off'}/{mode}"
+    if crash:
+        probe = _run_once(config, write_path, presto, mode, config.loads[-1], crash=True)
+        status = "clean" if not probe["oracle_violations"] else "VIOLATED"
+        return probe, f"{tag}: mid-storm crash probe {status}"
+    points = [
+        _run_once(config, write_path, presto, mode, rate, crash=False) for rate in config.loads
+    ]
+    curve = {
+        "points": points,
+        **_curve_flags(points, config.monotone_tolerance, config.collapse_margin),
+    }
+    return curve, f"{tag}: goodput {curve['goodput_kbs']} KB/s"
+
+
 def run_overload(config: Optional[OverloadConfig] = None, progress=None) -> OverloadReport:
-    """Run the whole sweep; ``progress`` (if given) is called with a line
-    of text after every completed run."""
+    """Run the whole sweep: per write path x Presto combo, each mode's
+    curve and then its crash probe, one arm each."""
     config = config or OverloadConfig()
-    report = OverloadReport(config=config)
-    for write_path in config.write_paths:
-        for presto in config.presto_modes:
-            combo: dict = {
-                "write_path": str(write_path),
-                "presto": presto,
-                "curves": {},
-                "crash_probe": {},
-            }
-            for mode in config.modes:
-                points = [
-                    _run_once(config, write_path, presto, mode, rate, crash=False)
-                    for rate in config.loads
-                ]
-                curve = {"points": points}
-                curve.update(
-                    _curve_flags(
-                        points, config.monotone_tolerance, config.collapse_margin
-                    )
-                )
-                combo["curves"][mode] = curve
-                if progress is not None:
-                    progress(
-                        f"{write_path}/presto={'on' if presto else 'off'}/{mode}: "
-                        f"goodput {curve['goodput_kbs']} KB/s"
-                    )
-                probe = _run_once(
-                    config, write_path, presto, mode, config.loads[-1], crash=True
-                )
-                combo["crash_probe"][mode] = probe
-                if progress is not None:
-                    status = "clean" if not probe["oracle_violations"] else "VIOLATED"
-                    progress(
-                        f"{write_path}/presto={'on' if presto else 'off'}/{mode}: "
-                        f"mid-storm crash probe {status}"
-                    )
-            combo["verdict"] = _verdict(combo, config)
-            report.combos.append(combo)
-    return report
+    arms = [
+        (write_path, presto, mode, crash)
+        for write_path in config.write_paths
+        for presto in config.presto_modes
+        for mode in config.modes
+        for crash in (False, True)
+    ]
+    combos: Dict[tuple, dict] = {}
+    for (write_path, presto, mode, crash), result in zip(
+        arms, run_arms(arms, partial(_run_arm, config), progress)
+    ):
+        combo = combos.setdefault(
+            (write_path, presto),
+            {"write_path": str(write_path), "presto": presto, "curves": {}, "crash_probe": {}},
+        )
+        combo["crash_probe" if crash else "curves"][mode] = result
+    for combo in combos.values():
+        combo["verdict"] = _verdict(combo, config)
+    return OverloadReport(config=config, combos=list(combos.values()))
 
 
 def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:

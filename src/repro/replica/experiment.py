@@ -31,6 +31,7 @@ from repro.cluster.experiment import (
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import run_arms
 from repro.metrics.collect import latency_summary_ms
 from repro.metrics.report import ExperimentReport
 from repro.obs import registry_for
@@ -87,6 +88,16 @@ class ReplicaArm:
     @property
     def clean(self) -> bool:
         return not self.violations and self.stable_violations == 0
+
+    def progress_line(self) -> str:
+        return (
+            f"K={self.replicas} quorum={self.quorum}: "
+            f"{self.aggregate_kb_per_sec:>8.0f} KB/s  "
+            f"p50 {self.write_latency_ms['p50']:>7.2f} ms  "
+            f"p99 {self.write_latency_ms['p99']:>7.2f} ms  "
+            f"{self.crashes} crashes, {self.promotions} promotions, "
+            f"{'clean' if self.clean else 'VIOLATIONS'}"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -277,22 +288,18 @@ def run_replica(
     only in whether a backup exists to promote.
     """
     config = config or ClusterConfig()
-    arms: List[ReplicaArm] = []
-    for replicas in replica_counts:
-        crashes = replica_storm(
-            config.servers, storm_crashes, promote=replicas > 0
-        )
+
+    def run_arm(replicas):
         arm = run_replica_arm(
             config.variant(replicas=replicas),
             clients=clients,
             files_per_client=files_per_client,
             file_kb=file_kb,
             think_time=think_time,
-            crashes=crashes,
+            crashes=replica_storm(config.servers, storm_crashes, promote=replicas > 0),
         )
-        arms.append(arm)
-        if progress is not None:
-            progress(arm)
+        return arm, arm.progress_line()
+
     return ReplicaRunResult(
         servers=config.servers,
         clients=clients,
@@ -302,5 +309,5 @@ def run_replica(
         write_path=str(config.write_path),
         quorum=config.quorum,
         storm_crashes=storm_crashes,
-        arms=arms,
+        arms=run_arms(replica_counts, run_arm, progress),
     )

@@ -28,11 +28,13 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
+from repro.experiments.runner import run_arms
 from repro.metrics.collect import latency_summary_ms
 from repro.metrics.report import ExperimentReport
 from repro.obs import registry_for
@@ -146,6 +148,15 @@ class TieringArm:
     def clean(self) -> bool:
         return not self.violations and self.stable_violations == 0
 
+    def progress_line(self) -> str:
+        latency = self.write_latency_ms
+        return (
+            f"{self.fleet:<8} {self.policy:<10} "
+            f"p50 {latency['p50']:>8.2f} ms  p99 {latency['p99']:>8.2f} ms  "
+            f"{self.placement['files_by_tier']} "
+            f"[{'clean' if self.clean else 'DIRTY'}]"
+        )
+
     def to_dict(self) -> dict:
         return {
             "fleet": self.fleet,
@@ -210,13 +221,9 @@ def _placement_census(cluster: Cluster, config: TieringConfig, policy) -> dict:
     return census
 
 
-def _run_arm(
-    config: TieringConfig,
-    fleet: str,
-    policy_name: str,
-    cluster_config: ClusterConfig,
-) -> TieringArm:
-    cluster = Cluster(cluster_config)
+def _run_cell(config: TieringConfig, fleet: str, policy_name: str) -> TieringArm:
+    tiers = config.cold_tiers() if fleet == "all-cold" else config.mixed_tiers()
+    cluster = Cluster(ClusterConfig(tiers=tiers, seed=config.seed))
     oracle = ClusterOracle(cluster)
     policy = make_policy(policy_name, cluster)
     if policy is not None:
@@ -434,34 +441,29 @@ class TieringRunResult(ExperimentReport):
         }
 
 
-def run_tiering(
-    config: Optional[TieringConfig] = None, progress: Optional[Callable] = None
-) -> TieringRunResult:
+def _run_arm(config: TieringConfig, arm: Tuple[str, Optional[str]]) -> tuple:
+    """One arm: a ``(fleet, policy)`` cell, or (fleet ``storm``) the
+    migration storm."""
+    fleet, policy_name = arm
+    if fleet != "storm":
+        cell = _run_cell(config, fleet, policy_name)
+        return cell, cell.progress_line()
+    storm = _run_storm(config)
+    return storm, (
+        f"storm: {storm['completed']}/{storm['started']} migrations, "
+        f"{storm['crashes']} crashes, {storm['promotions']} promotions "
+        f"[{'clean' if storm['clean'] else 'DIRTY'}]"
+    )
+
+
+def run_tiering(config: Optional[TieringConfig] = None, progress=None) -> TieringRunResult:
     """Run the full tiering experiment: all-cold baseline, one mixed-
     fleet arm per placement policy, then the migration storm."""
     config = config or TieringConfig()
     arms = [
-        _run_arm(
-            config,
-            "all-cold",
-            "hash",
-            ClusterConfig(tiers=config.cold_tiers(), seed=config.seed),
-        )
+        ("all-cold", "hash"),
+        *(("mixed", policy_name) for policy_name in config.policies),
+        ("storm", None),
     ]
-    if progress is not None:
-        progress(arms[-1])
-    for policy_name in config.policies:
-        arms.append(
-            _run_arm(
-                config,
-                "mixed",
-                policy_name,
-                ClusterConfig(tiers=config.mixed_tiers(), seed=config.seed),
-            )
-        )
-        if progress is not None:
-            progress(arms[-1])
-    storm = _run_storm(config)
-    if progress is not None:
-        progress(storm)
-    return TieringRunResult(config=config, arms=arms, storm=storm)
+    *cells, storm = run_arms(arms, partial(_run_arm, config), progress)
+    return TieringRunResult(config=config, arms=cells, storm=storm)

@@ -28,7 +28,7 @@ from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import run_arms
 from repro.metrics.report import ExperimentReport
 from repro.nfs.client import NfsClient
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf, Environment, Process
 from repro.workload.sequential import write_file
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "check_workload",
     "run_cluster",
     "run_scaling_sweep",
+    "start_writers",
 ]
 
 
@@ -137,6 +138,34 @@ def _client_workload(
     return env.now
 
 
+def start_writers(
+    cluster: Cluster,
+    oracle: ClusterOracle,
+    clients: int,
+    files_per_client: int,
+    nbytes: int,
+    think_time: float,
+) -> List[Process]:
+    """Add ``clients`` clients to ``cluster``, attach each to ``oracle``,
+    and start each one writing its own files; returns the writer
+    processes, each resolving to the time its client finished."""
+    env = cluster.env
+    writers = []
+    for _ in range(clients):
+        client = cluster.add_client()
+        oracle.attach(client)
+        host = client.rpc.endpoint.host
+        writers.append(
+            env.process(
+                _client_workload(
+                    env, client, _client_files(host, files_per_client), nbytes, think_time
+                ),
+                name=f"workload:{host}",
+            )
+        )
+    return writers
+
+
 #: Default producer think time for cluster workloads.  Deliberately a
 #: touch *slower* than FDDI's 5 ms procrastination interval: a saturating
 #: fast producer gathers 100% everywhere (the biod train always fills a
@@ -169,27 +198,9 @@ def run_cluster(
     config = config or ClusterConfig()
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
-    hosts: List[str] = []
-    writers = []
     env = cluster.env
     nbytes = file_kb * 1024
-    for _ in range(clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        hosts.append(host)
-        writers.append(
-            env.process(
-                _client_workload(
-                    env,
-                    client,
-                    _client_files(host, files_per_client),
-                    nbytes,
-                    think_time,
-                ),
-                name=f"workload:{host}",
-            )
-        )
+    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes, think_time)
     controller = None
     if crashes:
         controller = FailoverController(cluster, crashes, oracle=oracle).start()
@@ -201,8 +212,8 @@ def run_cluster(
     placement = {
         host: 0 for host in (server.host for server in cluster.servers)
     }
-    for host in hosts:
-        for name in _client_files(host, files_per_client):
+    for client in cluster.clients:
+        for name in _client_files(client.rpc.endpoint.host, files_per_client):
             placement[cluster.router.server_for_name(name)] += 1
     return ClusterRunResult(
         servers=len(cluster.servers),

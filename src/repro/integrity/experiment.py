@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence
 from repro.cluster.experiment import (
     CLUSTER_THINK_TIME,
     _client_files,
-    _client_workload,
     check_workload,
+    start_writers,
 )
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
@@ -266,20 +266,9 @@ def run_scrub_arm(
         cluster.stacks[0][0], _storm(rate, victims, config.seed), oracle=oracle
     ).start()
 
-    writers = []
-    client_names: List[tuple] = []
-    for _ in range(config.clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        names = _client_files(host, config.files_per_client)
-        client_names.append((client, names))
-        writers.append(
-            env.process(
-                _client_workload(env, client, names, nbytes, config.think_time),
-                name=f"workload:{host}",
-            )
-        )
+    writers = start_writers(
+        cluster, oracle, config.clients, config.files_per_client, nbytes, config.think_time
+    )
     env.run(until=AllOf(env, writers))
     elapsed = max(proc.value for proc in writers)
 
@@ -293,10 +282,16 @@ def run_scrub_arm(
     counts = {"eio": 0}
     readers = [
         env.process(
-            _read_back(env, client, names, nbytes, counts),
+            _read_back(
+                env,
+                client,
+                _client_files(client.rpc.endpoint.host, config.files_per_client),
+                nbytes,
+                counts,
+            ),
             name=f"readback:{client.rpc.endpoint.host}",
         )
-        for client, names in client_names
+        for client in cluster.clients
     ]
     env.run(until=AllOf(env, readers))
     env.run()  # drain replication sessions, NVRAM destage, watchdogs

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-__all__ = ["FileCopyMetrics", "latency_summary_ms"]
+from repro.obs import registry_for
+
+__all__ = ["FileCopyMetrics", "latency_summary_ms", "write_latency_ms"]
 
 
 def latency_summary_ms(samples: Sequence[float]) -> Dict[str, float]:
@@ -27,6 +29,24 @@ def latency_summary_ms(samples: Sequence[float]) -> Dict[str, float]:
         "p50": round(at(0.50) * 1000.0, 4),
         "p99": round(at(0.99) * 1000.0, 4),
     }
+
+
+def write_latency_ms(env, clients: int) -> Callable[[], Dict[str, float]]:
+    """Record the write latency of the first ``clients`` clients built on
+    ``env``; the returned function summarizes all their samples with
+    :func:`latency_summary_ms`.
+
+    Call it before those clients build: registration is get-or-create, so
+    the tallies the clients then look up keep their samples.
+    """
+    registry = registry_for(env)
+    tallies = [
+        registry.tally(f"nfs.client-{index}.write_latency", keep_samples=True)
+        for index in range(clients)
+    ]
+    return lambda: latency_summary_ms(
+        [sample for tally in tallies for sample in tally._samples or ()]
+    )
 
 
 @dataclass

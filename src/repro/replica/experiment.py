@@ -22,19 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.cluster.experiment import (
-    CLUSTER_THINK_TIME,
-    _client_files,
-    _client_workload,
-    check_workload,
-)
+from repro.cluster.experiment import CLUSTER_THINK_TIME, check_workload, start_writers
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import run_arms
-from repro.metrics.collect import latency_summary_ms
+from repro.metrics.collect import write_latency_ms
 from repro.metrics.report import ExperimentReport
-from repro.obs import registry_for
 from repro.sim import AllOf
 
 __all__ = ["ReplicaRunResult", "replica_storm", "run_replica", "run_replica_arm"]
@@ -133,32 +127,9 @@ def run_replica_arm(
     cluster = Cluster(config)
     oracle = ClusterOracle(cluster)
     env = cluster.env
-    registry = registry_for(env)
-    # Pre-register the clients' write-latency tallies *with samples*
-    # before the clients build (registration is get-or-create), so
-    # percentiles are computable without touching the client code.
-    tallies = [
-        registry.tally(f"nfs.client-{index}.write_latency", keep_samples=True)
-        for index in range(clients)
-    ]
-    writers = []
+    latency = write_latency_ms(env, clients)
     nbytes = file_kb * 1024
-    for _ in range(clients):
-        client = cluster.add_client()
-        oracle.attach(client)
-        host = client.rpc.endpoint.host
-        writers.append(
-            env.process(
-                _client_workload(
-                    env,
-                    client,
-                    _client_files(host, files_per_client),
-                    nbytes,
-                    think_time,
-                ),
-                name=f"workload:{host}",
-            )
-        )
+    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes, think_time)
     controller = None
     if crashes:
         controller = FailoverController(cluster, crashes, oracle=oracle).start()
@@ -168,9 +139,6 @@ def run_replica_arm(
     oracle.check("final")
     oracle.check_divergence("quiesce")
     total_bytes = clients * files_per_client * nbytes
-    samples: List[float] = []
-    for tally in tallies:
-        samples.extend(tally._samples or [])
     replication = {"batches": 0, "ops": 0, "acks": 0, "resyncs": 0}
     waits: List[float] = []
     for group in cluster.groups:
@@ -193,7 +161,7 @@ def run_replica_arm(
         elapsed=elapsed,
         total_bytes=total_bytes,
         aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms=latency_summary_ms(samples),
+        write_latency_ms=latency(),
         acked_writes=oracle.acked_writes,
         crashes=controller.crashes if controller else 0,
         promotions=controller.promotions if controller else 0,

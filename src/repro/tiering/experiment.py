@@ -35,9 +35,8 @@ from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import run_arms
-from repro.metrics.collect import latency_summary_ms
+from repro.metrics.collect import write_latency_ms
 from repro.metrics.report import ExperimentReport
-from repro.obs import registry_for
 from repro.sim import AllOf
 from repro.tiering.engine import MigrationEngine, MigrationPlan
 from repro.tiering.placement import POLICY_NAMES, make_policy
@@ -177,13 +176,9 @@ class TieringArm:
 def _spawn_tenants(cluster: Cluster, oracle: ClusterOracle, config: TieringConfig):
     """Attach one client per tenant and start its Zipf writer; returns
     the writer processes (each resolves to its finish time) and the
-    pre-registered latency tallies."""
+    tenants' write-latency summary (see :func:`write_latency_ms`)."""
     env = cluster.env
-    registry = registry_for(env)
-    tallies = [
-        registry.tally(f"nfs.client-{tenant}.write_latency", keep_samples=True)
-        for tenant in range(config.tenants)
-    ]
+    latency = write_latency_ms(env, config.tenants)
     writers = []
     for tenant in range(config.tenants):
         client = cluster.add_client()
@@ -204,7 +199,7 @@ def _spawn_tenants(cluster: Cluster, oracle: ClusterOracle, config: TieringConfi
             return env.now
 
         writers.append(env.process(tenant_proc(), name=f"tenant-{tenant}"))
-    return writers, tallies
+    return writers, latency
 
 
 def _placement_census(cluster: Cluster, config: TieringConfig, policy) -> dict:
@@ -228,16 +223,13 @@ def _run_cell(config: TieringConfig, fleet: str, policy_name: str) -> TieringArm
     policy = make_policy(policy_name, cluster)
     if policy is not None:
         cluster.router.set_placement(policy)
-    writers, tallies = _spawn_tenants(cluster, oracle, config)
+    writers, latency = _spawn_tenants(cluster, oracle, config)
     env = cluster.env
     env.run(until=AllOf(env, writers))
     elapsed = max(proc.value for proc in writers)
     env.run()  # drain NVRAM destage, replication, watchdogs
     oracle.check("final")
     oracle.check_divergence("quiesce")
-    samples: List[float] = []
-    for tally in tallies:
-        samples.extend(tally._samples or [])
     total_bytes = config.tenants * config.ops_per_tenant * config.chunk_kb * 1024
     return TieringArm(
         fleet=fleet,
@@ -245,7 +237,7 @@ def _run_cell(config: TieringConfig, fleet: str, policy_name: str) -> TieringArm
         elapsed=elapsed,
         total_bytes=total_bytes,
         aggregate_kb_per_sec=total_bytes / elapsed / 1024.0,
-        write_latency_ms=latency_summary_ms(samples),
+        write_latency_ms=latency(),
         acked_writes=oracle.acked_writes,
         placement=_placement_census(cluster, config, policy),
         oracle_checks=oracle.checks,
@@ -312,7 +304,7 @@ def _run_storm(config: TieringConfig) -> dict:
     oracle = ClusterOracle(cluster)
     policy = make_policy("hot-first", cluster)
     cluster.router.set_placement(policy)
-    writers, tallies = _spawn_tenants(cluster, oracle, config)
+    writers, _ = _spawn_tenants(cluster, oracle, config)
     env = cluster.env
     engine = MigrationEngine(
         cluster,

@@ -44,6 +44,27 @@ The cluster scaling sweep is not a kind of its own: callers that want it
 :func:`repro.cluster.experiment.run_scaling_sweep` directly.  Every report
 but the paper kinds' (copy through bench) derives from
 :class:`~repro.metrics.report.ExperimentReport`.
+
+A driver that runs several independent cells, as each of the paper's
+tables does (biods x server variant, one fresh testbed per cell), runs
+them as *arms* through :func:`run_arms`:
+
+* the driver lists its arms as plain data (tuples, names, configs) in the
+  order its report lists them;
+* ``run_arm(arm)`` runs one arm on a fresh system and returns ``(result,
+  line)``: the arm's result and one line of progress text, formatted next
+  to the result's type;
+* ``progress``, when the caller passes it, gets each line as its arm
+  finishes (``repro`` prints it indented by two spaces, and passes no
+  ``progress`` under ``--json``);
+* the driver assembles its report from the results, which come back in
+  arm order.
+
+Chaos, the scaling sweep, overload, replica, cache, commit, scrub,
+tiering, bench and table drive their runs this way.  A section whose
+lines need an earlier section's results runs after it: cache measures
+its leases-off baselines before the grid cells that compare against
+them.
 """
 
 from __future__ import annotations

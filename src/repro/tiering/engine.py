@@ -45,9 +45,9 @@ survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.fleet import stack_by_host
 from repro.fs.inode import FileType

@@ -18,7 +18,6 @@ from repro.faults import (
     BitRot,
     FaultController,
     FaultPlan,
-    LatentSectorError,
     NetworkPartition,
     OnSpan,
     Oracle,
@@ -28,9 +27,8 @@ from repro.faults import (
 from repro.fs.buffer_cache import BufferCache, DurableImage
 from repro.fs.fsck import fsck
 from repro.fs.inode import InodeSnapshot
-from repro.fs.ufs import FsError
 from repro.integrity import CorruptBlockError, block_digest
-from repro.integrity.experiment import ScrubConfig, run_scrub, run_scrub_arm
+from repro.integrity.experiment import ScrubConfig, run_scrub
 from repro.net import FDDI
 from repro.sim import Environment
 from repro.workload import write_file

@@ -13,10 +13,13 @@ neighbours) falls on both sides alike.  ``T`` defaults to the
 ``run_seconds`` that CHANGE_DIR's ``BENCHMARK.json`` sets, so the runs
 have the benchmark's own length.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, it prints each side's median and quartiles,
-the change's median gap, and in how many pairs the change was better.  Then it says whether every ``sim_*`` value was identical in
-every run: the simulated numbers are deterministic, so any difference is
-a change in the model, not noise.  ``sim_ops_per_s`` is left out of that
-check, since it divides simulated operations by wall time.
+the change's median gap, in how many pairs the change was better, and a
+verdict (see :func:`verdict`): ``gain``, ``regression``, ``unresolved``
+or ``unchanged``.  Then it says whether every ``sim_*`` value was
+identical in every run: the simulated numbers are deterministic, so any
+difference is a change in the model, not noise.  ``sim_ops_per_s`` is
+left out of that check, since it divides simulated operations by wall
+time.
 
 Exit status: 0 when every run succeeded and the ``sim_*`` values all
 matched, 1 otherwise.  The script reads the checkouts' files but imports
@@ -67,6 +70,39 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """One metric's verdict over paired runs.
+
+    ``parent`` and ``change`` hold one value per pair, in pair order;
+    ``better`` is ``"lower"`` or ``"higher"``; ``bound`` is the fraction
+    of the parent's median by which the change may worsen.
+
+    * ``gain``: the change is better in at least 9/10 of the pairs (ties
+      count for neither side) and its median beats the parent's by more
+      than the parent's interquartile range;
+    * ``regression``: the change's median is worse than the parent's by
+      more than ``bound``;
+    * ``unresolved``: either side's interquartile range is wider than
+      ``bound``, and not every change run beats every parent run;
+    * ``unchanged``: none of these.
+    """
+    if better == "lower":
+        # Negate, so that higher is better on both sides from here on.
+        parent = [-value for value in parent]
+        change = [-value for value in change]
+    wins = sum(c > p for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    if 10 * wins >= 9 * len(parent) and c_med - p_med > p_q3 - p_q1:
+        return "gain"
+    allowed = bound * abs(p_med)
+    if p_med - c_med > allowed:
+        return "regression"
+    if max(p_q3 - p_q1, c_q3 - c_q1) > allowed and min(change) <= max(parent):
+        return "unresolved"
+    return "unchanged"
+
+
 def load_benchmark(change_dir: str) -> dict:
     with open(os.path.join(change_dir, "BENCHMARK.json")) as handle:
         return json.load(handle)
@@ -106,7 +142,7 @@ def main(argv=None) -> int:
         f"{args.workload} seed {args.seed}, {args.pairs} pairs at "
         f"--seconds {args.seconds:g} --trace 0"
     )
-    print(f"{'metric':<24} {'side':<7} {'median':>12} {'Q1':>12} {'Q3':>12}  gap, wins")
+    print(f"{'metric':<24} {'side':<7} {'median':>12} {'Q1':>12} {'Q3':>12}  gap, wins, verdict")
     for spec in benchmark["end_to_end"]:
         name = spec["name"]
         parent = [metrics[name]["value"] for metrics in runs["parent"] if name in metrics]
@@ -123,7 +159,8 @@ def main(argv=None) -> int:
         print(
             f"{'':<24} {'change':<7} {c_med:>12.6g} {c_q1:>12.6g} {c_q3:>12.6g}"
             f"  {gap:+.1%}, {wins}/{args.pairs}"
-            f" (|gap| {abs(c_med - p_med):.6g} vs parent IQR {p_q3 - p_q1:.6g})"
+            f" (|gap| {abs(c_med - p_med):.6g} vs parent IQR {p_q3 - p_q1:.6g}),"
+            f" {verdict(parent, change, spec['better'], spec['bound'])}"
         )
 
     sim_values = {

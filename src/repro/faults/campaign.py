@@ -15,7 +15,7 @@ simply whether any oracle violation was seen anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import run_arms
@@ -250,8 +250,12 @@ def run_plan(
     """Run one plan to completion and return its checked result.
 
     The writers write real bytes, so the oracle byte-compares every
-    acked range against the durable image (and fsck runs).
+    acked range against the durable image (and fsck runs).  The testbed
+    traces when ``config`` asks for it or a trigger of ``plan`` reads
+    spans; tracing changes no simulated number.
     """
+    if plan.needs_tracing() and not config.tracing:
+        config = replace(config, tracing=True)
     testbed = Testbed(config)
     client = testbed.add_client()
     oracle = Oracle(testbed)
@@ -332,8 +336,8 @@ class ChaosCampaign:
         return generate_plan(rng, name, index, write_path)
 
     def config_for(self, write_path: str, presto: bool) -> TestbedConfig:
-        # Tracing is always on: span-triggered faults need it, and fault
-        # windows land in the exported timeline.  Admission control runs
+        # No tracing: run_plan turns it on for the plans whose triggers
+        # read spans, and nothing else reads them.  Admission control runs
         # with the dup-cache-aware shed policy so RetransmitStorm events
         # exercise the repro.overload backpressure path under chaos.
         return TestbedConfig(
@@ -342,7 +346,6 @@ class ChaosCampaign:
             presto_bytes=PRESTO_BYTES if presto else None,
             verify_stable=True,
             seed=self.seed,
-            tracing=True,
             admission_max_requests=64,
             shed_policy="early-reply",
         )

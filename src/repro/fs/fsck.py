@@ -20,6 +20,8 @@ Two modes:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -52,15 +54,15 @@ class FsckReport:
 
 
 def _inode_table_ranges(ufs: Ufs) -> List[tuple]:
-    """Byte ranges of every cylinder group's inode table."""
-    ranges = []
-    for group in ufs.allocator.groups:
-        ranges.append((group.inode_table_start, group.data_start))
-    return ranges
+    """Byte ranges of every cylinder group's inode table, sorted."""
+    return sorted((group.inode_table_start, group.data_start) for group in ufs.allocator.groups)
 
 
 def _in_inode_table(addr: int, table_ranges: List[tuple]) -> bool:
-    return any(start <= addr < end for start, end in table_ranges)
+    # The ranges are disjoint: only the last one starting at or before
+    # ``addr`` can hold it.
+    index = bisect_right(table_ranges, (addr, math.inf)) - 1
+    return index >= 0 and addr < table_ranges[index][1]
 
 
 def fsck(ufs: Ufs, strict: bool = True) -> FsckReport:

@@ -26,6 +26,7 @@ disk after server failure" clause of the SPEC baseline requirement.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.disk.device import Storage
@@ -83,8 +84,11 @@ class PrestoCache(Storage):
         self.drain_max_age = drain_max_age
         #: Free NVRAM bytes; writers reserve, the drain releases.
         self._free = Container(env, capacity=capacity, init=capacity)
-        #: Sorted, non-overlapping dirty extents as (offset, end) pairs.
+        #: Sorted dirty extents as (offset, end) pairs; touching extents
+        #: merge, so a gap separates every two.
         self._dirty: List[Tuple[int, int]] = []
+        #: Bytes the ``_dirty`` extents cover.
+        self._dirty_bytes = 0
         #: Extent currently being written to the backing device; still in
         #: NVRAM (and recoverable) until that write completes.
         self._draining: Tuple[int, int] | None = None
@@ -193,6 +197,7 @@ class PrestoCache(Storage):
             else:
                 kept.append((start, end))
         self._dirty = kept
+        self._dirty_bytes = sum(end - start for start, end in kept)
         freed = sum(end - start for start, end in lost)
         if freed:
             self._free.put(freed)
@@ -224,10 +229,7 @@ class PrestoCache(Storage):
         # Space accounting is backed by the pending (_dirty) set only: the
         # extent under drain frees its own reservation when the flush ends,
         # so a rewrite overlapping it genuinely occupies new space.
-        before = sum(end - start for start, end in self._dirty)
-        self._insert_extent(offset, offset + nbytes)
-        grown = sum(end - start for start, end in self._dirty) - before
-        surplus = nbytes - grown
+        surplus = nbytes - self._insert_extent(offset, offset + nbytes)
         if surplus > 0:
             # Overwrote bytes that were already dirty: give the space back.
             # This always fits (the bytes came out of our own reservation),
@@ -238,22 +240,43 @@ class PrestoCache(Storage):
         self._wake_drain()
         done.succeed()
 
-    def _insert_extent(self, start: int, end: int) -> None:
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for extent_start, extent_end in self._dirty:
-            if extent_end < start or extent_start > end:
-                if not placed and extent_start > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((extent_start, extent_end))
-            else:
-                start = min(start, extent_start)
-                end = max(end, extent_end)
-        if not placed:
-            merged.append((start, end))
-        merged.sort()
-        self._dirty = merged
+    def _insert_extent(self, start: int, end: int) -> int:
+        """Merge ``[start, end)`` into the dirty set with every extent it
+        overlaps or touches; returns how many dirty bytes it added."""
+        dirty = self._dirty
+        # The extents to merge are consecutive: from the first that ends
+        # at or after ``start`` to the last that starts at or before ``end``.
+        low = bisect_left(dirty, (start,))
+        if low and dirty[low - 1][1] >= start:
+            low -= 1
+        high = bisect_left(dirty, (end + 1,), low)
+        merged = dirty[low:high]
+        if merged:
+            start = min(start, merged[0][0])
+            end = max(end, merged[-1][1])
+        covered = sum(run_end - run_start for run_start, run_end in merged)
+        dirty[low:high] = [(start, end)]
+        grown = end - start - covered
+        self._dirty_bytes += grown
+        return grown
+
+    def _take_chunk(self) -> Tuple[int, int]:
+        """Remove and return the next drain chunk: up to ``max_flush``
+        bytes from the first extent at or past the elevator cursor
+        (wrapping to the lowest)."""
+        dirty = self._dirty
+        index = bisect_left(dirty, (self._drain_cursor,))
+        if index == len(dirty):
+            index = 0  # wrap the sweep
+        start, end = dirty[index]
+        chunk_end = min(end, start + self.max_flush)
+        if chunk_end == end:
+            dirty.pop(index)
+        else:
+            dirty[index] = (chunk_end, end)
+        self._dirty_bytes -= chunk_end - start
+        self._drain_cursor = chunk_end
+        return start, chunk_end
 
     def _wake_drain(self) -> None:
         if not self._dirty_signal.triggered:
@@ -274,7 +297,7 @@ class PrestoCache(Storage):
                 yield self._dirty_signal
                 self._oldest_insert = self.env.now
                 continue
-            pending = sum(end - start for start, end in self._dirty)
+            pending = self._dirty_bytes
             over_watermark = pending >= self.drain_high * self.capacity
             aged = self.env.now - self._oldest_insert >= self.drain_max_age
             if not over_watermark and not aged:
@@ -291,22 +314,8 @@ class PrestoCache(Storage):
             budget = pending - target
             drained = 0.0
             while self._dirty and drained < budget:
-                index = next(
-                    (
-                        i
-                        for i, (start, _end) in enumerate(self._dirty)
-                        if start >= self._drain_cursor
-                    ),
-                    0,  # wrap the sweep
-                )
-                start, end = self._dirty[index]
-                take = min(end - start, self.max_flush)
-                chunk_end = start + take
-                if chunk_end == end:
-                    self._dirty.pop(index)
-                else:
-                    self._dirty[index] = (chunk_end, end)
-                self._drain_cursor = chunk_end
+                start, chunk_end = self._take_chunk()
+                take = chunk_end - start
                 self._draining = (start, chunk_end)
                 yield self.backing.submit(start, take, is_write=True, kind="presto-flush")
                 self._draining = None

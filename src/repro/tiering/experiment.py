@@ -91,6 +91,10 @@ class TieringConfig:
             raise ValueError(
                 f"need at least one file per tenant, got {self.files_per_tenant}"
             )
+        if self.ops_per_tenant < 1:
+            raise ValueError(
+                f"need at least one op per tenant, got {self.ops_per_tenant}"
+            )
         if self.skew < 0:
             raise ValueError(f"skew must be non-negative, got {self.skew}")
         if self.hot_shards < 1 or self.cold_shards < 1:

@@ -6,6 +6,9 @@ byte-identical JSON report.
 """
 
 import json
+from dataclasses import replace
+
+import pytest
 
 from repro.cli import main
 from repro.faults import ChaosCampaign, ServerCrash
@@ -47,6 +50,31 @@ def test_small_campaign_clean_and_byte_stable():
     assert sum(result.acked_writes for result in report.results) > 0
     rerun = small_campaign().execute()
     assert report.to_json() == rerun.to_json()
+
+
+@pytest.mark.parametrize("write_path", WRITE_PATHS)
+def test_span_triggered_crash_fires_on_the_campaign_config(write_path):
+    # The campaign's configs do not trace; run_plan turns tracing on for a
+    # plan whose trigger reads spans, so its crash still fires.
+    campaign = small_campaign()
+    config = campaign.config_for(write_path, False)
+    plan = campaign.plan_for(write_path, False, 0)
+    assert not config.tracing and plan.needs_tracing()
+    result = run_plan(config, plan, file_kb=campaign.file_kb)
+    assert result.crashes == 1
+    assert result.clean, result.violations
+
+
+@pytest.mark.parametrize("combo", ChaosCampaign().combos())
+def test_tracing_changes_no_result_of_a_timed_plan(combo):
+    campaign = small_campaign()
+    config = campaign.config_for(*combo)
+    plan = campaign.plan_for(*combo, 2)
+    assert not plan.needs_tracing()
+    untraced = run_plan(config, plan, file_kb=campaign.file_kb)
+    traced = run_plan(replace(config, tracing=True), plan, file_kb=campaign.file_kb)
+    assert untraced.crashes == 1
+    assert traced.to_dict() == untraced.to_dict()
 
 
 def test_crash_while_charging_an_indirect_block_write():

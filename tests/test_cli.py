@@ -369,6 +369,7 @@ class TestBenchCommand:
         ["chaos", "--file-kb", "0"],
         ["commit", "--biods", "-1"],
         ["tiering", "--skew", "-1"],
+        ["tiering", "--ops", "0"],
         ["copy", "--file-mb", "0"],
         ["table", "1", "--file-mb", "0"],
         ["sweep", "nbiods", "0", "7", "--file-mb", "0"],

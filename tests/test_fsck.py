@@ -109,15 +109,36 @@ class TestCorruptionDetection:
         report = fsck(ufs)
         assert any("out of bounds" in error for error in report.errors)
 
+    def pointer_errors(self, ufs, addr):
+        """fsck's errors once the file's first block points at ``addr``."""
+        ino = ufs.root.entries["f"]
+        bad = list(ufs.cache.durable.inodes[ino].direct)
+        bad[0] = addr
+        self.corrupt_snapshot(ufs, direct=tuple(bad))
+        return fsck(ufs).errors
+
     def test_detects_pointer_into_inode_table(self):
         ufs = self.make_ufs()
-        ino = ufs.root.entries["f"]
-        snapshot = ufs.cache.durable.inodes[ino]
-        bad = list(snapshot.direct)
-        bad[0] = ufs.allocator.groups[0].inode_table_start
-        self.corrupt_snapshot(ufs, direct=tuple(bad))
-        report = fsck(ufs)
-        assert any("inode table" in error for error in report.errors)
+        errors = self.pointer_errors(ufs, ufs.allocator.groups[0].inode_table_start)
+        assert any("inode table" in error for error in errors)
+
+    @pytest.mark.parametrize("table_block", ["first", "last"])
+    def test_detects_pointer_into_last_group_inode_table(self, table_block):
+        ufs = self.make_ufs()
+        assert len(ufs.allocator.groups) > 1
+        group = ufs.allocator.groups[-1]
+        if table_block == "first":
+            addr = group.inode_table_start
+        else:
+            addr = group.data_start - ufs.block_size
+        errors = self.pointer_errors(ufs, addr)
+        assert any("inode table" in error for error in errors)
+
+    @pytest.mark.parametrize("group_index", [0, -1])
+    def test_first_data_block_is_outside_the_inode_table(self, group_index):
+        ufs = self.make_ufs()
+        errors = self.pointer_errors(ufs, ufs.allocator.groups[group_index].data_start)
+        assert not any("inode table" in error for error in errors)
 
     def test_detects_double_allocation(self):
         ufs = self.make_ufs()

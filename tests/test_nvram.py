@@ -187,3 +187,79 @@ def test_property_everything_accepted_is_eventually_on_disk(writes):
     env.run()
     assert presto.dirty_extents == []
     assert disk.stats.bytes.value >= len(covered) * KB
+
+
+# -- dirty-extent bookkeeping against the linear reference ---------------------
+
+
+def linear_insert(dirty, start, end):
+    """The reference merge: one pass over every extent, merging the ones
+    that overlap or touch ``[start, end)``."""
+    merged = []
+    placed = False
+    for extent_start, extent_end in dirty:
+        if extent_end < start or extent_start > end:
+            if not placed and extent_start > end:
+                merged.append((start, end))
+                placed = True
+            merged.append((extent_start, extent_end))
+        else:
+            start = min(start, extent_start)
+            end = max(end, extent_end)
+    if not placed:
+        merged.append((start, end))
+    return sorted(merged)
+
+
+def linear_chunk(dirty, cursor, max_flush):
+    """The reference drain step: a scan for the first extent at or past
+    the cursor (wrapping to the lowest); returns (chunk, remaining)."""
+    index = next((i for i, (start, _end) in enumerate(dirty) if start >= cursor), 0)
+    start, end = dirty[index]
+    chunk_end = start + min(end - start, max_flush)
+    rest = dirty[:index] + ([(chunk_end, end)] if chunk_end < end else []) + dirty[index + 1 :]
+    return (start, chunk_end), rest
+
+
+_steps = st.lists(
+    st.one_of(
+        # Coarse units make touching and overlapping accepts common.
+        st.tuples(st.just("accept"), st.integers(0, 24), st.integers(1, 6)),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("degrade"), st.floats(0, 1), st.integers(0, 3)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(steps=_steps)
+@settings(max_examples=200, deadline=None)
+def test_property_dirty_bookkeeping_matches_linear_merge(steps):
+    """Accepts (overlapping, touching, disjoint), drain chunks and battery
+    losses keep ``_dirty`` equal to the linear merge and ``_dirty_bytes``
+    equal to the bytes it covers."""
+    env = Environment()
+    presto, _disk = make_presto(env, capacity=1 << 20, max_flush=512)
+    reference = []
+    cursor = 0
+    for step in steps:
+        if step[0] == "accept":
+            start, end = step[1] * 64, (step[1] + step[2]) * 64
+            before = sum(e - s for s, e in reference)
+            reference = linear_insert(reference, start, end)
+            grown = sum(e - s for s, e in reference) - before
+            assert presto._insert_extent(start, end) == grown
+        elif step[0] == "drain":
+            if not reference:
+                continue
+            chunk, reference = linear_chunk(reference, cursor, presto.max_flush)
+            cursor = chunk[1]
+            assert presto._take_chunk() == chunk
+        else:
+            presto.arm_degrade(step[1], step[2])
+            lost = presto.take_degraded()
+            assert set(lost) <= set(reference)
+            reference = [extent for extent in reference if extent not in lost]
+        assert presto._dirty == reference
+        assert presto._dirty_bytes == sum(end - start for start, end in reference)

@@ -20,6 +20,7 @@ placement, the same sim timeline, and byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, List, Optional, Sequence
 
 from repro.cluster.failover import FailoverController, ShardCrash
@@ -310,21 +311,23 @@ def run_scaling_sweep(
     Each ``(servers, clients)`` cell is one arm: a fresh, independently
     seeded cluster run.
     """
-
-    def run_cell(cell):
-        servers, clients = cell
-        result = run_cluster(
-            base.variant(servers=servers),
-            clients=clients,
-            files_per_client=files_per_client,
-            file_kb=file_kb,
-            think_time=think_time,
-        )
-        return result, result.progress_line()
-
+    run_cell = partial(
+        _run_cell,
+        base,
+        files_per_client=files_per_client,
+        file_kb=file_kb,
+        think_time=think_time,
+    )
     cells = [(servers, clients) for servers in server_counts for clients in client_counts]
     return ScalingSweepResult(
         server_counts=list(server_counts),
         client_counts=list(client_counts),
         rows=run_arms(cells, run_cell, progress),
     )
+
+
+def _run_cell(base: ClusterConfig, cell, **workload) -> tuple:
+    """One scaling-sweep arm: a ``(servers, clients)`` cluster run."""
+    servers, clients = cell
+    result = run_cluster(base.variant(servers=servers), clients=clients, **workload)
+    return result, result.progress_line()

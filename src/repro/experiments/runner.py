@@ -53,7 +53,9 @@ them as *arms* through :func:`run_arms`:
   order its report lists them;
 * ``run_arm(arm)`` runs one arm on a fresh system and returns ``(result,
   line)``: the arm's result and one line of progress text, formatted next
-  to the result's type;
+  to the result's type.  It is a module-level function bound with
+  :func:`functools.partial` (or a method of a picklable campaign), never
+  a closure, so ``run_arm`` and the arms pickle;
 * ``progress``, when the caller passes it, gets each line as its arm
   finishes (``repro`` prints it indented by two spaces, and passes no
   ``progress`` under ``--json``);

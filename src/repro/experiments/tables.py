@@ -9,6 +9,7 @@ layout or compared against :data:`PAPER` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.filecopy import run_filecopy
@@ -170,23 +171,24 @@ def run_table(number: int, file_mb: float = 10.0) -> TableResult:
     ``file_mb`` can be lowered for quick runs; 10 MB matches the paper.
     """
     spec = TABLES[number]
-
-    def run_cell(cell) -> tuple:
-        write_path, nbiods = cell
-        config = TestbedConfig(
-            netspec=spec.netspec,
-            write_path=write_path,
-            nbiods=nbiods,
-            presto_bytes=spec.presto_bytes,
-            stripes=spec.stripes,
-            cpu_scale=spec.cpu_scale,
-        )
-        metrics = run_filecopy(config, file_mb=file_mb)
-        return metrics, metrics.label
-
     cells = run_arms(
         [(write_path, nbiods) for write_path in ("standard", "gather") for nbiods in spec.biods],
-        run_cell,
+        partial(_run_cell, spec, file_mb),
     )
     count = len(spec.biods)
     return TableResult(spec, standard=cells[:count], gathering=cells[count:])
+
+
+def _run_cell(spec: TableSpec, file_mb: float, cell: tuple) -> tuple:
+    """One table cell: a ``(write_path, nbiods)`` file copy."""
+    write_path, nbiods = cell
+    config = TestbedConfig(
+        netspec=spec.netspec,
+        write_path=write_path,
+        nbiods=nbiods,
+        presto_bytes=spec.presto_bytes,
+        stripes=spec.stripes,
+        cpu_scale=spec.cpu_scale,
+    )
+    metrics = run_filecopy(config, file_mb=file_mb)
+    return metrics, metrics.label

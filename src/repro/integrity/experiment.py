@@ -22,6 +22,7 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.cluster.experiment import (
@@ -381,15 +382,18 @@ class ScrubRunResult(ExperimentReport):
 def run_scrub(config: Optional[ScrubConfig] = None, progress=None) -> ScrubRunResult:
     """Sweep the integrity axes; each arm is a fresh, seeded cluster."""
     config = config or ScrubConfig()
-
-    def run_arm(arm):
-        result = run_scrub_arm(config, *arm)
-        return result, result.progress_line()
-
     arms = [
         (rate, float(bandwidth), replicas)
         for rate in config.corruption_rates
         for bandwidth in config.scrub_bandwidths
         for replicas in config.replica_counts
     ]
-    return ScrubRunResult(config=config, arms=run_arms(arms, run_arm, progress))
+    return ScrubRunResult(
+        config=config, arms=run_arms(arms, partial(_run_arm, config), progress)
+    )
+
+
+def _run_arm(config: ScrubConfig, arm: tuple) -> tuple:
+    """One scrub-sweep arm: ``(rate, bandwidth, replicas)``."""
+    result = run_scrub_arm(config, *arm)
+    return result, result.progress_line()

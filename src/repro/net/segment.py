@@ -6,6 +6,11 @@ transmission slot held *per frame* (a one-slot
 :class:`~repro.sim.HoldQueue`), so a long request train and the reply
 traffic interleave frame-by-frame exactly as in the §5 case study.
 
+Each host's NIC sends its datagrams strictly in order.  An idle NIC
+claims the medium for a datagram's first frame in the instant the
+datagram is sent, and each frame's end claims the next frame (or the next
+queued datagram) in that same instant: no relay event between hops.
+
 Delivery places the reassembled datagram into the destination endpoint's
 socket buffer; if that buffer is full the datagram is dropped, which is how
 an overloaded server sheds load back onto client retransmission (§4.2).
@@ -21,15 +26,96 @@ faulty runs stay deterministic.
 from __future__ import annotations
 
 import random
-from typing import Dict, Set
+from collections import deque
+from typing import Deque, Dict, Optional, Set
 
 from repro.net.packet import Datagram
 from repro.net.spec import NetSpec
 from repro.net.udp import UdpEndpoint
 from repro.obs import PHASE_WIRE, collector_for, registry_for
-from repro.sim import Environment, HoldQueue, Store, Timeout
+from repro.sim import Environment, Hold, HoldQueue, Timeout
 
 __all__ = ["Segment"]
+
+
+class _Nic:
+    """One host's transmitter: its queued datagrams and the one on the
+    wire, sent frame by frame on the segment's shared medium."""
+
+    __slots__ = (
+        "segment", "queue", "datagram", "frame", "frame_payload",
+        "wire_bytes", "lost", "trace",
+    )
+
+    def __init__(self, segment: "Segment") -> None:
+        self.segment = segment
+        self.queue: Deque[Datagram] = deque()
+        #: The datagram being sent; None while the NIC is idle.
+        self.datagram: Optional[Datagram] = None
+        self.frame = 0
+        self.frame_payload = 0
+        self.wire_bytes = 0
+        self.lost = False
+        self.trace = None
+
+    def send(self, datagram: Datagram) -> None:
+        if self.datagram is None:
+            self._begin(datagram)
+        else:
+            self.queue.append(datagram)
+
+    def _begin(self, datagram: Datagram) -> None:
+        segment = self.segment
+        self.datagram = datagram
+        self.frame = 0
+        self.frame_payload = -(-datagram.size // datagram.fragments)  # even-ish split
+        self.lost = False
+        self.trace = (
+            getattr(datagram.payload, "trace", None) if segment.obs.enabled else None
+        )
+        self._claim()
+
+    def _claim(self) -> None:
+        """Queue for the medium to send the current frame."""
+        segment = self.segment
+        spec = segment.spec
+        datagram = self.datagram
+        payload = min(self.frame_payload, datagram.size - self.frame * self.frame_payload)
+        self.wire_bytes = wire_bytes = payload + spec.frame_overhead
+        claim = segment._medium.hold(wire_bytes * 8.0 / spec.bandwidth_bps)
+        claim.callbacks.append(self._frame_sent)
+
+    def _frame_sent(self, claim: Hold) -> None:
+        """The current frame is off the wire: free the medium, then send
+        the next frame, or deliver this datagram and start the next."""
+        segment = self.segment
+        segment._medium.release()
+        datagram = self.datagram
+        wire_bytes = self.wire_bytes
+        if self.trace is not None:
+            segment.obs.emit(
+                PHASE_WIRE,
+                segment.name,
+                claim.started,
+                segment.env.now,
+                trace_id=self.trace.trace_id,
+                frame=self.frame,
+                frames=datagram.fragments,
+                bytes=wire_bytes,
+                src=datagram.src,
+            )
+        segment.bytes_moved.add(wire_bytes)
+        if segment.loss_rate and segment._rng.random() < segment.loss_rate:
+            self.lost = True  # keep transmitting; the medium time is spent
+        self.frame += 1
+        if self.frame < datagram.fragments:
+            self._claim()
+            return
+        # Propagation/delivery happens off the NIC's critical path.
+        segment._schedule_delivery(datagram, self.lost)
+        self.datagram = self.trace = None
+        if self.queue:
+            self._begin(self.queue.popleft())
 
 
 class Segment:
@@ -51,7 +137,7 @@ class Segment:
         self.loss_rate = loss_rate
         self._rng = random.Random(seed)
         self._endpoints: Dict[str, UdpEndpoint] = {}
-        self._tx_queues: Dict[str, object] = {}
+        self._nics: Dict[str, _Nic] = {}
         #: Hosts currently cut off the segment (fault injection).
         self._partitioned: Set[str] = set()
         #: Probability a delivered datagram is delivered twice.
@@ -78,15 +164,19 @@ class Segment:
             raise ValueError(f"host {host!r} already attached to {self.name}")
         endpoint = UdpEndpoint(self.env, host, self, buffer_bytes)
         self._endpoints[host] = endpoint
-        self._tx_queues[host] = Store(self.env)
-        self.env.process(self._host_transmitter(host), name=f"nic:{host}")
+        self._nics[host] = _Nic(self)
         return endpoint
 
     def close(self) -> None:
-        """Detach every host once the environment is closed: endpoints
-        point back at their segment, so the table would keep a finished
-        system a reference cycle."""
+        """Detach every host once the environment is closed: endpoints,
+        their handlers and NICs point back at their segment, and frames
+        queued for the medium at their NICs, so each would keep a
+        finished system a reference cycle."""
+        for endpoint in self._endpoints.values():
+            endpoint.handler = None
         self._endpoints.clear()
+        self._nics.clear()
+        self._medium.queue.clear()
 
     def endpoint(self, host: str) -> UdpEndpoint:
         return self._endpoints[host]
@@ -145,49 +235,11 @@ class Segment:
         """Queue ``datagram`` on its source host's NIC; returns immediately."""
         if datagram.dst not in self._endpoints:
             raise ValueError(f"unknown destination host {datagram.dst!r}")
-        if datagram.src not in self._tx_queues:
+        nic = self._nics.get(datagram.src)
+        if nic is None:
             raise ValueError(f"unknown source host {datagram.src!r}")
         datagram.fragments = self.spec.frames_for(datagram.size)
-        self._tx_queues[datagram.src].put(datagram)
-
-    def _host_transmitter(self, host: str):
-        """One host's NIC: transmits its queued datagrams strictly in order,
-        contending for the shared medium frame by frame."""
-        queue = self._tx_queues[host]
-        while True:
-            datagram = yield queue.get()
-            lost = yield from self._transmit_frames(datagram)
-            # Propagation/delivery happens off the NIC's critical path.
-            self._schedule_delivery(datagram, lost)
-
-    def _transmit_frames(self, datagram: Datagram):
-        frames = datagram.fragments
-        frame_payload = -(-datagram.size // frames)  # even-ish split
-        lost = False
-        trace = getattr(datagram.payload, "trace", None) if self.obs.enabled else None
-        medium = self._medium
-        for index in range(frames):
-            payload = min(frame_payload, datagram.size - index * frame_payload)
-            wire_bytes = payload + self.spec.frame_overhead
-            claim = medium.hold(wire_bytes * 8.0 / self.spec.bandwidth_bps)
-            yield claim
-            medium.release()
-            if trace is not None:
-                self.obs.emit(
-                    PHASE_WIRE,
-                    self.name,
-                    claim.started,
-                    self.env.now,
-                    trace_id=trace.trace_id,
-                    frame=index,
-                    frames=frames,
-                    bytes=wire_bytes,
-                    src=datagram.src,
-                )
-            self.bytes_moved.add(wire_bytes)
-            if self.loss_rate and self._rng.random() < self.loss_rate:
-                lost = True  # keep transmitting; the medium time is spent
-        return lost
+        nic.send(datagram)
 
     def _schedule_delivery(self, datagram: Datagram, lost: bool) -> None:
         """Arrange for ``datagram`` to arrive ``latency`` from now.

@@ -5,6 +5,11 @@ fixed-size mbuf pool (DEC OSF/1 used at most 0.25 MB).  When it fills,
 arriving requests are silently dropped and client retransmission takes
 over.  The gathering server's "mbuf hunter" (§6.5) scans this buffer for
 additional write requests to the same file and can steal them out of order.
+
+A datagram reaches its reader in the instant it is delivered.  One that
+lands in a buffer with a parked reader (an idle nfsd) resumes the oldest
+one at once, inside the delivery callback.  An endpoint with a delivery
+handler (an RPC client's reply matcher) skips its buffer altogether.
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ class SocketBuffer:
         return len(self.items)
 
     def try_put(self, datagram: Datagram) -> bool:
-        """Queue a datagram, or return False (drop) if it does not fit."""
+        """Queue a datagram, or return False (drop) if it does not fit.
+
+        A parked getter resumes before this returns, so call it from a
+        kernel callback (the segment's delivery timer) or from outside
+        the simulation, never from a process that may be that getter.
+        """
         if self.admission is not None and not self.admission.admit(self, datagram):
             return False
         if self.used_bytes + datagram.size > self.capacity_bytes:
@@ -46,20 +56,23 @@ class SocketBuffer:
         datagram.arrived_at = self.env.now
         self.items.append(datagram)
         self.used_bytes += datagram.size
-        self._dispatch()
+        if self._getters:
+            # Getters park only while the buffer is empty, so the oldest
+            # one takes this datagram, resuming in this instant.
+            self._getters.popleft().succeed_now(self._pop())
         return True
 
     def get(self) -> Event:
-        """Wait for the oldest datagram."""
+        """Wait for the oldest datagram.
+
+        One already queued still comes by a wake, not inline: a freed
+        nfsd's CPU claim then keeps its place behind the claims made
+        earlier in this instant.
+        """
         event = self.env.event()
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def try_get(self) -> Optional[Datagram]:
-        if self.items and not self._getters:
-            return self._pop()
-        return None
 
     def evict_oldest(self) -> Optional[Datagram]:
         """Remove and return the oldest queued datagram (drop-oldest shed).
@@ -103,6 +116,9 @@ class UdpEndpoint:
         self.host = host
         self.segment = segment
         self.inbox = SocketBuffer(env, buffer_bytes)
+        #: Called with each delivered datagram in place of queueing it in
+        #: ``inbox``; set by the endpoint's one owner (an RPC client).
+        self.handler: Optional[Callable[[Datagram], None]] = None
 
     def send(self, dst: str, payload: Any, size: int) -> None:
         """Fire-and-forget a datagram toward ``dst``."""
@@ -110,6 +126,9 @@ class UdpEndpoint:
 
     def deliver(self, datagram: Datagram) -> bool:
         """Called by the segment; False means the socket buffer was full."""
+        if self.handler is not None:
+            self.handler(datagram)
+            return True
         return self.inbox.try_put(datagram)
 
     def recv(self) -> Event:

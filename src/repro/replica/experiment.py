@@ -20,6 +20,7 @@ Everything is seeded; ``--json`` output is byte-identical across reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.cluster.experiment import CLUSTER_THINK_TIME, check_workload, start_writers
@@ -256,18 +257,15 @@ def run_replica(
     only in whether a backup exists to promote.
     """
     config = config or ClusterConfig()
-
-    def run_arm(replicas):
-        arm = run_replica_arm(
-            config.variant(replicas=replicas),
-            clients=clients,
-            files_per_client=files_per_client,
-            file_kb=file_kb,
-            think_time=think_time,
-            crashes=replica_storm(config.servers, storm_crashes, promote=replicas > 0),
-        )
-        return arm, arm.progress_line()
-
+    run_arm = partial(
+        _run_arm,
+        config,
+        storm_crashes,
+        clients=clients,
+        files_per_client=files_per_client,
+        file_kb=file_kb,
+        think_time=think_time,
+    )
     return ReplicaRunResult(
         servers=config.servers,
         clients=clients,
@@ -279,3 +277,13 @@ def run_replica(
         storm_crashes=storm_crashes,
         arms=run_arms(replica_counts, run_arm, progress),
     )
+
+
+def _run_arm(config: ClusterConfig, storm_crashes: int, replicas: int, **workload) -> tuple:
+    """One replica-sweep arm: the storm against ``replicas`` backups."""
+    arm = run_replica_arm(
+        config.variant(replicas=replicas),
+        crashes=replica_storm(config.servers, storm_crashes, promote=replicas > 0),
+        **workload,
+    )
+    return arm, arm.progress_line()

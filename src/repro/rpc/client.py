@@ -130,6 +130,9 @@ class RpcClient:
         server: str,
         policy: RpcTimeoutPolicy | None = None,
     ) -> None:
+        # The client takes every datagram its endpoint receives.
+        if endpoint.handler is not None:
+            raise ValueError(f"endpoint {endpoint.host!r} already has a receiver")
         self.env = env
         # XIDs come from one counter per *environment* (not per process):
         # globally unique within a run — the dup cache keys on
@@ -164,7 +167,7 @@ class RpcClient:
         self.duplicate_replies = metrics.counter(f"{prefix}.duplicate_replies")
         self.timeouts = metrics.counter(f"{prefix}.timeouts")
         self.latency = metrics.tally(f"{prefix}.latency")
-        env.process(self._receiver(), name=f"rpc-recv:{endpoint.host}")
+        endpoint.handler = self._deliver
 
     def call(
         self,
@@ -227,7 +230,7 @@ class RpcClient:
                     weight, call.attempt, self.endpoint.host, xid
                 )
                 # One wait per transmission, filed under the xid: the
-                # receiver succeeds it with the reply, the retransmit
+                # delivery handler succeeds it with the reply, the retransmit
                 # deadline with _TIMEOUT, whichever comes first.
                 wait = Event(self.env)
                 pending[xid] = wait
@@ -264,27 +267,27 @@ class RpcClient:
             )
         return reply
 
-    def _receiver(self):
-        while True:
-            datagram = yield self.endpoint.recv()
-            reply = datagram.payload
-            if not isinstance(reply, RpcReply):
-                if isinstance(reply, RpcCall) and self.on_call is not None:
-                    # A server-initiated call (lease recall): serve it in
-                    # its own process so the receiver loop keeps draining.
-                    self.env.process(
-                        self._serve_callback(reply),
-                        name=f"rpc-cb:{self.endpoint.host}",
-                    )
-                continue  # stray traffic
-            waiter = self._pending.get(reply.xid)
-            if waiter is None or waiter.triggered:
-                # Reply to a request we already gave up on / answered (or
-                # whose timer fired this instant): a duplicate generated
-                # by our own retransmission.
-                self.duplicate_replies.add(1)
-                continue
-            waiter.succeed(reply)
+    def _deliver(self, datagram) -> None:
+        """The endpoint's delivery handler: a reply resumes its caller
+        before the delivery callback returns."""
+        reply = datagram.payload
+        if not isinstance(reply, RpcReply):
+            if isinstance(reply, RpcCall) and self.on_call is not None:
+                # A server-initiated call (lease recall): serve it in its
+                # own process, since the handler may block.
+                self.env.process(
+                    self._serve_callback(reply),
+                    name=f"rpc-cb:{self.endpoint.host}",
+                )
+            return  # stray traffic
+        waiter = self._pending.get(reply.xid)
+        if waiter is None or waiter.triggered:
+            # Reply to a request we already gave up on / answered (or
+            # whose timer fired this instant): a duplicate generated by
+            # our own retransmission.
+            self.duplicate_replies.add(1)
+            return
+        waiter.succeed_now(reply)
 
     def _serve_callback(self, call: RpcCall):
         """Run the on_call handler and send its result back as the reply.

@@ -50,7 +50,11 @@ thousands of events), so the representation is tuned:
   ends at the same time as if every timer had been queued;
 * resources and stores may hand back *synchronously processed* events
   (``callbacks is None`` before ever touching the queue) for uncontended
-  grants; :meth:`Process._resume` consumes those without a scheduler round.
+  grants; :meth:`Process._resume` consumes those without a scheduler round;
+* a kernel callback may hand a waiter its value in the caller's frame
+  with :meth:`Event.succeed_now` (a datagram landing in a socket buffer
+  that an nfsd is parked on, a reply reaching its RPC caller), so that
+  hop costs no wake either.
 """
 
 from __future__ import annotations
@@ -167,6 +171,27 @@ class Event:
         env = self.env
         env._eid += 1
         heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        return self
+
+    def succeed_now(self, value: Any = None) -> "Event":
+        """Trigger the event with ``value`` and run its callbacks before
+        returning, in the caller's frame: a waiting process resumes now,
+        without a wake through the queue, and no seq is taken.
+
+        For kernel callbacks only (a delivery timer handing a datagram to
+        a parked reader, or a reply to its RPC caller).  Never call it
+        from inside a process that may be waiting on the event: that
+        process has not yet attached its resume callback, so it would be
+        skipped.
+        """
+        if self._value is not _PENDING:
+            raise SimError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def _finish_now(self, value: Any = None) -> "Event":

@@ -306,8 +306,8 @@ class TestAdmissionQueue:
         assert not server_ep.inbox.try_put(call_datagram(7, attempt=2))
         assert admission.early_replies.value == 1
         env.run()  # let the replayed reply cross the wire
-        got = client_ep.inbox.try_get()
-        assert got is not None and got.payload.xid == 7
+        (got,) = client_ep.inbox.items
+        assert got.payload.xid == 7
         assert len(server_ep.inbox) == 1  # only the unrelated request queued
 
     def test_early_reply_falls_back_to_drop_oldest_for_fresh_work(self):

@@ -1,7 +1,9 @@
 """The ``run(kind, ...)`` front door: its kind table, and the CLI defaults
 that must agree with the drivers' own."""
 
+import importlib
 import inspect
+import pickle
 import subprocess
 import sys
 
@@ -207,3 +209,57 @@ def test_cli_default_matches_driver(command, dest):
     args = build_parser().parse_args([command] + _POSITIONALS.get(command, []))
     target, name = _ONE_TO_ONE[(command, dest)]
     assert _same(getattr(args, dest)) == _same(_default(target, name))
+
+
+#: Every driver module that runs arms, with a tiny run of its driver.
+_ARM_DRIVERS = {
+    "repro.experiments.tables": lambda: run_table(1, file_mb=0.125),
+    "repro.experiments.bench": lambda: run("bench", file_mb=0.125),
+    "repro.faults.campaign": lambda: run(
+        "chaos", ChaosCampaign(seed=1, plans_per_combo=1, file_kb=64)
+    ),
+    "repro.cluster.experiment": lambda: run_scaling_sweep(
+        ClusterConfig(servers=1, seed=0), server_counts=[1, 2], client_counts=[2],
+        files_per_client=1, file_kb=16,
+    ),
+    "repro.overload.experiment": lambda: run(
+        "overload",
+        OverloadConfig(
+            write_paths=("gather",), presto_modes=(False,), clients=2,
+            duration=0.5, loads=(16000,),
+        ),
+    ),
+    "repro.replica.experiment": lambda: run(
+        "replica", replica_counts=(1,), clients=2, file_kb=16, storm_crashes=1
+    ),
+    "repro.lease.experiment": lambda: run(
+        "cache", CacheConfig(lease_ttls=(1.0,), sharing_ratios=(0.5,), ops_per_client=5)
+    ),
+    "repro.commit.experiment": lambda: run(
+        "commit", CommitConfig(file_mb=0.125, presto_modes=(False,))
+    ),
+    "repro.integrity.experiment": lambda: run(
+        "scrub", ScrubConfig(scrub_bandwidths=(8 << 20,), replica_counts=(0,))
+    ),
+    "repro.tiering.experiment": lambda: run("tiering", TieringConfig(ops_per_tenant=8)),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_ARM_DRIVERS))
+def test_every_arm_pickles(monkeypatch, module):
+    """Each arm's ``run_arm`` and its arms are plain picklable data (a
+    module-level function bound with ``functools.partial``, not a
+    closure), so the arms could run in worker processes."""
+    driver = importlib.import_module(module)
+    original = driver.run_arms
+    calls = []
+
+    def recording(arms, run_arm, progress=None):
+        arms = list(arms)
+        pickle.dumps((run_arm, arms))
+        calls.append(len(arms))
+        return original(arms, run_arm, progress)
+
+    monkeypatch.setattr(driver, "run_arms", recording)
+    _ARM_DRIVERS[module]()
+    assert calls and all(calls), calls

@@ -157,7 +157,7 @@ def extensions_section() -> str:
         lines.append(f"- {netspec.name} (paper uses {paper_ms} ms): " + ", ".join(samples))
     lines.append("")
     # lease-cache sweep (repro cache) — RPCs per user operation
-    from repro.lease.experiment import CacheConfig, run_cache
+    from repro.lease.experiment import MIN_REDUCTION, CacheConfig, run_cache
 
     report = run_cache(CacheConfig(seed=0))
     lines.append(
@@ -182,7 +182,7 @@ def extensions_section() -> str:
     lines.append(
         f"RPC reduction (RPCs per user op, off/on) at the headline cell "
         f"(TTL {head['ttl']:.0f} s, sharing {head['sharing']}): "
-        f"x{head['reduction']:.2f} (target x{report.config.min_reduction:.0f}).  "
+        f"x{head['reduction']:.2f} (target x{MIN_REDUCTION:.0f}).  "
         f"Writes see no reduction (deferral only delays the flush); shared "
         f"re-reads collapse open/read/getattr/close round trips onto the "
         f"client cache.  Staleness oracle clean across the sweep and the "

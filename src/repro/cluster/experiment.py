@@ -127,15 +127,20 @@ def _client_files(host: str, files_per_client: int) -> List[str]:
     return [f"{host}-f{index}" for index in range(files_per_client)]
 
 
+#: Producer think time for cluster workloads.  Deliberately a touch
+#: *slower* than FDDI's 5 ms procrastination interval: a saturating fast
+#: producer gathers 100% everywhere (the biod train always fills a batch),
+#: hiding the sharding effect.  At 6 ms the gatherer only wins when
+#: server-side queueing holds same-file writes together — which is exactly
+#: the per-server concurrency that sharding dilutes.
+CLUSTER_THINK_TIME = 0.006
+
+
 def _client_workload(
-    env: Environment,
-    client: NfsClient,
-    names: Sequence[str],
-    nbytes: int,
-    think_time: float,
+    env: Environment, client: NfsClient, names: Sequence[str], nbytes: int
 ) -> Generator:
     for name in names:
-        yield from write_file(env, client, name, nbytes, think_time=think_time)
+        yield from write_file(env, client, name, nbytes, think_time=CLUSTER_THINK_TIME)
     return env.now
 
 
@@ -145,7 +150,6 @@ def start_writers(
     clients: int,
     files_per_client: int,
     nbytes: int,
-    think_time: float,
 ) -> List[Process]:
     """Add ``clients`` clients to ``cluster``, attach each to ``oracle``,
     and start each one writing its own files; returns the writer
@@ -158,22 +162,11 @@ def start_writers(
         host = client.rpc.endpoint.host
         writers.append(
             env.process(
-                _client_workload(
-                    env, client, _client_files(host, files_per_client), nbytes, think_time
-                ),
+                _client_workload(env, client, _client_files(host, files_per_client), nbytes),
                 name=f"workload:{host}",
             )
         )
     return writers
-
-
-#: Default producer think time for cluster workloads.  Deliberately a
-#: touch *slower* than FDDI's 5 ms procrastination interval: a saturating
-#: fast producer gathers 100% everywhere (the biod train always fills a
-#: batch), hiding the sharding effect.  At 6 ms the gatherer only wins
-#: when server-side queueing holds same-file writes together — which is
-#: exactly the per-server concurrency that sharding dilutes.
-CLUSTER_THINK_TIME = 0.006
 
 
 def check_workload(clients: int, files_per_client: int, file_kb: int) -> None:
@@ -191,7 +184,6 @@ def run_cluster(
     clients: int = 4,
     files_per_client: int = 2,
     file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ClusterRunResult:
     """Run the sharded write workload (optionally under shard crashes)."""
@@ -201,7 +193,7 @@ def run_cluster(
     oracle = ClusterOracle(cluster)
     env = cluster.env
     nbytes = file_kb * 1024
-    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes, think_time)
+    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes)
     controller = None
     if crashes:
         controller = FailoverController(cluster, crashes, oracle=oracle).start()
@@ -303,7 +295,6 @@ def run_scaling_sweep(
     client_counts: Sequence[int],
     files_per_client: int = 2,
     file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
     progress=None,
 ) -> ScalingSweepResult:
     """Sweep the fleet size against the client population.
@@ -311,13 +302,7 @@ def run_scaling_sweep(
     Each ``(servers, clients)`` cell is one arm: a fresh, independently
     seeded cluster run.
     """
-    run_cell = partial(
-        _run_cell,
-        base,
-        files_per_client=files_per_client,
-        file_kb=file_kb,
-        think_time=think_time,
-    )
+    run_cell = partial(_run_cell, base, files_per_client=files_per_client, file_kb=file_kb)
     cells = [(servers, clients) for servers in server_counts for clients in client_counts]
     return ScalingSweepResult(
         server_counts=list(server_counts),

@@ -51,6 +51,19 @@ COMMIT_SCHEMA = "repro.commit/1"
 #: The three-way comparison the experiment exists for.
 BENCH_PATHS = ("standard", "gather", "async_commit")
 
+#: Pressure section: fleet size and per-file size (KB).  With the
+#: shrunken ceiling below, both pressure valves must open.
+PRESSURE_CLIENTS = 3
+PRESSURE_FILE_KB = 96
+#: Deliberately small volatile ceiling (bytes) for the pressure section —
+#: about one client's file, so the background flusher runs.
+PRESSURE_LIMIT_BYTES = 64 * 1024
+#: Replica section: shard count and storm size for the K=1 arms.
+REPLICA_SERVERS = 2
+REPLICA_CLIENTS = 3
+REPLICA_FILE_KB = 32
+REPLICA_CRASHES = 2
+
 
 @dataclass
 class CommitConfig:
@@ -62,20 +75,7 @@ class CommitConfig:
     presto_modes: Sequence[bool] = (False, True)
     file_mb: float = 1.0
     biods: int = 7
-    netspec: object = FDDI
     seed: int = 0
-    #: Pressure section: fleet size and per-file size (KB).  With the
-    #: shrunken ceiling below, both pressure valves must open.
-    pressure_clients: int = 3
-    pressure_file_kb: int = 96
-    #: Deliberately small volatile ceiling (bytes) for the pressure
-    #: section — about one client's file, so the background flusher runs.
-    pressure_limit_bytes: int = 64 * 1024
-    #: Replica section: shard count and storm size for the K=1 arms.
-    replica_servers: int = 2
-    replica_clients: int = 3
-    replica_file_kb: int = 32
-    replica_crashes: int = 2
     #: Run the chaos probes (crash mid-window, crash before COMMIT,
     #: promotion mid-COMMIT).
     chaos: bool = True
@@ -89,12 +89,6 @@ class CommitConfig:
             raise ValueError(f"file_mb must be positive, got {self.file_mb}")
         if self.biods < 0:
             raise ValueError(f"biods must be >= 0, got {self.biods}")
-        if self.pressure_limit_bytes < 1:
-            raise ValueError(
-                f"pressure_limit_bytes must be >= 1, got {self.pressure_limit_bytes}"
-            )
-        if self.replica_servers < 1 or self.replica_clients < 1:
-            raise ValueError("replica section needs at least one server and client")
 
 
 # -- the bench grid -------------------------------------------------------------
@@ -120,18 +114,18 @@ def _run_pressure(config: CommitConfig) -> Tuple[dict, str]:
 
     testbed = Testbed(
         TestbedConfig(
-            netspec=config.netspec,
+            netspec=FDDI,
             write_path="async_commit",
             nbiods=2,
             seed=config.seed,
-            unstable_limit_bytes=config.pressure_limit_bytes,
+            unstable_limit_bytes=PRESSURE_LIMIT_BYTES,
         )
     )
     env = testbed.env
     oracle = Oracle(testbed)
     writers = []
-    nbytes = config.pressure_file_kb * 1024
-    for index in range(config.pressure_clients):
+    nbytes = PRESSURE_FILE_KB * 1024
+    for index in range(PRESSURE_CLIENTS):
         # Pin the window (a clean wire would ramp it past the file size):
         # with 2 slots the client COMMITs every 8 uncommitted ranges.
         client = testbed.add_client(
@@ -157,9 +151,9 @@ def _run_pressure(config: CommitConfig) -> Tuple[dict, str]:
     path = testbed.server.write_path
     trackers = [c.tracker for c in testbed.clients if c.tracker is not None]
     pressure = {
-        "clients": config.pressure_clients,
-        "file_kb": config.pressure_file_kb,
-        "unstable_limit_bytes": config.pressure_limit_bytes,
+        "clients": PRESSURE_CLIENTS,
+        "file_kb": PRESSURE_FILE_KB,
+        "unstable_limit_bytes": PRESSURE_LIMIT_BYTES,
         "unstable_writes": int(path.unstable_writes.value),
         "commits": int(path.commits.value),
         "pressure_flushes": int(path.pressure_flushes.value),
@@ -191,15 +185,15 @@ def _replica_arm(config: CommitConfig, write_path: str) -> Tuple[dict, str]:
 
     arm = run_replica_arm(
         ClusterConfig(
-            servers=config.replica_servers,
+            servers=REPLICA_SERVERS,
             write_path=write_path,
             replicas=1,
             seed=config.seed,
         ),
-        clients=config.replica_clients,
+        clients=REPLICA_CLIENTS,
         files_per_client=2,
-        file_kb=config.replica_file_kb,
-        crashes=replica_storm(config.replica_servers, config.replica_crashes, promote=True),
+        file_kb=REPLICA_FILE_KB,
+        crashes=replica_storm(REPLICA_SERVERS, REPLICA_CRASHES, promote=True),
     )
     return arm.to_dict(), (
         f"replica {write_path}: {arm.crashes} crashes, "
@@ -214,7 +208,7 @@ def _replica_arm(config: CommitConfig, write_path: str) -> Tuple[dict, str]:
 def _async_testbed(config: CommitConfig, tracing: bool = False) -> Testbed:
     return Testbed(
         TestbedConfig(
-            netspec=config.netspec,
+            netspec=FDDI,
             write_path="async_commit",
             nbiods=4,
             seed=config.seed,
@@ -306,7 +300,7 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
 
     cluster = Cluster(
         ClusterConfig(
-            servers=config.replica_servers,
+            servers=REPLICA_SERVERS,
             write_path="async_commit",
             replicas=1,
             seed=config.seed,
@@ -315,7 +309,7 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
     oracle = ClusterOracle(cluster)
     env = cluster.env
     writers = []
-    for index in range(config.replica_clients):
+    for index in range(REPLICA_CLIENTS):
         client = cluster.add_client()
         oracle.attach(client)
         writers.append(
@@ -327,7 +321,7 @@ def _probe_promotion_mid_commit(config: CommitConfig) -> dict:
                     # 4x the replica-arm size so the write trains are
                     # still in flight when the promotion lands and the
                     # verifier bump forces a mid-train replay.
-                    config.replica_file_kb * 4 * 1024,
+                    REPLICA_FILE_KB * 4 * 1024,
                     think_time=0.0005,
                 ),
                 name=f"probe-promote:{index}",
@@ -470,9 +464,7 @@ def run_commit(config: Optional[CommitConfig] = None, progress=None) -> CommitRe
     config = config or CommitConfig()
     report = CommitReport(config=config)
     report.bench = run_arms(
-        grid_configs(
-            config.netspec, config.write_paths, config.presto_modes, config.biods, config.seed
-        ),
+        grid_configs(FDDI, config.write_paths, config.presto_modes, config.biods, config.seed),
         partial(_bench_cell, config.file_mb),
         progress,
     )

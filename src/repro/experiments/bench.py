@@ -21,6 +21,7 @@ from typing import List, Sequence, Tuple
 from repro.experiments.runner import run_arms
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.net.spec import FDDI, NetSpec
+from repro.nvram.presto import PRESTO_BYTES
 from repro.obs import registry_for
 from repro.payload import PAYLOAD_FLYWEIGHT, PAYLOAD_FULL
 from repro.server.config import WritePath
@@ -29,9 +30,6 @@ from repro.workload.sequential import write_file
 __all__ = ["BENCH_SCHEMA", "grid_configs", "run_bench", "run_bench_cell"]
 
 BENCH_SCHEMA = "repro.bench/1"
-
-#: The paper's Prestoserve board (1 MB).
-PRESTO_BYTES = 1 << 20
 
 
 def run_bench_cell(

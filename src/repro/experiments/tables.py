@@ -34,8 +34,6 @@ class TableSpec:
     presto_bytes: Optional[int]
     stripes: int
     biods: Sequence[int]
-    #: CPU scaling: Tables 1-2 used a DEC 3400 server, 3-6 a DEC 3800.
-    cpu_scale: float = 1.0
 
 
 TABLES: Dict[int, TableSpec] = {
@@ -188,7 +186,6 @@ def _run_cell(spec: TableSpec, file_mb: float, cell: tuple) -> tuple:
         nbiods=nbiods,
         presto_bytes=spec.presto_bytes,
         stripes=spec.stripes,
-        cpu_scale=spec.cpu_scale,
     )
     metrics = run_filecopy(config, file_mb=file_mb)
     return metrics, metrics.label

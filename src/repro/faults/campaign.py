@@ -37,6 +37,7 @@ from repro.faults.events import (
 from repro.faults.oracle import Oracle
 from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
+from repro.nvram.presto import PRESTO_BYTES
 from repro.obs import (
     PHASE_DISPATCH,
     PHASE_PROCRASTINATE,
@@ -57,8 +58,9 @@ __all__ = [
 
 WRITE_PATHS = ("standard", "gather", "siva", "async_commit")
 
-#: Default NVRAM size for the presto=on arm (1 MB, the paper's board).
-PRESTO_BYTES = 1 << 20
+#: Files each plan's client writes, and its think time between chunks.
+PLAN_FILES = 2
+PLAN_THINK_TIME = 0.0005
 
 
 @dataclass
@@ -244,8 +246,6 @@ def run_plan(
     config: TestbedConfig,
     plan: FaultPlan,
     file_kb: int = 192,
-    files: int = 2,
-    think_time: float = 0.0005,
 ) -> PlanResult:
     """Run one plan to completion and return its checked result.
 
@@ -272,11 +272,11 @@ def run_plan(
                 client,
                 f"chaos-{index}",
                 file_kb * 1024,
-                think_time=think_time,
+                think_time=PLAN_THINK_TIME,
             ),
             name=f"writer:{index}",
         )
-        for index in range(files)
+        for index in range(PLAN_FILES)
     ]
     env.run(until=AllOf(env, writers))
     env.run()  # drain in-flight completions, NVRAM destage, watchdogs
@@ -308,7 +308,6 @@ class ChaosCampaign:
         write_paths: Sequence[str] = WRITE_PATHS,
         presto_modes: Sequence[bool] = (False, True),
         file_kb: int = 192,
-        netspec=FDDI,
     ) -> None:
         if plans_per_combo < 1:
             raise ValueError(f"plans_per_combo must be >= 1, got {plans_per_combo}")
@@ -319,7 +318,6 @@ class ChaosCampaign:
         self.write_paths = tuple(write_paths)
         self.presto_modes = tuple(presto_modes)
         self.file_kb = file_kb
-        self.netspec = netspec
 
     def combos(self) -> List[Tuple[str, bool]]:
         return [
@@ -341,7 +339,7 @@ class ChaosCampaign:
         # with the dup-cache-aware shed policy so RetransmitStorm events
         # exercise the repro.overload backpressure path under chaos.
         return TestbedConfig(
-            netspec=self.netspec,
+            netspec=FDDI,
             write_path=write_path,
             presto_bytes=PRESTO_BYTES if presto else None,
             verify_stable=True,

@@ -25,7 +25,7 @@ says they cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.disk.device import Storage
@@ -35,10 +35,13 @@ from repro.fs.inode import NDIRECT, FileType, Inode
 from repro.integrity.errors import CorruptBlockError
 from repro.sim import AllOf, Environment, Event
 
-__all__ = ["Ufs", "FsError", "CostModel", "WriteResult", "ROOT_INO"]
+__all__ = ["Ufs", "FsError", "CostModel", "WriteResult", "ROOT_INO", "DEFAULT_FS_BYTES"]
 
 #: Traditional root inode number.
 ROOT_INO = 2
+
+#: The volume size every server gets unless its tier says otherwise.
+DEFAULT_FS_BYTES = 900 * 1024 * 1024
 
 
 class FsError(Exception):
@@ -68,6 +71,10 @@ class CostModel:
     #: A namei-style directory lookup.
     namei: float = 0.00015
 
+    def scaled(self, factor: float) -> "CostModel":
+        """Every cost times ``factor`` (a server's ``cpu_scale``)."""
+        return CostModel(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
+
 
 @dataclass
 class WriteResult:
@@ -90,7 +97,7 @@ class Ufs:
         self,
         env: Environment,
         storage: Storage,
-        fs_bytes: int = 900 * 1024 * 1024,
+        fs_bytes: int = DEFAULT_FS_BYTES,
         block_size: int = 8192,
         cluster_size: int = 65536,
         cpu=None,

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence
 
-from repro.cluster.experiment import (
-    CLUSTER_THINK_TIME,
-    _client_files,
-    check_workload,
-    start_writers,
-)
+from repro.cluster.experiment import _client_files, check_workload, start_writers
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
 from repro.experiments.runner import run_arms
@@ -47,6 +42,7 @@ from repro.faults.events import (
 from repro.integrity.scrub import Scrubber, install_scrub_fetch
 from repro.metrics.report import ExperimentReport
 from repro.nfs.protocol import NfsError
+from repro.nvram.presto import PRESTO_BYTES
 from repro.sim import AllOf
 
 __all__ = ["ScrubConfig", "ScrubArm", "ScrubRunResult", "run_scrub"]
@@ -64,6 +60,9 @@ TORN_ARM_AT = 0.38
 DEGRADE_ARM_AT = 0.385
 CRASH_AT = 0.40
 
+#: Idle gap between scrub passes (simulated seconds).
+SCRUB_INTERVAL = 0.005
+
 
 @dataclass
 class ScrubConfig:
@@ -73,7 +72,6 @@ class ScrubConfig:
     clients: int = 3
     files_per_client: int = 2
     file_kb: int = 32
-    think_time: float = CLUSTER_THINK_TIME
     #: Fraction of the workload's durable blocks afflicted per media
     #: fault (bit rot and latent each get ``rate * blocks`` victims).
     corruption_rates: Sequence[float] = (0.25,)
@@ -81,9 +79,6 @@ class ScrubConfig:
     scrub_bandwidths: Sequence[float] = (2 << 20, 8 << 20)
     #: Replication factors to sweep.
     replica_counts: Sequence[int] = (0, 1)
-    #: Idle gap between scrub passes (simulated seconds).
-    scrub_interval: float = 0.005
-    presto_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         check_workload(self.clients, self.files_per_client, self.file_kb)
@@ -239,7 +234,7 @@ def run_scrub_arm(
         servers=1,
         replicas=replicas,
         quorum=1,
-        presto_bytes=config.presto_bytes,
+        presto_bytes=PRESTO_BYTES,
         seed=config.seed,
     )
     cluster = Cluster(cluster_config)
@@ -254,7 +249,7 @@ def run_scrub_arm(
         primary.storage,
         group=group if replicas > 0 else None,
         bandwidth=bandwidth,
-        interval=config.scrub_interval,
+        interval=SCRUB_INTERVAL,
     ).start()
 
     nbytes = config.file_kb * 1024
@@ -267,9 +262,7 @@ def run_scrub_arm(
         cluster.stacks[0][0], _storm(rate, victims, config.seed), oracle=oracle
     ).start()
 
-    writers = start_writers(
-        cluster, oracle, config.clients, config.files_per_client, nbytes, config.think_time
-    )
+    writers = start_writers(cluster, oracle, config.clients, config.files_per_client, nbytes)
     env.run(until=AllOf(env, writers))
     elapsed = max(proc.value for proc in writers)
 

@@ -44,6 +44,19 @@ WORKLOADS = ("copy", "laddis", "cluster", "overload")
 
 CHUNK = 8192
 
+#: Files in the shared read set.
+SHARED_FILES = 4
+#: Required RPCs-per-op reduction (off/on) at the headline cell.
+MIN_REDUCTION = 3.0
+#: Per-op pacing.  Deliberately slow enough that the run outlives the
+#: short end of the TTL axis (30 ops x 50 ms = 1.5 s), so a 1 s lease
+#: actually expires mid-run and the TTL sweep has a shape.
+THINK_TIME = 0.05
+#: TTL for the chaos probes.  Deliberately short: the probes lean on
+#: expiry as the recall fallback, and a promoted/rebooted server's
+#: grace period blocks write-class ops one full TTL.
+CHAOS_TTL = 2.0
+
 
 @dataclass
 class CacheConfig:
@@ -56,29 +69,12 @@ class CacheConfig:
     sharing_ratios: Sequence[float] = (0.25, 0.5, 0.9)
     clients: int = 4
     ops_per_client: int = 30
-    shared_files: int = 4
-    #: The cell the acceptance criterion reads.  None = the top of each
-    #: axis; explicit values must lie on the axis.
-    headline_ttl: Optional[float] = None
-    headline_sharing: Optional[float] = None
-    #: Required RPCs-per-op reduction (off/on) at the headline cell.
-    min_reduction: float = 3.0
-    #: Per-op pacing.  Deliberately slow enough that the run outlives the
-    #: short end of the TTL axis (30 ops x 50 ms = 1.5 s), so a 1 s lease
-    #: actually expires mid-run and the TTL sweep has a shape.
-    think_time: float = 0.05
-    netspec: object = FDDI
-    write_path: str = "standard"
     seed: int = 0
     #: Workload profiles to run before/after (subset of WORKLOADS).
     workloads: Sequence[str] = WORKLOADS
     #: Run the chaos probes (crash mid-recall, lost callback, partition
     #: past TTL) under the staleness oracle.
     chaos: bool = True
-    #: TTL for the chaos probes.  Deliberately short: the probes lean on
-    #: expiry as the recall fallback, and a promoted/rebooted server's
-    #: grace period blocks write-class ops one full TTL.
-    chaos_ttl: float = 2.0
 
     def __post_init__(self) -> None:
         if self.clients < 2:
@@ -87,34 +83,25 @@ class CacheConfig:
             raise ValueError("ops_per_client must be >= 1")
         if not self.lease_ttls or any(ttl <= 0 for ttl in self.lease_ttls):
             raise ValueError(f"lease_ttls must be positive, got {self.lease_ttls!r}")
-        if any(not 0.0 <= ratio <= 1.0 for ratio in self.sharing_ratios):
-            raise ValueError("sharing ratios must be in [0, 1]")
-        if self.headline_ttl is None:
-            self.headline_ttl = max(self.lease_ttls)
-        elif self.headline_ttl not in self.lease_ttls:
-            raise ValueError(
-                f"headline_ttl {self.headline_ttl} must be one of {self.lease_ttls!r}"
-            )
-        if self.headline_sharing is None:
-            self.headline_sharing = max(self.sharing_ratios)
-        elif self.headline_sharing not in self.sharing_ratios:
-            raise ValueError(
-                f"headline_sharing {self.headline_sharing} must be one of "
-                f"{self.sharing_ratios!r}"
-            )
-        if self.chaos_ttl <= 0:
-            raise ValueError(f"chaos_ttl must be positive, got {self.chaos_ttl}")
+        if not self.sharing_ratios or any(
+            not 0.0 <= ratio <= 1.0 for ratio in self.sharing_ratios
+        ):
+            raise ValueError(f"sharing ratios must be in [0, 1], got {self.sharing_ratios!r}")
         unknown = set(self.workloads) - set(WORKLOADS)
         if unknown:
             raise ValueError(f"unknown workloads {sorted(unknown)!r}")
 
+    @property
+    def headline_ttl(self) -> float:
+        """The acceptance criterion reads the cell at the top of both axes."""
+        return max(self.lease_ttls)
+
+    @property
+    def headline_sharing(self) -> float:
+        return max(self.sharing_ratios)
+
     def testbed_config(self, ttl: Optional[float]) -> TestbedConfig:
-        return TestbedConfig(
-            netspec=self.netspec,
-            write_path=self.write_path,
-            seed=self.seed,
-            lease_ttl=ttl,
-        )
+        return TestbedConfig(netspec=FDDI, seed=self.seed, lease_ttl=ttl)
 
 
 # -- measurement helpers --------------------------------------------------------
@@ -229,11 +216,11 @@ def _shared_worker(env, client, shared, sharing, ops, think, rng, errors):
         errors.append(f"{host}: close {exc}")
 
 
-def _drive_shared(env, clients, config: CacheConfig, sharing: float, errors, ops=None):
+def _drive_shared(
+    env, clients, config: CacheConfig, sharing: float, errors, ops=None, think=THINK_TIME
+):
     """Setup then run one worker per client; returns when all finish."""
-    setup = env.process(
-        _setup_shared(env, clients[0], config.shared_files), name="cache-setup"
-    )
+    setup = env.process(_setup_shared(env, clients[0], SHARED_FILES), name="cache-setup")
     env.run(until=setup)
     shared = setup.value
     workers = [
@@ -244,7 +231,7 @@ def _drive_shared(env, clients, config: CacheConfig, sharing: float, errors, ops
                 shared,
                 sharing,
                 config.ops_per_client if ops is None else ops,
-                config.think_time,
+                think,
                 random.Random(config.seed * 7919 + index),
                 errors,
             ),
@@ -354,12 +341,7 @@ def _profile_overload(config: CacheConfig, ttl: Optional[float]) -> dict:
     for _ in range(config.clients):
         testbed.add_client()
     errors: List[str] = []
-    saved = config.think_time
-    try:
-        config.think_time = 0.0005
-        _drive_shared(testbed.env, testbed.clients, config, 0.1, errors, ops=20)
-    finally:
-        config.think_time = saved
+    _drive_shared(testbed.env, testbed.clients, config, 0.1, errors, ops=20, think=0.0005)
     record = _arm_record(testbed.clients, [testbed.server.leases], None, errors)
     record["stable_violations"] = len(testbed.server.stable_violations)
     return record
@@ -380,7 +362,7 @@ def _probe_harness(config: CacheConfig, plan: FaultPlan, script) -> dict:
     """Two clients, the oracle, one fault plan, one scripted scenario.
 
     ``script(env, clients, errors)`` returns the worker processes."""
-    testbed = Testbed(config.testbed_config(config.chaos_ttl))
+    testbed = Testbed(config.testbed_config(CHAOS_TTL))
     testbed.add_client()
     testbed.add_client()
     env = testbed.env
@@ -562,7 +544,7 @@ class CacheReport(ExperimentReport):
     @property
     def meets_target(self) -> bool:
         cell = self.headline
-        return cell is not None and cell["reduction"] >= self.config.min_reduction
+        return cell is not None and cell["reduction"] >= MIN_REDUCTION
 
     @property
     def violations(self) -> List[str]:
@@ -614,7 +596,7 @@ class CacheReport(ExperimentReport):
             "headline": {
                 "ttl": config.headline_ttl,
                 "sharing": config.headline_sharing,
-                "min_reduction": config.min_reduction,
+                "min_reduction": MIN_REDUCTION,
                 "reduction": (
                     self.headline["reduction"] if self.headline is not None else 0.0
                 ),

@@ -33,7 +33,10 @@ from repro.disk.device import Storage
 from repro.obs import PHASE_NVRAM_COPY, collector_for
 from repro.sim import Container, Environment, Event
 
-__all__ = ["PrestoCache"]
+__all__ = ["PrestoCache", "PRESTO_BYTES"]
+
+#: The paper's Prestoserve board (1 MB).
+PRESTO_BYTES = 1 << 20
 
 
 class PrestoCache(Storage):
@@ -47,7 +50,7 @@ class PrestoCache(Storage):
         self,
         env: Environment,
         backing: Storage,
-        capacity: int = 1 << 20,
+        capacity: int = PRESTO_BYTES,
         accept_limit: int = 8192,
         copy_rate: float = 40e6,
         copy_overhead: float = 0.0001,

@@ -41,6 +41,7 @@ from repro.faults.events import AtTime, FaultPlan, RetransmitStorm, ServerCrash
 from repro.faults.oracle import Oracle
 from repro.metrics.report import ExperimentReport
 from repro.net.spec import FDDI
+from repro.nvram.presto import PRESTO_BYTES
 from repro.overload.rto import AdaptiveRetryPolicy
 from repro.overload.window import WriteWindow
 from repro.server.config import WritePath
@@ -51,10 +52,45 @@ __all__ = ["OverloadConfig", "OverloadReport", "MODES", "run_overload"]
 
 MODES = ("static", "adaptive")
 
-#: NVRAM size for the presto=on arm (1 MB, the paper's board).
-PRESTO_BYTES = 1 << 20
-
 CHUNK = 8192
+
+#: Client write-behind depth.
+NBIODS = 8
+#: Server daemons and queue bounds.  Deliberately lean: collapse requires
+#: the server's work reservoir (socket buffer + nfsds + parked writes) to
+#: drain within one static 1.1 s backoff, so the fleet's synchronized
+#: stalls actually starve the disk.
+NFSDS = 4
+SOCKBUF_BYTES = 48 * 1024
+MAX_PARKED = 8
+#: Storm window as fractions of ``duration``.
+STORM_START_FRAC = 0.3
+STORM_END_FRAC = 0.7
+STORM_LOSS_RATE = 0.25
+STORM_CAPACITY_BYTES = 24 * 1024
+#: Server admission cap + shed policy (adaptive mode only).  The cap sits
+#: below the socket buffer's byte capacity so shedding is a policy
+#: decision, not a silent overflow.
+ADMISSION_MAX_REQUESTS = 4
+SHED_POLICY = "early-reply"
+#: AIMD window geometry (adaptive mode only); the initial window is below
+#: the biod count.
+WINDOW_INITIAL = 4
+WINDOW_MAXIMUM = 64
+#: Jitter spread for adaptive retransmission timers.
+JITTER = 0.1
+#: Retransmit-interval ceiling for the adaptive policy.  Far below the
+#: estimator's default 60 s: a hard-mount biod that backs off past the
+#: measurement window is a stranded pipeline slot, and real NFS clients
+#: cap the retrans timer at a few seconds for exactly this reason.  Karn
+#: backoff still doubles up to this ceiling.
+ADAPTIVE_MAX_RTO = 2.0
+#: Relative slack when judging the adaptive curve monotone (sim noise from
+#: storm-window phase shifts, not a real goodput regression).
+MONOTONE_TOLERANCE = 0.05
+#: A curve "collapses" when its final point falls more than this fraction
+#: below its peak.
+COLLAPSE_MARGIN = 0.03
 
 
 @dataclass
@@ -66,48 +102,12 @@ class OverloadConfig:
     #: axis runs from ~1/4 of plain-path saturation to ~30x past it.
     loads: Sequence[int] = (4_000, 8_000, 16_000, 48_000, 160_000, 480_000)
     clients: int = 12
-    nbiods: int = 8
-    #: Server daemons and queue bounds.  Deliberately lean: collapse
-    #: requires the server's work reservoir (socket buffer + nfsds +
-    #: parked writes) to drain within one static 1.1 s backoff, so the
-    #: fleet's synchronized stalls actually starve the disk.
-    nfsds: int = 4
-    sockbuf_bytes: int = 48 * 1024
-    max_parked: int = 8
     #: Measured window per point, sim-seconds.
     duration: float = 5.0
     write_paths: Sequence[str] = tuple(path.value for path in WritePath)
     presto_modes: Sequence[bool] = (False, True)
     modes: Sequence[str] = MODES
-    netspec: object = FDDI
     seed: int = 0
-    #: Storm window as fractions of ``duration``.
-    storm_start_frac: float = 0.3
-    storm_end_frac: float = 0.7
-    storm_loss_rate: float = 0.25
-    storm_capacity_bytes: int = 24 * 1024
-    #: Server admission cap + shed policy (adaptive mode only).  The cap
-    #: sits below the socket buffer's byte capacity so shedding is a
-    #: policy decision, not a silent overflow.
-    admission_max_requests: int = 4
-    shed_policy: str = "early-reply"
-    #: AIMD window geometry (adaptive mode only).
-    window_initial: int = 4
-    window_maximum: int = 64
-    #: Jitter spread for adaptive retransmission timers.
-    jitter: float = 0.1
-    #: Retransmit-interval ceiling for the adaptive policy.  Far below the
-    #: estimator's default 60 s: a hard-mount biod that backs off past the
-    #: measurement window is a stranded pipeline slot, and real NFS
-    #: clients cap the retrans timer at a few seconds for exactly this
-    #: reason.  Karn backoff still doubles up to this ceiling.
-    adaptive_max_rto: float = 2.0
-    #: Relative slack when judging the adaptive curve monotone (sim noise
-    #: from storm-window phase shifts, not a real goodput regression).
-    monotone_tolerance: float = 0.05
-    #: A curve "collapses" when its final point falls more than this
-    #: fraction below its peak.
-    collapse_margin: float = 0.03
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -123,34 +123,29 @@ class OverloadConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r} (expected one of: {MODES})")
-        if not 0.0 <= self.storm_start_frac < self.storm_end_frac <= 1.0:
-            raise ValueError("need 0 <= storm_start_frac < storm_end_frac <= 1")
 
     @property
     def storm(self) -> RetransmitStorm:
         return RetransmitStorm(
-            AtTime(round(self.storm_start_frac * self.duration, 9)),
-            loss_rate=self.storm_loss_rate,
-            capacity_bytes=self.storm_capacity_bytes,
-            duration=round(
-                (self.storm_end_frac - self.storm_start_frac) * self.duration, 9
-            ),
+            AtTime(round(STORM_START_FRAC * self.duration, 9)),
+            loss_rate=STORM_LOSS_RATE,
+            capacity_bytes=STORM_CAPACITY_BYTES,
+            duration=round((STORM_END_FRAC - STORM_START_FRAC) * self.duration, 9),
         )
 
     def testbed_config(self, write_path: str, presto: bool, mode: str) -> TestbedConfig:
-        adaptive = mode == "adaptive"
         return TestbedConfig(
-            netspec=self.netspec,
+            netspec=FDDI,
             write_path=write_path,
-            nbiods=self.nbiods,
-            nfsds=self.nfsds,
-            sockbuf_bytes=self.sockbuf_bytes,
-            gather_policy=GatherPolicy(max_parked=self.max_parked),
+            nbiods=NBIODS,
+            nfsds=NFSDS,
+            sockbuf_bytes=SOCKBUF_BYTES,
+            gather_policy=GatherPolicy(max_parked=MAX_PARKED),
             presto_bytes=PRESTO_BYTES if presto else None,
             verify_stable=True,
             seed=self.seed,
-            admission_max_requests=self.admission_max_requests if adaptive else None,
-            shed_policy=self.shed_policy,
+            admission_max_requests=ADMISSION_MAX_REQUESTS if mode == "adaptive" else None,
+            shed_policy=SHED_POLICY,
         )
 
 
@@ -198,14 +193,9 @@ def _run_once(
         window = None
         if adaptive:
             policy = AdaptiveRetryPolicy(
-                max_rto=config.adaptive_max_rto,
-                jitter=config.jitter,
-                jitter_seed=config.seed,
+                max_rto=ADAPTIVE_MAX_RTO, jitter=JITTER, jitter_seed=config.seed
             )
-            window = WriteWindow(
-                initial=min(config.window_initial, max(1, config.nbiods)),
-                maximum=config.window_maximum,
-            )
+            window = WriteWindow(initial=WINDOW_INITIAL, maximum=WINDOW_MAXIMUM)
         client = testbed.add_client(policy=policy, write_window=window)
         oracle.attach(client)
     pace = CHUNK / rate
@@ -225,10 +215,7 @@ def _run_once(
     ]
     events: List = [config.storm]
     if crash:
-        midpoint = round(
-            (config.storm_start_frac + config.storm_end_frac) / 2.0 * config.duration,
-            9,
-        )
+        midpoint = round((STORM_START_FRAC + STORM_END_FRAC) / 2.0 * config.duration, 9)
         events.append(ServerCrash(AtTime(midpoint), reboot_delay=0.05))
     plan = FaultPlan(name=f"overload-{mode}", events=tuple(events))
     controller = FaultController(testbed, plan, oracle=oracle).start()
@@ -291,12 +278,12 @@ def _run_once(
 # -- the report -----------------------------------------------------------------
 
 
-def _curve_flags(points: List[dict], tolerance: float, collapse_margin: float) -> dict:
+def _curve_flags(points: List[dict]) -> dict:
     goodputs = [p["goodput_kbs"] for p in points]
     peak = max(goodputs)
-    collapse = bool(peak > 0) and goodputs[-1] < (1.0 - collapse_margin) * peak
+    collapse = bool(peak > 0) and goodputs[-1] < (1.0 - COLLAPSE_MARGIN) * peak
     monotone = all(
-        later >= earlier * (1.0 - tolerance)
+        later >= earlier * (1.0 - MONOTONE_TOLERANCE)
         for earlier, later in zip(goodputs, goodputs[1:])
     )
     return {
@@ -368,7 +355,7 @@ class OverloadReport(ExperimentReport):
             "seed": config.seed,
             "duration": round(config.duration, 9),
             "clients": config.clients,
-            "nbiods": config.nbiods,
+            "nbiods": NBIODS,
             "loads_kbs_per_client": [round(r / 1024.0, 9) for r in config.loads],
             "storm": self.config.storm.describe(),
             "combos": self.combos,
@@ -390,10 +377,7 @@ def _run_arm(config: OverloadConfig, arm: Tuple[str, bool, str, bool]) -> Tuple[
     points = [
         _run_once(config, write_path, presto, mode, rate, crash=False) for rate in config.loads
     ]
-    curve = {
-        "points": points,
-        **_curve_flags(points, config.monotone_tolerance, config.collapse_margin),
-    }
+    curve = {"points": points, **_curve_flags(points)}
     return curve, f"{tag}: goodput {curve['goodput_kbs']} KB/s"
 
 
@@ -418,11 +402,11 @@ def run_overload(config: Optional[OverloadConfig] = None, progress=None) -> Over
         )
         combo["crash_probe" if crash else "curves"][mode] = result
     for combo in combos.values():
-        combo["verdict"] = _verdict(combo, config)
+        combo["verdict"] = _verdict(combo)
     return OverloadReport(config=config, combos=list(combos.values()))
 
 
-def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:
+def _verdict(combo: dict) -> Optional[dict]:
     """Compare modes at the top load (present only when both modes ran)."""
     curves: Dict[str, dict] = combo["curves"]
     if "static" not in curves or "adaptive" not in curves:
@@ -432,6 +416,6 @@ def _verdict(combo: dict, config: OverloadConfig) -> Optional[dict]:
     return {
         "static_top_goodput_kbs": static_top,
         "adaptive_top_goodput_kbs": adaptive_top,
-        "adaptation_wins": adaptive_top >= static_top * (1.0 - config.monotone_tolerance)
+        "adaptation_wins": adaptive_top >= static_top * (1.0 - MONOTONE_TOLERANCE)
         and curves["adaptive"]["monotone_nondecreasing"],
     }

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence
 
-from repro.cluster.experiment import CLUSTER_THINK_TIME, check_workload, start_writers
+from repro.cluster.experiment import check_workload, start_writers
 from repro.cluster.failover import FailoverController, ShardCrash
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.oracle import ClusterOracle
@@ -120,7 +120,6 @@ def run_replica_arm(
     clients: int = 6,
     files_per_client: int = 2,
     file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
     crashes: Optional[Sequence[ShardCrash]] = None,
 ) -> ReplicaArm:
     """One arm: the sharded write workload at one replication factor."""
@@ -130,7 +129,7 @@ def run_replica_arm(
     env = cluster.env
     latency = write_latency_ms(env, clients)
     nbytes = file_kb * 1024
-    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes, think_time)
+    writers = start_writers(cluster, oracle, clients, files_per_client, nbytes)
     controller = None
     if crashes:
         controller = FailoverController(cluster, crashes, oracle=oracle).start()
@@ -246,7 +245,6 @@ def run_replica(
     clients: int = 6,
     files_per_client: int = 2,
     file_kb: int = 64,
-    think_time: float = CLUSTER_THINK_TIME,
     storm_crashes: int = 3,
     progress=None,
 ) -> ReplicaRunResult:
@@ -264,7 +262,6 @@ def run_replica(
         clients=clients,
         files_per_client=files_per_client,
         file_kb=file_kb,
-        think_time=think_time,
     )
     return ReplicaRunResult(
         servers=config.servers,

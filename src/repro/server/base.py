@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.disk.device import Storage
-from repro.fs.ufs import FsError, Ufs
+from repro.fs.ufs import CostModel, FsError, Ufs
 from repro.fs.vfs import VnodeTable
 from repro.net.segment import Segment
 from repro.fs.vfs import FWRITE, FWRITE_METADATA, IO_DELAYDATA
@@ -54,6 +54,14 @@ from repro.sim import Counter, Environment
 
 __all__ = ["NfsServer", "StableStorageViolation"]
 
+# CPU seconds for the RPC layer's side of each request, before
+# ``cpu_scale``; per-frame receive costs come from the NetSpec and
+# filesystem costs from :class:`~repro.fs.ufs.CostModel`.
+#: svc decode and dispatch.
+RPC_DISPATCH_CPU = 0.00025
+#: Encoding and sending the reply.
+REPLY_CPU = 0.00015
+
 
 class StableStorageViolation(AssertionError):
     """Raised (in verify mode) when a reply would precede stable commit."""
@@ -79,24 +87,13 @@ class NfsServer:
         self.obs = collector_for(env)
         self.metrics = registry_for(env)
         self.endpoint = segment.attach(host, self.config.socket_buffer_bytes)
-        self.cpu = Cpu(env, self.config.cpu_cores)
-        scale = self.config.cpu_scale
-        base_costs = self.config.fs_costs
-        scaled_costs = type(base_costs)(
-            ufs_trip=base_costs.ufs_trip * scale,
-            driver_trip=base_costs.driver_trip * scale,
-            copy_per_byte=base_costs.copy_per_byte * scale,
-            namei=base_costs.namei * scale,
-        )
+        self.cpu = Cpu(env)
         self.ufs = Ufs(
             env,
             storage,
             fs_bytes=self.config.fs_bytes,
-            block_size=self.config.block_size,
-            cluster_size=self.config.cluster_size,
             cpu=self.cpu,
-            costs=scaled_costs,
-            cache_blocks=self.config.cache_blocks,
+            costs=CostModel().scaled(self.config.cpu_scale),
             ino_base=self.config.ino_base,
         )
         self.vnodes = VnodeTable(env, self.ufs)
@@ -261,7 +258,7 @@ class NfsServer:
             self.svc.abandon(handle)
             return
         yield from self.cpu.consume(
-            (self.config.reply_cpu + self.spec.cpu_per_frame) * self.config.cpu_scale
+            (REPLY_CPU + self.spec.cpu_per_frame) * self.config.cpu_scale
         )
         proc = handle.call.proc
         latency = self.env.now - handle.acquired_at
@@ -316,7 +313,7 @@ class NfsServer:
             decode_started = self.env.now
             yield from self.cpu.consume(
                 (
-                    self.config.rpc_dispatch_cpu
+                    RPC_DISPATCH_CPU
                     + datagram.fragments * self.spec.cpu_per_frame
                 )
                 * self.config.cpu_scale
@@ -572,8 +569,8 @@ class NfsServer:
         yield from self.cpu.consume(0.0001)
         return (
             {
-                "blocks": self.config.fs_bytes // self.config.block_size,
-                "bfree": self.config.fs_bytes // self.config.block_size
+                "blocks": self.config.fs_bytes // self.ufs.block_size,
+                "bfree": self.config.fs_bytes // self.ufs.block_size
                 - self.ufs.allocator.allocated_count,
             },
             RPC_HEADER_BYTES,

@@ -1,8 +1,9 @@
-"""Server configuration: daemon counts, buffers, CPU costs, write path.
+"""Server configuration: daemon counts, buffers, CPU scale, write path.
 
-CPU cost constants are calibrated so the simulated DEC 3400/3800-class
-server lands in the paper's measured utilization bands (see DESIGN.md and
-the calibration tests).
+The CPU costs themselves are constants (``repro.server.base`` and
+:class:`~repro.fs.ufs.CostModel`), calibrated so the simulated DEC
+3400/3800-class server lands in the paper's measured utilization bands
+(see docs/calibration.md).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.policy import GatherPolicy
-from repro.fs.ufs import CostModel
+from repro.fs.ufs import DEFAULT_FS_BYTES
 
 __all__ = ["ServerConfig", "WritePath"]
 
@@ -54,8 +55,6 @@ class ServerConfig:
     #: Number of nfsd daemons (the paper's experiments used 8; the LADDIS
     #: runs used 32).
     nfsds: int = 8
-    #: CPU cores (1 everywhere in the paper).
-    cpu_cores: int = 1
     #: NFS socket buffer limit ("DEC OSF/1 currently uses a maximum of
     #: .25M for socket buffering").
     socket_buffer_bytes: int = 256 * 1024
@@ -64,22 +63,12 @@ class ServerConfig:
     write_path: WritePath = WritePath.STANDARD
     #: Gathering policy (used when write_path == "gather").
     gather_policy: GatherPolicy = field(default_factory=GatherPolicy)
-
-    # CPU costs (seconds) for the RPC/NFS layers; filesystem costs are in
-    # ``fs_costs``.  Per-frame receive costs come from the NetSpec.
-    rpc_dispatch_cpu: float = 0.00025
-    reply_cpu: float = 0.00015
     #: Scales *all* CPU costs (RPC, frames, filesystem): 1.0 is the DEC
-    #: 3400/3500 class used in Tables 1-2; the DEC 3800 LADDIS server of
-    #: Figures 2-3 is roughly twice as fast (0.5).
+    #: 3400/3500 class used in Tables 1-2, and the LADDIS curves keep it
+    #: too (see docs/calibration.md).
     cpu_scale: float = 1.0
-
-    # Filesystem geometry.
-    fs_bytes: int = 900 * 1024 * 1024
-    block_size: int = 8192
-    cluster_size: int = 65536
-    cache_blocks: int = 4096
-    fs_costs: CostModel = field(default_factory=CostModel)
+    #: Volume size.
+    fs_bytes: int = DEFAULT_FS_BYTES
     #: First non-root inode number (``None`` = the traditional sequence).
     #: A cluster assigns each shard a disjoint range so file handles are
     #: unambiguous fleet-wide (see ``repro.cluster``).

@@ -18,7 +18,8 @@ __all__ = ["Cpu"]
 
 
 class Cpu:
-    """A (possibly multi-core) CPU shared by all server work."""
+    """A (possibly multi-core) CPU shared by all server work; one core by
+    default, as everywhere in the paper."""
 
     def __init__(self, env: Environment, cores: int = 1) -> None:
         if cores < 1:

@@ -56,6 +56,14 @@ STORM_SPACING = 0.04
 #: Fault offset into each migration's copy window.
 FAULT_OFFSET = 0.008
 
+#: Per-hot-shard Presto NVRAM capacity.  Sized so the steered hot working
+#: set fits — an undersized board destages on the critical path and the
+#: tier's latency advantage evaporates.
+HOT_PRESTO_KB = 2048
+#: Ring weight of a hot shard relative to a cold one (capacity-weighted
+#: vnodes).
+HOT_WEIGHT = 2.0
+
 
 @dataclass
 class TieringConfig:
@@ -71,13 +79,6 @@ class TieringConfig:
     think_time: float = 0.002
     hot_shards: int = 2
     cold_shards: int = 2
-    #: Per-hot-shard Presto NVRAM capacity.  Sized so the steered hot
-    #: working set fits — an undersized board destages on the critical
-    #: path and the tier's latency advantage evaporates.
-    hot_presto_kb: int = 2048
-    #: Ring weight of a hot shard relative to a cold one (capacity-
-    #: weighted vnodes).
-    hot_weight: float = 2.0
     policies: Sequence[str] = POLICY_NAMES
     #: Hot→cold demotions launched during the storm arm.
     storm_migrations: int = 3
@@ -121,8 +122,8 @@ class TieringConfig:
             TierConfig(
                 name="hot",
                 shards=self.hot_shards,
-                presto_bytes=self.hot_presto_kb * 1024,
-                weight=self.hot_weight,
+                presto_bytes=HOT_PRESTO_KB * 1024,
+                weight=HOT_WEIGHT,
             ),
             TierConfig(name="cold", shards=self.cold_shards),
         ]
@@ -426,8 +427,8 @@ class TieringRunResult(ExperimentReport):
             "skew": config.skew,
             "hot_shards": config.hot_shards,
             "cold_shards": config.cold_shards,
-            "hot_presto_kb": config.hot_presto_kb,
-            "hot_weight": config.hot_weight,
+            "hot_presto_kb": HOT_PRESTO_KB,
+            "hot_weight": HOT_WEIGHT,
             "policies": list(config.policies),
             "arms": [arm.to_dict() for arm in self.arms],
             "comparison": self.comparison(),

@@ -66,10 +66,9 @@ class PlacementPolicy:
 
     def free_bytes(self, logical: str) -> int:
         server = self._acting(logical)
-        config = server.config
         return (
-            config.fs_bytes
-            - server.ufs.allocator.allocated_count * config.block_size
+            server.config.fs_bytes
+            - server.ufs.allocator.allocated_count * server.ufs.block_size
         )
 
     def load_of(self, logical: str) -> int:

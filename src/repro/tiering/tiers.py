@@ -17,12 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.disk.model import RZ26, DiskSpec
+from repro.fs.ufs import DEFAULT_FS_BYTES
 
 __all__ = ["TierConfig", "DEFAULT_FS_BYTES"]
-
-#: The ServerConfig default volume size; tier weights are expressed
-#: relative to it (weight = fs_bytes / DEFAULT_FS_BYTES unless pinned).
-DEFAULT_FS_BYTES = 900 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class TierConfig:
     disk_spec: DiskSpec = RZ26
     #: Spindles per shard.
     stripes: int = 1
-    #: Per-shard volume size; None = the ServerConfig default (900 MB).
+    #: Per-shard volume size; None = DEFAULT_FS_BYTES.
     fs_bytes: Optional[int] = None
     #: Ring weight override; None derives it from capacity
     #: (``fs_bytes / DEFAULT_FS_BYTES``), so a quarter-size shard owns a

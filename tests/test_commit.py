@@ -334,10 +334,6 @@ class TestCommitConfig:
         with pytest.raises(ValueError, match="file_mb"):
             CommitConfig(file_mb=0)
 
-    def test_rejects_bad_pressure_limit(self):
-        with pytest.raises(ValueError, match="pressure_limit_bytes"):
-            CommitConfig(pressure_limit_bytes=0)
-
 
 # -- experiment smoke ------------------------------------------------------------
 

@@ -213,7 +213,7 @@ class TestFaults:
         config = TestbedConfig(netspec=FDDI, write_path="gather", nbiods=4)
         testbed = Testbed(config)
         testbed.server.ufs.allocator = type(testbed.server.ufs.allocator)(
-            2 * MB, testbed.server.config.block_size
+            2 * MB, testbed.server.ufs.block_size
         )
         client = testbed.add_client()
         env = testbed.env

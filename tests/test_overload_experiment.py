@@ -95,10 +95,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown mode"):
             OverloadConfig(modes=("static", "turbo"))
 
-    def test_storm_window_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            OverloadConfig(storm_start_frac=0.8, storm_end_frac=0.2)
-
     def test_needs_a_client_and_a_load(self):
         with pytest.raises(ValueError):
             OverloadConfig(clients=0)

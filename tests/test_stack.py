@@ -6,6 +6,7 @@ Cluster without backups, and one with a backup — under two hardware and
 protocol setups, and one test body checks them all.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.disk.stripe import StripeSet
 from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.fs.ufs import CostModel
 from repro.nfs.cache import CacheStack
 from repro.nvram.presto import PrestoCache
 from repro.server.config import ServerConfig, WritePath
@@ -84,6 +86,11 @@ def test_every_stack_is_built_from_the_shared_fields(system):
         assert config.unstable_limit_bytes == fields.get(
             "unstable_limit_bytes", default.unstable_limit_bytes
         )
+        # cpu_scale reaches every filesystem cost, Presto's trip included.
+        for cost in dataclasses.fields(CostModel):
+            assert getattr(server.ufs.costs, cost.name) == (
+                cost.default * fields["cpu_scale"]
+            ), cost.name
         # Hardware: one spindle per stripe, pinned names, Presto iff asked.
         assert [disk.name for disk in stack.disks] == [
             disk_pattern.format(f"-{k}") for k in range(stripes)

@@ -169,7 +169,7 @@ class TestPlacementPolicies:
         cluster = Cluster(mixed_config(hot=1, cold=2))
         policy = HotFirstPlacement(cluster, reserve_fraction=0.5)
         server = cluster.servers[0]
-        blocks = server.config.fs_bytes // server.config.block_size
+        blocks = server.config.fs_bytes // server.ufs.block_size
         server.ufs.allocator._allocated.update(range(blocks // 2 + 1))
         chosen = policy.place("f")
         assert cluster.tier_of[chosen] == "cold"

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from repro.core import GatherPolicy
-from repro.experiments import PAPER, TABLES, figure1, run_curve, run_filecopy, run_table
+from repro.experiments import PAPER, figure1, run_curve, run_filecopy, run_table
 from repro.experiments.testbed import TestbedConfig
 from repro.net import ETHERNET, FDDI
 

@@ -64,6 +64,7 @@ from repro.experiments.sweep import sweep_config
 from repro.experiments.testbed import TestbedConfig
 from repro.metrics import format_comparison
 from repro.net import ETHERNET, FDDI, NETWORKS
+from repro.nvram.presto import PRESTO_BYTES
 from repro.server.config import WritePath
 
 __all__ = ["main", "build_parser"]
@@ -187,7 +188,7 @@ _WRITE_PATHS = [member.value for member in WritePath]
 #: ``--net``: a network by name.
 _NET = _Form(lambda spec: spec.name, NETWORKS.__getitem__, {"choices": sorted(NETWORKS)})
 #: The ``--presto`` switch: 1 MB of NVRAM, or none.
-_PRESTO = _Form(lambda presto_bytes: presto_bytes is not None, lambda on: (1 << 20) if on else None)
+_PRESTO = _Form(lambda presto_bytes: presto_bytes is not None, lambda on: PRESTO_BYTES if on else None)
 #: ``--presto off|on|both``: the NVRAM arms to run, as ``presto_modes``.
 _PRESTO_MODES = {"off": (False,), "on": (True,), "both": (False, True)}
 _PRESTO_ARMS = _Form(
@@ -345,11 +346,11 @@ def _run_claims() -> list:
         ("Ethernet @0 biods, gathering", TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=0)),
         (
             "Eth+Presto @7 biods, standard",
-            TestbedConfig(netspec=ETHERNET, write_path="standard", nbiods=7, presto_bytes=1 << 20),
+            TestbedConfig(netspec=ETHERNET, write_path="standard", nbiods=7, presto_bytes=PRESTO_BYTES),
         ),
         (
             "Eth+Presto @7 biods, gathering",
-            TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=7, presto_bytes=1 << 20),
+            TestbedConfig(netspec=ETHERNET, write_path="gather", nbiods=7, presto_bytes=PRESTO_BYTES),
         ),
     ]
     return [(label, run("copy", config, file_mb=2)) for label, config in rows]

@@ -4,7 +4,8 @@ The paper studies write gathering at *one* server; this package puts N of
 those servers behind a deterministic shard map and a client-side mount
 router, so the multi-server workload family (scaling sweeps, shard
 crashes, rebalancing) can be measured against the same oracle-checked
-crash contract as the single-server experiments.
+crash contract as the single-server experiments.  The paper's one-server
+testbed is built here too, as a one-shard fleet.
 
 Layout:
 
@@ -12,9 +13,9 @@ Layout:
   (seeded, balanced, minimal movement on grow/shrink);
 * :mod:`~repro.cluster.router` — the client-side mount map: names hash,
   handles pin, zero placement RPCs;
-* :mod:`~repro.cluster.fleet` — :class:`ClusterConfig` / :class:`Cluster`
-  construction (per-shard disks, NVRAM, nfsd pools, disjoint inode
-  ranges);
+* :mod:`~repro.cluster.fleet` — :class:`~repro.cluster.fleet.Fleet`, the
+  one system builder (per-shard disks, NVRAM, nfsd pools, disjoint inode
+  ranges), and :class:`ClusterConfig` / :class:`Cluster`;
 * :mod:`~repro.cluster.oracle` — per-shard crash-contract oracles with
   router-driven ack dispatch;
 * :mod:`~repro.cluster.failover` — scripted shard crashes with outage
@@ -24,10 +25,9 @@ Layout:
   scaling sweep (:func:`~repro.cluster.experiment.run_scaling_sweep`).
 """
 
-from repro.cluster.experiment import ClusterRunResult, ScalingSweepResult
-from repro.cluster.failover import FailoverController, ShardCrash
-from repro.cluster.fleet import Cluster, ClusterConfig, build_cluster
-from repro.cluster.oracle import ClusterOracle
+import importlib
+
+from repro.cluster.fleet import Cluster, ClusterConfig
 from repro.cluster.router import ClusterRpc, MountRouter
 from repro.cluster.shardmap import ShardMap
 
@@ -42,5 +42,22 @@ __all__ = [
     "ScalingSweepResult",
     "ShardCrash",
     "ShardMap",
-    "build_cluster",
 ]
+
+#: Names whose modules load on first use: every Testbed is a fleet, so
+#: building one must not pull in the cluster experiment, failover or
+#: oracle machinery.
+_LAZY = {
+    "ClusterRunResult": "experiment",
+    "ScalingSweepResult": "experiment",
+    "FailoverController": "failover",
+    "ShardCrash": "failover",
+    "ClusterOracle": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

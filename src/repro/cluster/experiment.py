@@ -226,7 +226,7 @@ def run_cluster(
         placement=placement,
         acked_writes=oracle.acked_writes,
         retransmissions=int(
-            sum(client.rpc.retransmissions_total for client in cluster.clients)
+            sum(client.rpc.retransmissions.value for client in cluster.clients)
         ),
         crashes=controller.crashes if controller else 0,
         oracle_checks=oracle.checks,

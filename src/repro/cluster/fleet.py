@@ -1,15 +1,17 @@
-"""Fleet construction: N independent NFS servers behind one shard map.
+"""System construction: every simulated system is a :class:`Fleet`.
 
-A :class:`Cluster` is the multi-server analogue of
-:class:`~repro.experiments.testbed.Testbed`: one simulation environment,
-one or more shared network segments ("racks"), and N complete server
-stacks — each shard owns its own spindles, optional Presto NVRAM board,
-UFS instance, and nfsd pool, built by :func:`repro.stack.build_stack`
-exactly as a standalone testbed server is.  Shards share nothing but the
-wire.
+A fleet is one simulation environment, one or more shared network
+segments ("racks"), and N complete server stacks — each shard owns its
+own spindles, optional Presto NVRAM board, UFS instance, and nfsd pool,
+built by :func:`repro.stack.build_stack`.  Shards share nothing but the
+wire.  Every client mounts through the client-side
+:class:`~repro.cluster.router.MountRouter`, and every fleet dies through
+one finalizer.  A :class:`Cluster` is the fleet a :class:`ClusterConfig`
+asks for; the paper's :class:`~repro.experiments.testbed.Testbed` is the
+one-shard, one-rack, K=0 fleet.
 
-Each shard's UFS gets a disjoint inode range (``ino_base``), so file
-handles are unambiguous fleet-wide — the router's pin table and the
+Each cluster shard's UFS gets a disjoint inode range (``ino_base``), so
+file handles are unambiguous fleet-wide — the router's pin table and the
 cluster oracle both depend on that.
 """
 
@@ -31,9 +33,9 @@ from repro.rpc.client import RpcClient
 from repro.server.base import NfsServer
 from repro.server.config import WritePath
 from repro.sim import Environment
-from repro.stack import ServerStack, StackConfig, build_stack, close_system, make_client
+from repro.stack import ServerStack, StackConfig, build_stack, make_client
 
-__all__ = ["ClusterConfig", "Cluster", "build_cluster", "stack_by_host"]
+__all__ = ["ClusterConfig", "Cluster", "Fleet", "stack_by_host"]
 
 #: Inode-number stride between shards: shard k allocates file inodes from
 #: ``(k + 1) * INO_STRIDE`` upward, so handles never collide fleet-wide.
@@ -114,12 +116,32 @@ class ClusterConfig(StackConfig):
             self.failover_attempts = 3
 
 
-class Cluster:
-    """A wired-up fleet: environment, racks, shard map, servers, clients."""
+#: The paper's testbed as a topology: one shard on one rack, K=0.  Only
+#: the topology fields are read.
+_ONE_SHARD = ClusterConfig(servers=1)
 
-    def __init__(self, config: ClusterConfig) -> None:
+
+class Fleet:
+    """Environment, racks, member stacks, replica groups, router, clients.
+
+    A root's constructor makes one :meth:`_build` call.
+    """
+
+    def _build(self, config: StackConfig, topology: Optional[ClusterConfig] = None) -> None:
+        """Build the whole system from ``config``'s stack fields and
+        ``topology``'s fleet fields (a cluster passes its config twice).
+
+        No ``topology`` builds the paper's testbed: one shard on one rack,
+        K=0, named as the paper names it (host ``server``, untagged
+        spindles, the Ufs default inode base), in no replica group and
+        never a migration end.
+        """
+        self._solo = topology is None
+        self._topology = topology = topology or _ONE_SHARD
         self.config = config
         self.env = Environment()
+        #: Span collector; a shared no-op unless ``config.tracing``.  Must be
+        #: installed before any component is built — they cache it.
         self.collector = RecordingCollector() if config.tracing else None
         if self.collector is not None:
             install(self.env, self.collector)
@@ -130,51 +152,173 @@ class Cluster:
                 config.netspec,
                 name=(
                     config.netspec.name
-                    if config.racks == 1
+                    if topology.racks == 1
                     else f"{config.netspec.name}.rack{rack}"
                 ),
                 loss_rate=config.loss_rate,
                 seed=net_seed + rack,
             )
-            for rack in range(config.racks)
+            for rack in range(topology.racks)
         ]
         #: Per-shard tier spec, parallel to shard indices (empty for a
         #: homogeneous fleet; shards past its end use the flat config) and
         #: host -> tier-name lookup.
         self._tier_specs: List = [
-            tier for tier in config.tiers or () for _ in range(tier.shards)
+            tier for tier in topology.tiers or () for _ in range(tier.shards)
         ]
         self.tier_of: Dict[str, str] = {}
         self.servers: List[NfsServer] = []
         #: Per-shard member stacks, parallel to ``servers``: the primary's
         #: first, then its backups in order.
         self.stacks: List[List[ServerStack]] = []
-        #: One replica group per shard, parallel to ``servers``
+        #: One replica group per cluster shard, parallel to ``servers``
         #: (repro.replica; trivial single-member groups at K=0).
-        self.groups: List = []
+        self._groups: List = []
         self._rack_of_server: Dict[str, int] = {}
-        for index in range(config.servers):
-            server = self._build_server(index)
-            self._build_group(index, server)
+        for index in range(topology.servers):
+            self._build_shard(index)
         weights = None
-        if config.tiers:
+        if topology.tiers:
             weights = {
                 server.host: spec.effective_weight
                 for server, spec in zip(self.servers, self._tier_specs)
             }
         self.shard_map = ShardMap(
             [server.host for server in self.servers],
-            vnodes=config.vnodes,
+            vnodes=topology.vnodes,
             seed=config.seed,
             weights=weights,
         )
         self.router = MountRouter(self.shard_map, root_fhandle=(ROOT_INO, 0))
         self.clients: List[NfsClient] = []
-        # Dropping the cluster ends the fleet (see _close_fleet); a
-        # cluster still alive at interpreter exit is left alone.
+        # Dropping the root ends the system (see _close); a root still
+        # alive at interpreter exit is left alone.
         weakref.finalize(
-            self, _close_fleet, self.env, self.segments, self.stacks, self.router, self.clients
+            self, _close, self.env, self.segments, self.stacks, self.router, self.clients
         ).atexit = False
+
+    # -- construction -------------------------------------------------------------
+
+    def _build_member(
+        self, index: int, host: str, disk_tag: str, ino_base: Optional[int]
+    ) -> ServerStack:
+        """One server stack of shard ``index`` on the shard's rack.
+
+        Its hardware is the shard's tier (or the flat config past the
+        tiers, for grown shards); every member of a shard shares the
+        shard's inode range.
+        """
+        config = self.config
+        rack = index % len(self.segments)
+        tier = self._tier_specs[index] if index < len(self._tier_specs) else None
+        hardware = config if tier is None else tier
+        stack = build_stack(
+            self.env,
+            self.segments[rack],
+            host,
+            hardware.disk_spec,
+            hardware.stripes,
+            hardware.presto_bytes,
+            config.server_config(
+                ino_base=ino_base,
+                fs_bytes=None if tier is None else tier.fs_bytes,
+            ),
+            disk_tag=disk_tag,
+        )
+        if not self._solo:
+            from repro.tiering.engine import ShardMigrator
+
+            ShardMigrator(stack.server)
+        self._rack_of_server[host] = rack
+        self.tier_of[host] = "default" if tier is None else tier.name
+        return stack
+
+    def _build_shard(self, index: int) -> NfsServer:
+        """Shard ``index``: its primary and K backups, as a replica group.
+
+        At K=0 the group is a trivial single-member record and *nothing
+        else is built* — no replicators, no endpoints — so an unreplicated
+        fleet stays byte-identical to its pre-replica behaviour.  With
+        K>0, each backup is a complete server stack (own spindles, own
+        UFS with the *same* ino_base as the primary, own nfsd pool) on the
+        shard's rack segment, and every member gets a replicator; only
+        the primary's starts active.
+        """
+        if self._solo:
+            host, disk_tag, ino_base = "server", "", None
+        else:
+            host, disk_tag = f"server-{index}", f"-s{index}"
+            ino_base = (index + 1) * INO_STRIDE
+        stacks = [self._build_member(index, host, disk_tag, ino_base)]
+        replicas = self._topology.replicas
+        for backup in range(1, replicas + 1):
+            tag = f"b{backup}"
+            stacks.append(
+                self._build_member(index, f"{host}.{tag}", disk_tag + tag, ino_base)
+            )
+        primary = stacks[0].server
+        self.servers.append(primary)
+        self.stacks.append(stacks)
+        if not self._solo:
+            from repro.replica.group import ReplicaGroup
+            from repro.replica.replicator import Replicator
+
+            members = [stack.server for stack in stacks]
+            group = ReplicaGroup(index=index, logical_host=host, members=members)
+            if replicas > 0:
+                segment = self.segments[self._rack_of_server[host]]
+                quorum = self._topology.quorum
+                for member in members:
+                    Replicator(member, group, quorum=quorum, segment=segment)
+                primary.replicator.activate()
+            self._groups.append(group)
+        return primary
+
+    def add_client(
+        self,
+        nbiods: Optional[int] = None,
+        host: Optional[str] = None,
+        policy=None,
+        write_window=None,
+    ) -> NfsClient:
+        """Attach one client host, with an endpoint on every rack.
+
+        Host names are auto-generated (``client-0``, ``client-1``, ...)
+        skipping any name already attached to the first rack, so repeated
+        calls — and calls mixed with explicit ``host=`` names — never
+        collide.  ``policy`` overrides the RPC retransmission policy (e.g.
+        an overload :class:`~repro.overload.rto.AdaptiveRetryPolicy`);
+        ``write_window`` installs an AIMD
+        :class:`~repro.overload.window.WriteWindow` on the biod pool.
+        """
+        name = host or self.segments[0].unique_host("client")
+        rpcs = [
+            RpcClient(self.env, segment.attach(name), self.servers[0].host, policy=policy)
+            for segment in self.segments
+        ]
+        cluster_rpc = ClusterRpc(
+            rpcs,
+            self.router,
+            self._rack_of_server,
+            failover_attempts=self._topology.failover_attempts,
+        )
+        client = make_client(
+            self.env, cluster_rpc, self.config, nbiods=nbiods, write_window=write_window
+        )
+        self.clients.append(client)
+        return client
+
+
+class Cluster(Fleet):
+    """A wired-up fleet: environment, racks, shard map, servers, clients."""
+
+    def __init__(self, config: ClusterConfig) -> None:
+        self._build(config, config)
+
+    @property
+    def groups(self) -> List:
+        """One replica group per shard, parallel to ``servers``."""
+        return self._groups
 
     @property
     def disks(self) -> List[List[DiskDevice]]:
@@ -186,74 +330,6 @@ class Cluster:
         """Per-shard backup spindles: ``backup_disks[shard][backup]``."""
         return [[stack.disks for stack in shard[1:]] for shard in self.stacks]
 
-    # -- construction -------------------------------------------------------------
-
-    def _build_member(self, index: int, host: str, tag: str = "") -> ServerStack:
-        """One server stack of shard ``index`` on the shard's rack.
-
-        Its hardware is the shard's tier (or the flat config past the
-        tiers, for grown shards); every member of a shard shares the
-        shard's inode range.
-        """
-        from repro.tiering.engine import ShardMigrator
-
-        config = self.config
-        rack = index % config.racks
-        tier = self._tier_specs[index] if index < len(self._tier_specs) else None
-        hardware = config if tier is None else tier
-        stack = build_stack(
-            self.env,
-            self.segments[rack],
-            host,
-            hardware.disk_spec,
-            hardware.stripes,
-            hardware.presto_bytes,
-            config.server_config(
-                ino_base=(index + 1) * INO_STRIDE,
-                fs_bytes=None if tier is None else tier.fs_bytes,
-            ),
-            disk_tag=f"-s{index}{tag}",
-        )
-        ShardMigrator(stack.server)
-        self._rack_of_server[host] = rack
-        self.tier_of[host] = "default" if tier is None else tier.name
-        return stack
-
-    def _build_server(self, index: int) -> NfsServer:
-        stack = self._build_member(index, f"server-{index}")
-        self.servers.append(stack.server)
-        self.stacks.append([stack])
-        return stack.server
-
-    def _build_group(self, index: int, primary: NfsServer) -> None:
-        """Wrap shard ``index`` in a replica group (repro.replica).
-
-        At K=0 the group is a trivial single-member record and *nothing
-        else is built* — no replicators, no endpoints — so an unreplicated
-        cluster stays byte-identical to its pre-replica behaviour.  With
-        K>0, each backup is a complete server stack (own spindles, own
-        UFS with the *same* ino_base as the primary, own nfsd pool) on the
-        shard's rack segment, and every member gets a replicator; only
-        the primary's starts active.
-        """
-        from repro.replica.group import ReplicaGroup
-        from repro.replica.replicator import Replicator
-
-        config = self.config
-        members: List[NfsServer] = [primary]
-        for backup_index in range(1, config.replicas + 1):
-            tag = f"b{backup_index}"
-            stack = self._build_member(index, f"{primary.host}.{tag}", tag)
-            self.stacks[index].append(stack)
-            members.append(stack.server)
-        group = ReplicaGroup(index=index, logical_host=primary.host, members=members)
-        if config.replicas > 0:
-            segment = self.segment_of(primary.host)
-            for member in members:
-                Replicator(member, group, quorum=config.quorum, segment=segment)
-            primary.replicator.activate()
-        self.groups.append(group)
-
     def grow(self) -> NfsServer:
         """Join one more shard mid-run.
 
@@ -261,30 +337,9 @@ class Cluster:
         ring arcs move to it; every pinned handle stays where it is (no
         data migration — growth redirects *future* placement only).
         """
-        index = len(self.servers)
-        server = self._build_server(index)
-        self._build_group(index, server)
+        server = self._build_shard(len(self.servers))
         self.shard_map.add_server(server.host)
         return server
-
-    def add_client(
-        self, nbiods: Optional[int] = None, host: Optional[str] = None
-    ) -> NfsClient:
-        """Attach one client host, with an endpoint on every rack."""
-        name = host or self.segments[0].unique_host("client")
-        rpcs: List[RpcClient] = []
-        for segment in self.segments:
-            endpoint = segment.attach(name)
-            rpcs.append(RpcClient(self.env, endpoint, self.servers[0].host))
-        cluster_rpc = ClusterRpc(
-            rpcs,
-            self.router,
-            self._rack_of_server,
-            failover_attempts=self.config.failover_attempts,
-        )
-        client = make_client(self.env, cluster_rpc, self.config, nbiods=nbiods)
-        self.clients.append(client)
-        return client
 
     # -- topology helpers ---------------------------------------------------------
 
@@ -365,13 +420,25 @@ class Cluster:
         return aggregate
 
 
-def _close_fleet(env, segments, stacks, router, clients) -> None:
-    """A dropped cluster's finalizer: every member, backups and grown
-    shards included, plus the router's placement policy (which reads the
-    router back)."""
+def _close(env, segments, stacks, router, clients) -> None:
+    """A dropped root's finalizer, given its parts and never the root.
+
+    It closes the environment (every suspended process ends), then cuts
+    the back-edges that would keep the system a reference cycle: every
+    member (backups and grown shards included), every rack, each client's
+    cache stack, and the router's placement policy (which reads the
+    router back).
+    """
+    env.close()
     router.placement = None
-    servers = [stack.server for shard in stacks for stack in shard]
-    close_system(env, segments, servers, clients)
+    for segment in segments:
+        segment.close()
+    for shard in stacks:
+        for stack in shard:
+            stack.server.close()
+    for client in clients:
+        if client.cache is not None:
+            client.cache.close()
 
 
 def stack_by_host(stacks: List[List[ServerStack]], host: str) -> ServerStack:
@@ -382,10 +449,3 @@ def stack_by_host(stacks: List[List[ServerStack]], host: str) -> ServerStack:
                 return stack
     raise KeyError(f"no shard named {host!r}")
 
-
-def build_cluster(config: ClusterConfig, clients: int = 1) -> Cluster:
-    """Stand up a cluster with ``clients`` attached client hosts."""
-    cluster = Cluster(config)
-    for _ in range(clients):
-        cluster.add_client()
-    return cluster

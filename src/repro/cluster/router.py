@@ -12,9 +12,9 @@ that handle routes from the pin table: zero extra RPCs, ever.
 actually talks to.  It quacks like an :class:`~repro.rpc.client.RpcClient`
 (same ``call`` signature, same ``endpoint`` attribute) but consults the
 router per call, picks the right rack's transport, and feeds namespace
-replies back into the pin table.  The NFS client itself is unchanged — a
-client of a one-server testbed and a client of a 16-shard fleet run the
-identical write path.
+replies back into the pin table.  Every client a testbed or a cluster
+attaches talks through one, so a client of the one-server testbed and a
+client of a 16-shard fleet run the identical write path.
 """
 
 from __future__ import annotations
@@ -206,13 +206,21 @@ class ClusterRpc:
         rack_of_server: Dict[str, int],
         failover_attempts: Optional[int] = None,
     ) -> None:
-        if not rpcs:
-            raise ValueError("ClusterRpc needs at least one rack transport")
         if failover_attempts is not None and failover_attempts < 1:
             raise ValueError(
                 f"failover_attempts must be >= 1, got {failover_attempts}"
             )
         self._rpcs = list(rpcs)
+        #: The primary rack's endpoint (metric naming, host identity) and
+        #: policy (every rack's, when the client was given one).  Rack
+        #: transports share one host name, hence one registry counter, so
+        #: its counters count every rack's calls.
+        primary = self._rpcs[0]
+        self.endpoint = primary.endpoint
+        self.policy = primary.policy
+        self.retransmissions = primary.retransmissions
+        self.timeouts = primary.timeouts
+        self.completed = primary.completed
         self.router = router
         self._rack_of_server = dict(rack_of_server)
         #: Per-shard retry budget (repro.overload): transmissions against
@@ -228,11 +236,6 @@ class ClusterRpc:
         self.on_reroute = None
 
     @property
-    def endpoint(self):
-        """The primary rack's endpoint (metric naming, host identity)."""
-        return self._rpcs[0].endpoint
-
-    @property
     def congestion(self):
         """The congestion listener (an AIMD write window) — shared across
         every rack transport, since the window models the client's total
@@ -243,9 +246,6 @@ class ClusterRpc:
     def congestion(self, listener) -> None:
         for rpc in self._rpcs:
             rpc.congestion = listener
-
-    def transport_for(self, server: str) -> RpcClient:
-        return self._rpcs[self._rack_of_server.get(server, 0)]
 
     def set_on_call(self, handler) -> None:
         """Install a server-initiated-call handler (lease recalls) on every
@@ -264,7 +264,7 @@ class ClusterRpc:
     ) -> Generator:
         """Route, delegate, and learn pins from the reply.
 
-        The route is re-resolved before **every** transmission (the
+        The route is re-resolved before **every** retransmission (the
         transport's per-attempt ``route`` hook): a promotion repoint or a
         live-migration cutover that lands mid-retry redirects the very
         next retransmission instead of burning the rest of the failover
@@ -276,8 +276,8 @@ class ClusterRpc:
         logical = server or self.router.route(proc, args)
         destination = self.router.resolve(logical)
         while True:
-            rpc = self.transport_for(destination)
             rack = self._rack_of_server.get(destination, 0)
+            rpc = self._rpcs[rack]
             state = _RouteState(logical, destination)
 
             def reroute(state=state, rack=rack):
@@ -329,15 +329,3 @@ class ClusterRpc:
             # Pins record the *logical* shard so they survive promotion.
             self.router.observe(proc, args, logical, reply.result)
         return reply
-
-    # -- aggregated client-side counters ------------------------------------------
-
-    def _sum(self, attribute: str) -> float:
-        # Rack transports share one host name, hence one registry counter;
-        # dedupe by identity so shared instruments count once.
-        counters = {id(c): c for c in (getattr(rpc, attribute) for rpc in self._rpcs)}
-        return sum(counter.value for counter in counters.values())
-
-    @property
-    def retransmissions_total(self) -> float:
-        return self._sum("retransmissions")

@@ -58,7 +58,8 @@ class ShardMap:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.vnodes = vnodes
         self.seed = seed
-        #: (position, server) ring points, sorted by position.
+        #: (position, server) ring points, sorted by position; empty while
+        #: the map has one server, which then owns every key unhashed.
         self._ring: List[Tuple[int, str]] = []
         self._servers: List[str] = []
         #: Per-server capacity weight; 1.0 = the nominal ``vnodes`` points.
@@ -93,12 +94,10 @@ class ShardMap:
     def _count_for(self, weight: float) -> int:
         return max(1, round(self.vnodes * weight))
 
-    def _points_for(self, server: str, count: Optional[int] = None) -> List[Tuple[int, str]]:
-        if count is None:
-            count = self.vnode_count(server)
+    def _points_for(self, server: str) -> List[Tuple[int, str]]:
         return [
             (_point(self.seed, f"{server}#{vnode}"), server)
-            for vnode in range(count)
+            for vnode in range(self.vnode_count(server))
         ]
 
     def add_server(self, server: str, weight: float = 1.0) -> None:
@@ -109,7 +108,10 @@ class ShardMap:
             raise ValueError(f"weight must be > 0, got {weight}")
         self._servers.append(server)
         self._weights[server] = weight
-        self._ring.extend(self._points_for(server))
+        if len(self._servers) == 1:
+            return
+        for member in (server,) if self._ring else self._servers:
+            self._ring.extend(self._points_for(member))
         self._ring.sort()
 
     def remove_server(self, server: str) -> None:
@@ -126,6 +128,8 @@ class ShardMap:
 
     def server_for(self, key: str) -> str:
         """The server responsible for ``key``."""
+        if not self._ring:
+            return self._servers[0]
         position = _point(self.seed, f"key:{key}")
         index = bisect_right(self._ring, (position, "￿"))
         if index == len(self._ring):
@@ -145,7 +149,7 @@ class ShardMap:
             "servers": list(self._servers),
             "vnodes": self.vnodes,
             "seed": self.seed,
-            "ring_points": len(self._ring),
+            "ring_points": sum(map(self.vnode_count, self._servers)),
         }
         if any(weight != 1.0 for weight in self._weights.values()):
             summary["weights"] = {

@@ -6,7 +6,7 @@ from repro.experiments.results import score_series, table_to_dict
 from repro.experiments.runner import EXPERIMENT_KINDS, resolve, run
 from repro.experiments.sweep import sweep, sweepable_fields
 from repro.experiments.tables import PAPER, TABLES, TableResult, TableSpec, run_table
-from repro.experiments.testbed import Testbed, TestbedConfig, build_testbed
+from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.experiments.trace import (
     TraceEvent,
     events_from_spans,
@@ -18,7 +18,6 @@ from repro.experiments.trace import (
 __all__ = [
     "TestbedConfig",
     "Testbed",
-    "build_testbed",
     "run",
     "resolve",
     "EXPERIMENT_KINDS",

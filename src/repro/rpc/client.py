@@ -190,11 +190,13 @@ class RpcClient:
         overrides the default destination host for this one call (a routed
         cluster client picks the file's shard here; retransmissions stay
         on it).  ``route``, when given, is consulted before *every*
-        transmission — returning the destination for that attempt — so a
-        routed call follows an alias repoint (promotion, live migration)
+        retransmission — returning the destination for that attempt — so
+        a routed call follows an alias repoint (promotion, live migration)
         mid-retry instead of burning its whole budget against the old
         host; the xid and backoff schedule carry across the move, exactly
         like a retransmission that happened to land on the new server.
+        The first transmission goes to ``server``, which a routed caller
+        resolved in this same instant.
         """
         xid = next(self._xids)
         trace = None
@@ -223,8 +225,6 @@ class RpcClient:
         started = self.env.now
         try:
             while True:
-                if route is not None:
-                    destination = route() or destination
                 self.endpoint.send(destination, call, call.size)
                 interval = self.policy.interval_for(
                     weight, call.attempt, self.endpoint.host, xid
@@ -246,6 +246,8 @@ class RpcClient:
                     raise RpcTimeoutError(proc, xid, call.attempt, destination)
                 call.attempt += 1
                 self.retransmissions.add(1)
+                if route is not None:
+                    destination = route() or destination
         finally:
             pending.pop(xid, None)
         elapsed = self.env.now - started

@@ -219,9 +219,6 @@ class Store:
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple] = deque()
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: Any) -> Event:
         """Add ``item``; the returned event fires once it has been accepted.
 

@@ -2,7 +2,8 @@
 
 The paper's testbed is one DEC server stack — RZ26 spindles, optional
 striping, an optional Prestoserve NVRAM board, an nfsd pool — and a fleet
-is N copies of it.  Both are assembled here, by the same code:
+is N copies of it.  :class:`~repro.cluster.fleet.Fleet`, the one system
+builder, assembles both from the parts here:
 
 * :class:`StackConfig` holds the fields every stack and its clients share;
   :class:`~repro.experiments.testbed.TestbedConfig` and
@@ -17,7 +18,7 @@ is N copies of it.  Both are assembled here, by the same code:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.policy import GatherPolicy
 from repro.disk.device import DiskDevice, Storage
@@ -31,7 +32,7 @@ from repro.server.base import NfsServer
 from repro.server.config import ServerConfig, WritePath
 from repro.sim import Environment
 
-__all__ = ["StackConfig", "ServerStack", "build_stack", "close_system", "make_client"]
+__all__ = ["StackConfig", "ServerStack", "build_stack", "make_client"]
 
 
 @dataclass
@@ -142,26 +143,6 @@ def build_stack(
         storage = PrestoCache(env, storage, capacity=presto_bytes)
     server = NfsServer(env, segment, storage, host=host, config=server_config)
     return ServerStack(env, segment, server, disks, storage)
-
-
-def close_system(
-    env: Environment,
-    segments: Iterable[Segment],
-    servers: Iterable[NfsServer],
-    clients: Iterable[NfsClient],
-) -> None:
-    """End a finished system: close its environment (every suspended
-    process ends), then cut the back-edges that would keep it a reference
-    cycle.  A root registers this as its finalizer, with the parts as
-    arguments and never the root itself."""
-    env.close()
-    for segment in segments:
-        segment.close()
-    for server in servers:
-        server.close()
-    for client in clients:
-        if client.cache is not None:
-            client.cache.close()
 
 
 def make_client(

@@ -8,7 +8,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterOracle,
     ShardCrash,
-    build_cluster,
 )
 from repro.cluster.fleet import INO_STRIDE, Cluster
 from repro.cluster.experiment import run_scaling_sweep
@@ -27,15 +26,15 @@ def _write(cluster, client, name, nbytes=8 * KB):
 
 class TestFleetConstruction:
     def test_shards_share_nothing_but_the_wire(self):
-        cluster = build_cluster(ClusterConfig(servers=3), clients=0)
+        cluster = Cluster(ClusterConfig(servers=3))
         assert len(cluster.servers) == 3
         assert len({id(s.ufs) for s in cluster.servers}) == 3
         assert len({d.name for shard in cluster.disks for d in shard}) == 3
         assert len(cluster.segments) == 1
 
     def test_disjoint_inode_ranges(self):
-        cluster = build_cluster(ClusterConfig(servers=3), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=3))
+        client = cluster.add_client()
         for index in range(9):
             _write(cluster, client, f"f{index}")
         pins = cluster.router.pins()
@@ -46,7 +45,8 @@ class TestFleetConstruction:
             assert base <= ino < base + INO_STRIDE
 
     def test_racks_split_the_wire(self):
-        cluster = build_cluster(ClusterConfig(servers=4, racks=2), clients=1)
+        cluster = Cluster(ClusterConfig(servers=4, racks=2))
+        cluster.add_client()
         assert len(cluster.segments) == 2
         assert {cluster.segment_of(f"server-{i}").name for i in range(4)} == {
             "fddi.rack0",
@@ -61,8 +61,8 @@ class TestFleetConstruction:
 
 class TestRouting:
     def test_files_land_where_the_map_says(self):
-        cluster = build_cluster(ClusterConfig(servers=3, seed=1), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=3, seed=1))
+        client = cluster.add_client()
         names = [f"routed-{index}" for index in range(12)]
         for name in names:
             _write(cluster, client, name)
@@ -72,20 +72,20 @@ class TestRouting:
         assert sum(rollup.values()) == len(names)
 
     def test_unpinned_handle_is_an_error(self):
-        cluster = build_cluster(ClusterConfig(servers=2), clients=0)
+        cluster = Cluster(ClusterConfig(servers=2))
         with pytest.raises(KeyError, match="not pinned"):
             cluster.router.server_for_fhandle((INO_STRIDE + 1, 0))
 
     def test_root_handle_routes_home(self):
-        cluster = build_cluster(ClusterConfig(servers=4), clients=0)
+        cluster = Cluster(ClusterConfig(servers=4))
         assert cluster.router.server_for_fhandle((2, 0)) == cluster.router.home
         assert cluster.router.home in cluster.shard_map.servers
 
 
 class TestGrow:
     def test_grow_routes_new_files_without_moving_old_pins(self):
-        cluster = build_cluster(ClusterConfig(servers=2, seed=0), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=2, seed=0))
+        client = cluster.add_client()
         old_names = [f"old-{index}" for index in range(6)]
         for name in old_names:
             _write(cluster, client, name)

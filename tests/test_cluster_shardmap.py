@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.shardmap import ShardMap
+from repro.cluster.shardmap import ShardMap, _point
 
 SERVERS = ["server-0", "server-1", "server-2", "server-3"]
 KEYS = [f"client-{c}-f{i}" for c in range(8) for i in range(25)]
@@ -94,6 +94,29 @@ class TestMinimalMovement:
         # Ideal is len(KEYS)/5 = 40; allow generous slack but far less
         # than a full reshuffle (which would move ~4/5 of the keys).
         assert 0 < moved < len(KEYS) / 2
+
+    @pytest.mark.parametrize(
+        "weights", [{}, {"server-0": 2.0, "server-2": 0.5}], ids=["plain", "weighted"]
+    )
+    def test_growing_from_one_server_matches_a_full_map(self, weights):
+        # A one-server map builds no ring; the ring it builds when the
+        # second server joins must place keys as a ring holding every
+        # server's points from the start does.
+        grown = ShardMap(SERVERS[:1], vnodes=64, seed=0, weights=weights)
+        assert {grown.server_for(k) for k in KEYS} == {"server-0"}
+        for server in SERVERS[1:]:
+            grown.add_server(server, weight=weights.get(server, 1.0))
+        ring = sorted(
+            (_point(0, f"{server}#{vnode}"), server)
+            for server in SERVERS
+            for vnode in range(max(1, round(64 * weights.get(server, 1.0))))
+        )
+        for key in KEYS:
+            position = _point(0, f"key:{key}")
+            owner = next((s for p, s in ring if p > position), ring[0][1])
+            assert grown.server_for(key) == owner, key
+        full = ShardMap(SERVERS, vnodes=64, seed=0, weights=weights)
+        assert grown.describe() == full.describe()
 
     def test_cannot_remove_last_server(self):
         shard_map = ShardMap(["only"], vnodes=8, seed=0)

@@ -6,7 +6,6 @@ from repro.experiments import (
     TABLES,
     Testbed,
     TestbedConfig,
-    build_testbed,
     figure1,
     render_timeline,
     run_curve,
@@ -21,7 +20,9 @@ from repro.net import ETHERNET, FDDI
 
 class TestTestbed:
     def test_build_with_clients(self):
-        testbed = build_testbed(TestbedConfig(netspec=ETHERNET), clients=2)
+        testbed = Testbed(TestbedConfig(netspec=ETHERNET))
+        for _ in range(2):
+            testbed.add_client()
         assert len(testbed.clients) == 2
         assert testbed.server.config.nfsds == 8
 

@@ -343,14 +343,14 @@ class TestClusterFailover:
         # A call in flight during the promotion repoint discovers the new
         # primary via re-resolve; the cache stack must re-register its
         # leases with it (whose table started empty).
-        from repro.cluster import ClusterConfig, ShardCrash, build_cluster
+        from repro.cluster import Cluster, ClusterConfig, ShardCrash
         from repro.cluster.failover import FailoverController
 
         config = ClusterConfig(
             servers=2, replicas=1, quorum=1, lease_ttl=30.0, seed=1
         )
-        cluster = build_cluster(config, clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(config)
+        client = cluster.add_client()
         env = cluster.env
         victim = cluster.servers[0].host
         name = next(
@@ -384,13 +384,14 @@ class TestClusterFailover:
         assert promoted.leases.granted.value >= 1
 
     def test_promoted_backup_opens_grace_window(self):
-        from repro.cluster import ClusterConfig, ShardCrash, build_cluster
+        from repro.cluster import Cluster, ClusterConfig, ShardCrash
         from repro.cluster.failover import FailoverController
 
         config = ClusterConfig(
             servers=2, replicas=1, quorum=1, lease_ttl=5.0, seed=1
         )
-        cluster = build_cluster(config, clients=1)
+        cluster = Cluster(config)
+        cluster.add_client()
         env = cluster.env
         FailoverController(
             cluster, [ShardCrash(at=1.0, shard=0, promote=True)]

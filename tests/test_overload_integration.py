@@ -5,7 +5,7 @@ real loss, gather's parked-queue cap forcing flushes, the RetransmitStorm
 chaos event, and the cluster's per-shard failover budget.
 """
 
-from repro.cluster import ClusterConfig, build_cluster
+from repro.cluster import Cluster, ClusterConfig
 from repro.core.policy import GatherPolicy
 from repro.experiments import Testbed, TestbedConfig
 from repro.faults import AtTime, FaultController, FaultPlan, RetransmitStorm
@@ -158,10 +158,8 @@ class TestClusterFailoverBudget:
     def test_budget_is_terminal_when_the_route_does_not_change(self):
         """A pinned file's shard dies and the mount map never redirects:
         the per-shard budget turns the stranded write into ETIMEDOUT."""
-        cluster = build_cluster(
-            ClusterConfig(servers=2, seed=0, failover_attempts=2), clients=1
-        )
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=2, seed=0, failover_attempts=2))
+        client = cluster.add_client()
         env = cluster.env
         outcome = {}
 
@@ -188,10 +186,8 @@ class TestClusterFailoverBudget:
         """The shard dies mid-call but failover removes it from the mount
         map: exhausting the budget re-resolves the route and the call
         lands on the surviving shard instead of failing."""
-        cluster = build_cluster(
-            ClusterConfig(servers=2, seed=0, failover_attempts=2), clients=1
-        )
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=2, seed=0, failover_attempts=2))
+        client = cluster.add_client()
         env = cluster.env
         dead = cluster.servers[0].host
         live = cluster.servers[1].host

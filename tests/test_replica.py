@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterOracle, ShardCrash, build_cluster
+from repro.cluster import Cluster, ClusterConfig, ClusterOracle, ShardCrash
 from repro.cluster.failover import FailoverController
 from repro.cluster.fleet import INO_STRIDE
 from repro.experiments import run
@@ -30,7 +30,7 @@ def _replicated(servers=1, replicas=1, quorum=1, seed=0, **kw):
 
 class TestConstruction:
     def test_k0_builds_no_replication_machinery(self):
-        cluster = build_cluster(ClusterConfig(servers=2), clients=0)
+        cluster = Cluster(ClusterConfig(servers=2))
         assert len(cluster.groups) == 2
         for group in cluster.groups:
             assert group.replicas == 0
@@ -46,7 +46,7 @@ class TestConstruction:
         ).to_json()
 
     def test_backups_are_full_shards_on_distinct_disks(self):
-        cluster = build_cluster(_replicated(servers=2, replicas=2), clients=0)
+        cluster = Cluster(_replicated(servers=2, replicas=2))
         for index, group in enumerate(cluster.groups):
             assert group.replicas == 2
             assert [m.host for m in group.members] == [
@@ -85,8 +85,8 @@ class TestConstruction:
 
 class TestQuorumCommit:
     def test_backup_converges_to_primary_image(self):
-        cluster = build_cluster(_replicated(), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(_replicated())
+        client = cluster.add_client()
         _write(cluster, client, "f0", 16 * KB)
         cluster.env.run()  # drain replication sessions
         group = cluster.groups[0]
@@ -109,7 +109,8 @@ class TestQuorumCommit:
         )
 
     def test_commit_waits_for_the_backup_ack(self):
-        cluster = build_cluster(_replicated(), clients=1)
+        cluster = Cluster(_replicated())
+        cluster.add_client()
         _write(cluster, cluster.clients[0], "f0", 16 * KB)
         replicator = cluster.groups[0].primary.replicator
         assert replicator.batches.value >= 1
@@ -119,13 +120,14 @@ class TestQuorumCommit:
         assert replicator.wait.min > 0
 
     def test_k0_commit_never_stalls(self):
-        cluster = build_cluster(_replicated(replicas=0), clients=1)
+        cluster = Cluster(_replicated(replicas=0))
+        cluster.add_client()
         _write(cluster, cluster.clients[0], "f0", 16 * KB)
         assert cluster.groups[0].primary.replicator is None
 
     def test_namespace_ops_replicate(self):
-        cluster = build_cluster(_replicated(), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(_replicated())
+        client = cluster.add_client()
         env = cluster.env
 
         def ops():
@@ -162,8 +164,8 @@ class TestPromotion:
         # A WRITE acked by the old primary, retransmitted after promotion,
         # must get the *cached* reply from the promoted backup — replayed,
         # not re-executed.
-        cluster = build_cluster(_replicated(), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(_replicated())
+        client = cluster.add_client()
         env = cluster.env
         _write(cluster, client, "f0", 16 * KB)
         env.run()
@@ -196,8 +198,8 @@ class TestPromotion:
         assert backup.ufs.cache.durable.inodes[ino].size == executed_before
 
     def test_promotion_preserves_acked_writes(self):
-        cluster = build_cluster(_replicated(), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(_replicated())
+        client = cluster.add_client()
         oracle = ClusterOracle(cluster)
         oracle.attach(client)
         _write(cluster, client, "f0", 16 * KB)
@@ -207,7 +209,7 @@ class TestPromotion:
         assert oracle.acked_writes == 2
 
     def test_freshest_backup_wins(self):
-        cluster = build_cluster(_replicated(replicas=2), clients=0)
+        cluster = Cluster(_replicated(replicas=2))
         group = cluster.groups[0]
         b1, b2 = group.backups()
         b2.replicator.applied_seq = 5
@@ -251,8 +253,8 @@ class TestRedirectRecovery:
     def test_heal_reclaims_exactly_the_old_arcs(self):
         # Property: dropping a shard and healing it must restore the ring
         # bit-for-bit — every probe key maps to the same shard afterwards.
-        cluster = build_cluster(ClusterConfig(servers=3, seed=0), clients=1)
-        client = cluster.clients[0]
+        cluster = Cluster(ClusterConfig(servers=3, seed=0))
+        client = cluster.add_client()
         env = cluster.env
         probes = [f"probe-{index}" for index in range(256)]
         before = {name: cluster.shard_map.server_for(name) for name in probes}

@@ -67,8 +67,11 @@ class TestSpecValidation:
 
     def test_copy_imports_no_subsystem_experiment(self):
         # repro.overload's retry and admission classes are part of the
-        # rpc/server stack a copy runs; its experiment module is not.  The
-        # CLI imports a subcommand's flag targets only when it parses it.
+        # rpc/server stack a copy runs; its experiment module is not.  Nor
+        # are the cluster's experiment, failover and oracle modules: a
+        # testbed is a one-shard fleet, so only the cluster's fleet,
+        # router and shard map run.  The CLI imports a subcommand's flag
+        # targets only when it parses it.
         for call in (
             "from repro.experiments import run; run('copy', file_mb=0.0625)",
             "import repro.cli; repro.cli.main(['copy', '--file-mb', '0.0625'])",
@@ -76,7 +79,8 @@ class TestSpecValidation:
             code = (
                 f"import sys\n{call}\n"
                 "print(sorted(m for m in sys.modules if m.startswith(("
-                "'repro.cluster', 'repro.tiering', 'repro.overload.experiment', "
+                "'repro.cluster.experiment', 'repro.cluster.failover', "
+                "'repro.cluster.oracle', 'repro.tiering', 'repro.overload.experiment', "
                 "'repro.replica', 'repro.lease', 'repro.commit', 'repro.faults'))))\n"
             )
             loaded = subprocess.run(

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cluster.fleet import Cluster, ClusterConfig
+from repro.disk.device import DiskDevice
 from repro.disk.stripe import StripeSet
 from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.fs.ufs import CostModel
@@ -117,3 +118,23 @@ def test_every_client_matches_the_config(system):
     leased = fields.get("lease_ttl") is not None
     assert isinstance(client.cache, CacheStack) == leased
     assert client.nbiods == system.built.config.nbiods
+
+
+def test_testbed_keeps_the_shape_perfbench_reads(monkeypatch):
+    # perfbench wraps Testbed.__init__ and Cluster.__init__ (only a
+    # function the class itself defines), counts every system a wrapped
+    # constructor builds, and tells the two apart by ``groups``.
+    assert "__init__" in vars(Testbed)
+    built = []
+    original = Cluster.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cluster, "__init__", counting)
+    testbed = Testbed(TestbedConfig(stripes=2))
+    assert built == []
+    assert not hasattr(testbed, "groups")
+    assert isinstance(testbed.disks, list)
+    assert [type(disk) for disk in testbed.disks] == [DiskDevice, DiskDevice]

@@ -222,7 +222,9 @@ class ClusterRpc:
         self.timeouts = primary.timeouts
         self.completed = primary.completed
         self.router = router
-        self._rack_of_server = dict(rack_of_server)
+        #: The fleet's live host -> rack map, not a copy: a shard the
+        #: fleet grows later, on any rack, is routed through its rack.
+        self._rack_of_server = rack_of_server
         #: Per-shard retry budget (repro.overload): transmissions against
         #: one shard before the router re-resolves the route.  During a
         #: failover outage the budget turns an infinitely stranded call

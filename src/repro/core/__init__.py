@@ -6,7 +6,6 @@ from repro.core.mbuf_hunter import hunt
 from repro.core.policy import REPLY_FIFO, REPLY_LIFO, GatherPolicy
 from repro.core.siva import SivaWritePath
 from repro.core.state_table import (
-    STAGE_DECODE,
     STAGE_FLUSHING,
     STAGE_GATHER_WAIT,
     STAGE_IDLE,
@@ -28,7 +27,6 @@ __all__ = [
     "NfsdStateTable",
     "NfsdState",
     "STAGE_IDLE",
-    "STAGE_DECODE",
     "STAGE_WRITING",
     "STAGE_GATHER_WAIT",
     "STAGE_FLUSHING",

@@ -192,8 +192,9 @@ class GatheringWritePath:
                 ):
                     self.stats.forced_flushes.add(1)
                     break
-                # Look for another nfsd blocked on the same vnode (or about
-                # to be: decoding a write for this file).
+                # Look for another nfsd blocked on the same vnode, or one
+                # the state table shows writing a request for this file:
+                # either will enqueue a descriptor of its own.
                 if vnode.waiters() > 0 or self.state_table.another_write_incoming(
                     vnode.ino, exclude=nfsd_id
                 ):

@@ -20,14 +20,17 @@ __all__ = ["hunt"]
 
 
 def hunt(socket_buffer: SocketBuffer, fhandle) -> bool:
-    """True if the socket buffer holds a WRITE for ``fhandle``."""
+    """True if the socket buffer holds a WRITE for ``fhandle``.
 
-    def is_matching_write(datagram) -> bool:
+    The scan stops at the first match and calls no Python function per
+    datagram: the hunter runs on every gathering decision.
+    """
+    for datagram in socket_buffer.items:
         call = datagram.payload
-        return (
+        if (
             isinstance(call, RpcCall)
             and call.proc == PROC_WRITE
-            and call.args.fhandle == fhandle
-        )
-
-    return bool(socket_buffer.scan(is_matching_write))
+            and getattr(call.args, "fhandle", None) == fhandle
+        ):
+            return True
+    return False

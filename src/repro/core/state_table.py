@@ -15,21 +15,15 @@ __all__ = [
     "NfsdStateTable",
     "NfsdState",
     "STAGE_IDLE",
-    "STAGE_DECODE",
     "STAGE_WRITING",
     "STAGE_GATHER_WAIT",
     "STAGE_FLUSHING",
 ]
 
 STAGE_IDLE = "idle"
-STAGE_DECODE = "decode"
 STAGE_WRITING = "writing"
 STAGE_GATHER_WAIT = "gather-wait"
 STAGE_FLUSHING = "flushing"
-
-#: Stages that mean "this nfsd will enqueue a descriptor and take part in
-#: (or take over) gathering for its file".
-_ACTIVE_WRITE_STAGES = frozenset({STAGE_DECODE, STAGE_WRITING})
 
 
 @dataclass
@@ -81,18 +75,16 @@ class NfsdStateTable:
         self._slots[nfsd_id].clear()
 
     def another_write_incoming(self, ino: int, exclude: int) -> bool:
-        """Is some *other* nfsd early in processing a write for ``ino``?
+        """Is some *other* nfsd still writing a request's data for ``ino``?
 
         Such an nfsd will enqueue its own descriptor and run the gathering
         decision itself, so the asking nfsd may safely leave the metadata
         update to it.
         """
-        return any(
-            slot.ino == ino
-            and slot.nfsd_id != exclude
-            and slot.stage in _ACTIVE_WRITE_STAGES
-            for slot in self._slots
-        )
+        for slot in self._slots:
+            if slot.ino == ino and slot.stage == STAGE_WRITING and slot.nfsd_id != exclude:
+                return True
+        return False
 
     def any_responsible(self, ino: int) -> bool:
         """Is any nfsd at any active stage (incl. waiting/flushing) for ``ino``?

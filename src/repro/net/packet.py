@@ -8,13 +8,10 @@ it (§4.1's "server CPU overhead due to packet reassembly").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["Datagram"]
-
-_sequence = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -28,8 +25,6 @@ class Datagram:
     size: int
     #: Number of frames this datagram was fragmented into (set on send).
     fragments: int = 1
-    #: Monotonic id, for deterministic tie-breaking and tracing.
-    seq: int = field(default_factory=lambda: next(_sequence))
     #: When this datagram entered the destination's socket buffer (set on
     #: delivery; socket-buffer residency spans are measured from it).
     arrived_at: float = field(default=0.0, compare=False)

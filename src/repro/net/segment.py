@@ -2,9 +2,9 @@
 
 Both technologies in the paper are shared media: every frame from every
 host serializes on the one channel.  The segment models this with a single
-transmission slot held *per frame* (a one-slot
-:class:`~repro.sim.HoldQueue`), so a long request train and the reply
-traffic interleave frame-by-frame exactly as in the §5 case study.
+transmission slot held *per frame* (a :class:`~repro.sim.HoldQueue`, whose
+busy clock is the wire's utilization), so a long request train and the
+reply traffic interleave frame-by-frame exactly as in the §5 case study.
 
 Each host's NIC sends its datagrams strictly in order.  An idle NIC
 claims the medium for a datagram's first frame in the instant the
@@ -33,7 +33,7 @@ from repro.net.packet import Datagram
 from repro.net.spec import NetSpec
 from repro.net.udp import UdpEndpoint
 from repro.obs import PHASE_WIRE, collector_for, registry_for
-from repro.sim import Environment, Hold, HoldQueue, Timeout
+from repro.sim import Environment, Hold, Timer
 
 __all__ = ["Segment"]
 
@@ -82,14 +82,14 @@ class _Nic:
         datagram = self.datagram
         payload = min(self.frame_payload, datagram.size - self.frame * self.frame_payload)
         self.wire_bytes = wire_bytes = payload + spec.frame_overhead
-        claim = segment._medium.hold(wire_bytes * 8.0 / spec.bandwidth_bps)
+        claim = segment.medium.hold(wire_bytes * 8.0 / spec.bandwidth_bps)
         claim.callbacks.append(self._frame_sent)
 
     def _frame_sent(self, claim: Hold) -> None:
         """The current frame is off the wire: free the medium, then send
         the next frame, or deliver this datagram and start the next."""
         segment = self.segment
-        segment._medium.release()
+        segment.medium.release()
         datagram = self.datagram
         wire_bytes = self.wire_bytes
         if self.trace is not None:
@@ -148,8 +148,8 @@ class Segment:
         self.reorder_delay = 0.0
         self.obs = collector_for(env)
         metrics = registry_for(env)
-        self.utilization = metrics.utilization(f"{self.name}.wire")
-        self._medium = HoldQueue(env, 1, self.utilization)
+        #: The shared medium; its busy clock is the wire's utilization.
+        self.medium = metrics.hold_queue(f"{self.name}.wire")
         self.delivered = metrics.counter(f"{self.name}.delivered")
         self.dropped = metrics.counter(f"{self.name}.dropped")
         self.lost = metrics.counter(f"{self.name}.lost")
@@ -176,7 +176,7 @@ class Segment:
             endpoint.handler = None
         self._endpoints.clear()
         self._nics.clear()
-        self._medium.queue.clear()
+        self.medium.queue.clear()
 
     def endpoint(self, host: str) -> UdpEndpoint:
         return self._endpoints[host]
@@ -244,9 +244,10 @@ class Segment:
     def _schedule_delivery(self, datagram: Datagram, lost: bool) -> None:
         """Arrange for ``datagram`` to arrive ``latency`` from now.
 
-        Delivery is a plain callback on a timeout — not a process — so the
-        per-datagram cost is one heap event instead of a full process
-        lifecycle (spawn, initialize, resume, finish).
+        Delivery is a bound-method callback on a :class:`~repro.sim.Timer`
+        that carries the datagram — not a process — so the per-datagram
+        cost is one heap event instead of a full process lifecycle
+        (spawn, initialize, resume, finish).
         """
         # Fault knobs draw from the RNG only while nonzero, so fault-free
         # runs consume the identical random stream they always did.
@@ -258,25 +259,24 @@ class Segment:
                 self.reordered.add(1)
             if self.duplicate_rate and self._rng.random() < self.duplicate_rate:
                 duplicated = True
-        timer = Timeout(self.env, self.spec.latency + extra_delay)
         if lost:
-            timer.callbacks.append(lambda _ev: self.lost.add(1))
+            arrive = self._arrive_lost
         elif duplicated:
-            timer.callbacks.append(
-                lambda _ev, d=datagram: self._arrive_with_duplicate(d)
-            )
+            arrive = self._arrive_with_duplicate
         else:
-            timer.callbacks.append(lambda _ev, d=datagram: self._arrive(d))
+            arrive = self._arrive
+        Timer(self.env, self.spec.latency + extra_delay, arrive, datagram)
 
-    def _arrive_with_duplicate(self, datagram: Datagram) -> None:
-        self._arrive(datagram)
+    def _arrive_lost(self, arrival: Timer) -> None:
+        self.lost.add(1)
+
+    def _arrive_with_duplicate(self, arrival: Timer) -> None:
+        self._arrive(arrival)
         self.duplicated.add(1)
-        timer = Timeout(self.env, self.spec.latency)
-        timer.callbacks.append(
-            lambda _ev, d=self._clone(datagram): self._arrive(d)
-        )
+        Timer(self.env, self.spec.latency, self._arrive, self._clone(arrival.payload))
 
-    def _arrive(self, datagram: Datagram) -> None:
+    def _arrive(self, arrival: Timer) -> None:
+        datagram = arrival.payload
         if datagram.src in self._partitioned or datagram.dst in self._partitioned:
             self.partition_drops.add(1)
             return

@@ -6,7 +6,7 @@ The unified observability layer: every RPC can carry a
 crosses (wire occupancy, socket-buffer residency, dispatch, vnode-lock
 wait, procrastination, stable-storage commit, parked-reply delay, reply).
 A per-environment :class:`~repro.obs.registry.MetricsRegistry` owns every
-named Tally/Counter/UtilizationMeter so subsystems register instruments
+named Tally/Counter/HoldQueue so subsystems register instruments
 instead of threading them through constructors, and pluggable exporters
 (JSONL, percentile summary) subscribe to the span stream.
 

@@ -22,11 +22,12 @@ from typing import Dict, List, Union
 
 from repro.sim.core import Environment
 from repro.sim.errors import SimError
-from repro.sim.monitor import Counter, Ratio, Tally, UtilizationMeter
+from repro.sim.monitor import Counter, Ratio, Tally
+from repro.sim.resources import HoldQueue
 
 __all__ = ["MetricsRegistry", "registry_for"]
 
-Instrument = Union[Tally, Counter, Ratio, UtilizationMeter]
+Instrument = Union[Tally, Counter, Ratio, HoldQueue]
 
 
 class MetricsRegistry:
@@ -61,11 +62,10 @@ class MetricsRegistry:
         """A monotonically increasing event/byte counter."""
         return self._register(name, Counter, lambda: Counter(self.env, name))
 
-    def utilization(self, name: str) -> UtilizationMeter:
-        """A busy-fraction meter."""
-        return self._register(
-            name, UtilizationMeter, lambda: UtilizationMeter(self.env, name)
-        )
+    def hold_queue(self, name: str) -> HoldQueue:
+        """A one-slot hold queue (a shared wire), whose busy clock is the
+        instrument."""
+        return self._register(name, HoldQueue, lambda: HoldQueue(self.env, name))
 
     def ratio(self, name: str, numerator: Counter, denominator: Counter) -> Ratio:
         """A derived quotient of two counters (e.g. RPCs per user op)."""
@@ -117,7 +117,7 @@ class MetricsRegistry:
                     "numerator": instrument.numerator.value,
                     "denominator": instrument.denominator.value,
                 }
-            else:  # UtilizationMeter
+            else:  # HoldQueue
                 out[name] = {
                     "kind": "utilization",
                     "utilization": instrument.utilization(),

@@ -1,9 +1,9 @@
 """Server CPU accounting.
 
 Every piece of server work — RPC decode, per-frame reassembly, UFS trips,
-driver trips, reply generation — holds a core for its cost through a
-:class:`~repro.sim.HoldQueue`: work queues FIFO for a free core, and the
-next charge starts the instant the previous one ends.  The meter behind it
+driver trips, reply generation — holds the one CPU for its cost through a
+:class:`~repro.sim.HoldQueue`: work queues FIFO for the CPU, and the next
+charge starts the instant the previous one ends.  The queue's busy clock
 produces the "server cpu util. (%)" row of the paper's tables, and CPU
 contention naturally degrades service when the server saturates.
 """
@@ -12,41 +12,35 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.sim import Environment, HoldQueue, UtilizationMeter
+from repro.sim import Environment, HoldQueue
 
 __all__ = ["Cpu"]
 
 
 class Cpu:
-    """A (possibly multi-core) CPU shared by all server work; one core by
-    default, as everywhere in the paper."""
+    """The one CPU shared by all server work, as everywhere in the paper."""
 
-    def __init__(self, env: Environment, cores: int = 1) -> None:
-        if cores < 1:
-            raise ValueError(f"cores must be >= 1, got {cores}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.cores = cores
-        self.meter = UtilizationMeter(env, "cpu")
-        self._slots = HoldQueue(env, cores, self.meter)
+        #: The CPU's hold queue, which is also its busy meter.
+        self.meter = HoldQueue(env, "cpu")
 
     def consume(self, seconds: float) -> Generator:
-        """Hold one core for ``seconds`` of work."""
+        """Hold the CPU for ``seconds`` of work."""
         if seconds <= 0:
             return
-        slots = self._slots
-        claim = slots.hold(seconds)
+        core = self.meter
+        claim = core.hold(seconds)
         try:
             yield claim
         except BaseException:
-            slots.abandon(claim)
+            core.abandon(claim)
             raise
-        slots.release()
+        core.release()
 
     def utilization(self) -> float:
-        """Busy fraction in [0, 1]; for multi-core, mean busy cores / cores."""
-        if self.cores == 1:
-            return self.meter.utilization()
-        return min(1.0, self.meter.mean_concurrency() / self.cores)
+        """Busy fraction in [0, 1]."""
+        return self.meter.utilization()
 
     def reset(self) -> None:
         self.meter.reset()

@@ -10,6 +10,7 @@ from repro.sim.core import (
     Event,
     Process,
     Timeout,
+    Timer,
 )
 from repro.sim.errors import Interrupt, SimError, StopSimulation
 from repro.sim.monitor import Counter, Ratio, Tally, UtilizationMeter
@@ -27,6 +28,7 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
+    "Timer",
     "Condition",
     "AllOf",
     "AnyOf",

@@ -48,6 +48,8 @@ thousands of events), so the representation is tuned:
   never scheduled.  When the side heap empties, the latest deadline ever
   set is armed as a no-op if it lies ahead, so a draining :meth:`run`
   ends at the same time as if every timer had been queued;
+* ``Environment.now`` is a plain attribute that only the event loop
+  writes, so the clock read on nearly every hop is no method call;
 * resources and stores may hand back *synchronously processed* events
   (``callbacks is None`` before ever touching the queue) for uncontended
   grants; :meth:`Process._resume` consumes those without a scheduler round;
@@ -68,6 +70,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "Timer",
     "Process",
     "Condition",
     "AllOf",
@@ -154,7 +157,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env.now, _NORMAL_BIAS + env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -170,7 +173,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid += 1
-        heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env.now, _NORMAL_BIAS + env._eid, self))
         return self
 
     def succeed_now(self, value: Any = None) -> "Event":
@@ -222,10 +225,36 @@ class Timeout(Event):
         self.defused = False
         self._delay = delay
         env._eid += 1
-        heapq.heappush(env._queue, (env._now + delay, _NORMAL_BIAS + env._eid, self))
+        heapq.heappush(env._queue, (env.now + delay, _NORMAL_BIAS + env._eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
+
+
+class Timer(Event):
+    """Runs ``callback(timer)`` ``delay`` seconds from now, with
+    ``payload`` riding along: a kernel callback that needs no process
+    (a datagram's arrival) and no closure per timer."""
+
+    __slots__ = ("payload",)
+
+    def __init__(
+        self,
+        env: "Environment",
+        delay: float,
+        callback: Callable[["Timer"], None],
+        payload: Any = None,
+    ) -> None:
+        if delay < 0:
+            raise SimError(f"negative timer delay: {delay!r}")
+        self.env = env
+        self.callbacks = [callback]
+        self._ok = True
+        self._value = None
+        self.defused = False
+        self.payload = payload
+        env._eid += 1
+        heapq.heappush(env._queue, (env.now + delay, _NORMAL_BIAS + env._eid, self))
 
 
 class Initialize(Event):
@@ -240,7 +269,7 @@ class Initialize(Event):
         self.defused = False
         self.callbacks = [process._resume]
         env._eid += 1
-        heapq.heappush(env._queue, (env._now, env._eid, self))
+        heapq.heappush(env._queue, (env.now, env._eid, self))
 
 
 class _Expiry(Event):
@@ -356,14 +385,14 @@ class Process(Event):
                 self._ok = True
                 self._value = exc.value
                 env._eid += 1
-                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+                heapq.heappush(env._queue, (env.now, _NORMAL_BIAS + env._eid, self))
                 break
             except BaseException as exc:
                 del env._live[self]
                 self._ok = False
                 self._value = exc
                 env._eid += 1
-                heapq.heappush(env._queue, (env._now, _NORMAL_BIAS + env._eid, self))
+                heapq.heappush(env._queue, (env.now, _NORMAL_BIAS + env._eid, self))
                 break
 
             try:
@@ -464,7 +493,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  A plain attribute: every
+        #: layer reads it, and only the event loop writes it.
+        self.now = float(initial_time)
         #: Heap of ``(time, seq, event)``; ``seq`` has the priority folded
         #: into its high bits (see ``_PRIORITY_SHIFT``).
         self._queue: List[Tuple[float, int, Event]] = []
@@ -480,11 +511,6 @@ class Environment:
         self._closed = False
 
     # -- introspection ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
@@ -519,7 +545,7 @@ class Environment:
         if delay < 0:
             raise SimError(f"negative deadline delay: {delay!r}")
         self._eid += 1
-        entry = (self._now + delay, _NORMAL_BIAS + self._eid, _Expiry(self, event, value))
+        entry = (self.now + delay, _NORMAL_BIAS + self._eid, _Expiry(self, event, value))
         deadlines = self._deadlines
         heapq.heappush(deadlines, entry)
         if deadlines[0] is entry:
@@ -536,7 +562,7 @@ class Environment:
         self._eid += 1
         heapq.heappush(
             self._queue,
-            (self._now + delay, (priority << _PRIORITY_SHIFT) + self._eid, event),
+            (self.now + delay, (priority << _PRIORITY_SHIFT) + self._eid, event),
         )
 
     def _arm(self, entry: Tuple[float, int, _Expiry]) -> None:
@@ -560,7 +586,7 @@ class Environment:
             # Drain rule: a drain ends at the latest deadline ever set,
             # as if every deadline had been a queued timer.
             entry = self._last_deadline
-            if entry[0] <= self._now:
+            if entry[0] <= self.now:
                 return
         if entry[2]._value is _PENDING:
             self._arm(entry)
@@ -570,7 +596,7 @@ class Environment:
         if not self._queue:
             raise SimError("step() on an empty event queue")
         when, _seq, event = heapq.heappop(self._queue)
-        self._now = when
+        self.now = when
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
@@ -599,13 +625,13 @@ class Environment:
             stop_event.callbacks.append(self._stop_on)
         else:
             at = float(until)
-            if at < self._now:
-                raise SimError(f"run(until={at}) is in the past (now={self._now})")
+            if at < self.now:
+                raise SimError(f"run(until={at}) is in the past (now={self.now})")
             stop_event = Event(self)
             stop_event._ok = True
             stop_event._value = None
             stop_event.callbacks.append(self._stop_on)
-            self._schedule(stop_event, PRIORITY_URGENT, at - self._now)
+            self._schedule(stop_event, PRIORITY_URGENT, at - self.now)
 
         # Inlined step() loop: this is the simulator's innermost loop, so
         # avoid the per-event method call and re-resolution of globals.
@@ -614,7 +640,7 @@ class Environment:
         try:
             while queue:
                 when, _seq, event = pop(queue)
-                self._now = when
+                self.now = when
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:

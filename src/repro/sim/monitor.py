@@ -19,7 +19,7 @@ __all__ = ["Tally", "Counter", "Ratio", "UtilizationMeter"]
 class Tally:
     """Streaming statistics over observed samples (latencies, sizes).
 
-    Keeps count/mean/variance via Welford's algorithm and, optionally, the
+    Keeps count, a running mean, min, max and total and, optionally, the
     raw samples so percentiles can be computed (``keep_samples=True``).
     """
 
@@ -27,7 +27,6 @@ class Tally:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.total = 0.0
@@ -37,9 +36,7 @@ class Tally:
         """Record one sample."""
         self.count += 1
         self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -51,10 +48,6 @@ class Tally:
     def mean(self) -> float:
         """Mean of samples seen so far (0.0 when empty)."""
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Sample percentile (nearest-rank).  Requires ``keep_samples``."""
@@ -121,9 +114,11 @@ class Ratio:
 class UtilizationMeter:
     """Tracks what fraction of wall time a device is busy.
 
-    Supports overlapping busy intervals (a multi-slot resource): the meter
-    counts time during which at least one interval is open, and also
-    integrates total busy-slot-seconds for mean-concurrency queries.
+    Busy time is either bracketed by :meth:`begin` and :meth:`end` (a
+    disk arm) or added outright with :meth:`add_busy` (a Prestoserve
+    copy).  Overlapping intervals count once: the meter is busy while at
+    least one is open.  A :class:`~repro.sim.HoldQueue` keeps its own
+    busy clock instead.
     """
 
     def __init__(self, env: Environment, name: str = "") -> None:
@@ -132,19 +127,13 @@ class UtilizationMeter:
         self._active = 0
         self._busy_since = 0.0
         self._busy_time = 0.0
-        #: Busy-slot-seconds: the time integral of ``_active``.
-        self._slot_area = 0.0
-        self._last_change = env.now
         self._start = env.now
 
     def begin(self) -> None:
         """Mark the start of a busy interval."""
-        now = self.env._now
         active = self._active
         if active == 0:
-            self._busy_since = now
-        self._slot_area += active * (now - self._last_change)
-        self._last_change = now
+            self._busy_since = self.env.now
         self._active = active + 1
 
     def end(self) -> None:
@@ -152,12 +141,9 @@ class UtilizationMeter:
         active = self._active
         if active <= 0:
             raise SimError(f"UtilizationMeter {self.name!r}: end() without begin()")
-        now = self.env._now
-        self._slot_area += active * (now - self._last_change)
-        self._last_change = now
         self._active = active - 1
         if active == 1:
-            self._busy_time += now - self._busy_since
+            self._busy_time += self.env.now - self._busy_since
 
     def add_busy(self, seconds: float) -> None:
         """Directly account ``seconds`` of busy time (non-overlapping use)."""
@@ -178,18 +164,8 @@ class UtilizationMeter:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
-    def mean_concurrency(self) -> float:
-        """Time-weighted mean number of simultaneously busy slots."""
-        now = self.env.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return float(self._active)
-        return (self._slot_area + self._active * (now - self._last_change)) / elapsed
-
     def reset(self) -> None:
         self._busy_time = 0.0
         self._start = self.env.now
         if self._active:
             self._busy_since = self.env.now
-        self._slot_area = 0.0
-        self._last_change = self.env.now

@@ -5,10 +5,11 @@ Four families, mirroring what the NFS stack needs:
 * :class:`Resource` — capacity-limited resources held for as long as the holder likes (a vnode lock).  ``request()``
   returns an event that fires when a slot is granted; release with
   ``release()`` or use the request as a context manager inside a process.
-* :class:`HoldQueue` — capacity-limited slots held for a duration known up
-  front (a CPU charge, one frame on the wire).  ``hold(seconds)`` returns a
-  :class:`Hold` that fires when the hold *ends*, so a holder wakes once per
-  hold; ``release()`` starts the next queued hold at that same instant.
+* :class:`HoldQueue` — one slot held for a duration known up front (a CPU
+  charge, one frame on the wire), with its own busy clock.
+  ``hold(seconds)`` returns a :class:`Hold` that fires when the hold
+  *ends*, so a holder wakes once per hold; ``release()`` starts the next
+  queued hold at that same instant.
 * :class:`Store` — a FIFO queue of Python objects (a socket buffer, a work
   queue).  Optionally bounded; ``put`` on a full bounded store waits.
 * :class:`Container` — a continuous level (bytes of NVRAM in use).
@@ -16,13 +17,12 @@ Four families, mirroring what the NFS stack needs:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, List, Optional
 
-from repro.sim.core import _NORMAL_BIAS, Environment, Event
+from repro.sim.core import _NORMAL_BIAS, _PENDING, Environment, Event
 from repro.sim.errors import SimError
-from repro.sim.monitor import UtilizationMeter
 
 __all__ = [
     "Resource",
@@ -125,7 +125,7 @@ class Resource:
 
 
 class Hold(Event):
-    """A claim on a :class:`HoldQueue` slot for ``seconds``.
+    """A claim on a :class:`HoldQueue`'s slot for ``seconds``.
 
     The event fires when the hold ends.  ``started`` is the instant the
     slot was taken, or None while the claim is still queued.
@@ -134,73 +134,108 @@ class Hold(Event):
     __slots__ = ("seconds", "started")
 
     def __init__(self, env: Environment, seconds: float) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self.seconds = seconds
         self.started: Optional[float] = None
 
 
 class HoldQueue:
-    """Capacity-limited slots, each held for a duration known up front.
+    """One slot, held for a duration known up front, and its busy clock.
 
     ``hold(seconds)`` stands for ``request()``, a grant, then a
     ``timeout(seconds)``, with one wake instead of two: a free slot starts
     the hold at once, and a queued claim starts the instant ``release()``
-    frees a slot (FIFO).  Its completion takes the heap sequence number the
-    grant event would have taken, so every other event keeps its order;
-    only the completion itself now sorts ahead of events scheduled later in
-    the instant it started.  ``meter`` is busy for as long as each hold.
+    frees the slot (FIFO).  Its completion takes the heap sequence number
+    the grant event would have taken, so every other event keeps its
+    order; only the completion itself now sorts ahead of events scheduled
+    later in the instant it started.
+
+    The queue is its own busy meter: each hold adds its length to
+    ``busy_time`` when it is released, and ``utilization()`` and
+    ``reset()`` read and restart it as a
+    :class:`~repro.sim.monitor.UtilizationMeter` would.
     """
 
-    def __init__(
-        self, env: Environment, capacity: int, meter: UtilizationMeter
-    ) -> None:
-        if capacity < 1:
-            raise SimError(f"hold queue capacity must be >= 1, got {capacity}")
+    def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
-        self.capacity = capacity
-        self.meter = meter
-        #: Slots currently held.
-        self.count = 0
+        self.name = name
+        #: True while a hold has the slot.
+        self.busy = False
         self.queue: Deque[Hold] = deque()
+        #: Since when the current hold has counted as busy: its start, or
+        #: the last :meth:`reset` if that came later.
+        self._since = 0.0
+        self._busy_time = 0.0
+        self._start = env.now
 
     def hold(self, seconds: float) -> Hold:
-        """Claim a slot for ``seconds``; the returned event fires when the
-        hold ends.  The holder must then call :meth:`release`."""
+        """Claim the slot for ``seconds``; the returned event fires when
+        the hold ends.  The holder must then call :meth:`release`."""
         if seconds < 0:
             raise SimError(f"negative hold: {seconds!r}")
-        claim = Hold(self.env, seconds)
-        if self.count < self.capacity and not self.queue:
-            self.count += 1
-            self._start(claim)
-        else:
+        env = self.env
+        claim = Hold(env, seconds)
+        if self.busy:
             self.queue.append(claim)
+            return claim
+        self.busy = True
+        claim.started = self._since = now = env.now
+        claim._ok = True
+        claim._value = None
+        env._eid += 1
+        heappush(env._queue, (now + seconds, _NORMAL_BIAS + env._eid, claim))
         return claim
 
     def release(self) -> None:
-        """End one hold: the next queued claim starts now, or the slot
-        frees."""
-        self.meter.end()
-        if self.queue:
-            self._start(self.queue.popleft())
-        else:
-            self.count -= 1
+        """End the current hold: the next queued claim starts now, or the
+        slot frees."""
+        env = self.env
+        now = env.now
+        self._busy_time += now - self._since
+        queue = self.queue
+        if not queue:
+            self.busy = False
+            return
+        claim = queue.popleft()
+        claim.started = self._since = now
+        claim._ok = True
+        claim._value = None
+        env._eid += 1
+        heappush(env._queue, (now + claim.seconds, _NORMAL_BIAS + env._eid, claim))
 
     def abandon(self, claim: Hold) -> None:
         """Give up ``claim`` (its holder was interrupted): dequeue it if it
-        is still waiting, else release its slot."""
+        is still waiting, else release the slot."""
         if claim.started is None:
             self.queue.remove(claim)
         else:
             self.release()
 
-    def _start(self, claim: Hold) -> None:
-        env = self.env
-        self.meter.begin()
-        claim.started = now = env._now
-        claim._ok = True
-        claim._value = None
-        env._eid += 1
-        heapq.heappush(env._queue, (now + claim.seconds, _NORMAL_BIAS + env._eid, claim))
+    @property
+    def busy_time(self) -> float:
+        """Seconds the slot has been held since creation or last reset."""
+        if self.busy:
+            return self._busy_time + (self.env.now - self._since)
+        return self._busy_time
+
+    def utilization(self) -> float:
+        """Busy fraction in [0, 1] since creation or last reset."""
+        elapsed = self.env.now - self._start
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / elapsed)
+
+    def reset(self) -> None:
+        """Restart the busy clock now; a hold in progress counts on from
+        here."""
+        self._busy_time = 0.0
+        self._start = now = self.env.now
+        if self.busy:
+            self._since = now
 
 
 class Store:

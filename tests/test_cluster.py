@@ -116,6 +116,24 @@ class TestGrow:
         assert rollup[2]["host"] == "server-2"
         assert rollup[2]["files_created"] == 1
 
+    def test_client_reaches_a_shard_grown_on_another_rack(self):
+        """A client attached before the fleet grows sends a newcomer's
+        calls through the newcomer's own rack."""
+        cluster = Cluster(ClusterConfig(servers=2, racks=2))
+        client = cluster.add_client()
+        cluster.grow()
+        newcomer = cluster.grow()
+        assert newcomer.host == "server-3"
+        assert cluster.segment_of("server-3").name == "fddi.rack1"
+        target = next(
+            f"f{index}"
+            for index in range(1000)
+            if cluster.shard_map.server_for(f"f{index}") == "server-3"
+        )
+        _write(cluster, client, target)
+        rollup = {shard["host"]: shard["files_created"] for shard in cluster.per_shard_rollup()}
+        assert rollup["server-3"] == 1
+
 
 class TestRunCluster:
     def test_basic_run_is_clean_and_accounted(self):

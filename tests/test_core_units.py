@@ -2,6 +2,8 @@
 queue, policy, learned-client db, mbuf hunter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     REPLY_FIFO,
@@ -226,3 +228,82 @@ class TestMbufHunter:
         buffer.try_put(self.write_datagram((7, 0)))
         hunt(buffer, (7, 0))
         assert len(buffer) == 1
+
+
+# -- the follower checks against a brute-force scan ------------------------------
+
+_INOS = st.sampled_from([5, 6, 7])
+_STAGES = st.sampled_from([STAGE_IDLE, STAGE_WRITING, STAGE_GATHER_WAIT, STAGE_FLUSHING])
+
+
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), st.integers(0, 3), _STAGES, _INOS),
+            st.tuples(st.just("clear"), st.integers(0, 3)),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_property_another_write_incoming_matches_a_scan(steps):
+    table = NfsdStateTable(4)
+    for step in steps:
+        if step[0] == "set":
+            _, nfsd_id, stage, ino = step
+            table.set(nfsd_id, stage, ino)
+        else:
+            table.clear(step[1])
+        for ino in (5, 6, 7):
+            for exclude in range(4):
+                expected = any(
+                    slot.ino == ino and slot.nfsd_id != exclude and slot.stage == STAGE_WRITING
+                    for slot in table.snapshot()
+                )
+                assert table.another_write_incoming(ino, exclude) == expected
+
+
+_FHANDLES = st.sampled_from([(7, 0), (8, 0), (7, 1)])
+#: What a socket buffer may hold: WRITEs, a WRITE whose args carry no file
+#: handle, other procedures, and payloads that are not calls at all.
+_DATAGRAMS = st.one_of(
+    st.builds(lambda fh: RpcCall(1, "write", WriteArgs(fh, 0, b"x"), 200, "c"), _FHANDLES),
+    st.just(RpcCall(2, "write", None, 200, "c")),
+    st.just(RpcCall(3, "write", ("not", "args"), 200, "c")),
+    st.builds(lambda fh: RpcCall(4, "read", WriteArgs(fh, 0, b"x"), 200, "c"), _FHANDLES),
+    st.just({"op": "write"}),
+)
+
+
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), _DATAGRAMS),
+            st.tuples(st.just("get"), st.none()),
+            st.tuples(st.just("evict"), st.none()),
+            st.tuples(st.just("reset"), st.none()),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_property_hunt_matches_a_scan(steps):
+    env = Environment()
+    buffer = SocketBuffer(env, capacity_bytes=2000)
+    for op, payload in steps:
+        if op == "put":
+            buffer.try_put(Datagram("c", "s", payload, 200))
+        elif op == "get":
+            buffer.get()
+        elif op == "evict":
+            buffer.evict_oldest()
+        else:
+            buffer.reset_volatile()
+        for fhandle in ((7, 0), (8, 0), (7, 1), (9, 0)):
+            expected = any(
+                isinstance(datagram.payload, RpcCall)
+                and datagram.payload.proc == "write"
+                and getattr(datagram.payload.args, "fhandle", None) == fhandle
+                for datagram in buffer.items
+            )
+            assert hunt(buffer, fhandle) == expected

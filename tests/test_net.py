@@ -150,7 +150,7 @@ class TestSegment:
 
         env.process(sender(env))
         env.run()
-        assert 0.5 < segment.utilization.utilization() <= 1.0
+        assert 0.5 < segment.medium.utilization() <= 1.0
 
 
 class TestSocketBuffer:

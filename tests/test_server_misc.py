@@ -73,19 +73,6 @@ class TestCpuModel:
         assert done[1][1] == pytest.approx(0.02)
         assert cpu.utilization() == pytest.approx(1.0)
 
-    def test_two_cores_overlap(self):
-        env = Environment()
-        cpu = Cpu(env, cores=2)
-
-        def worker(env):
-            yield from cpu.consume(0.01)
-
-        env.process(worker(env))
-        env.process(worker(env))
-        env.run()
-        assert env.now == pytest.approx(0.01)
-        assert cpu.utilization() == pytest.approx(1.0)
-
     def test_zero_cost_is_free(self):
         env = Environment()
         cpu = Cpu(env)
@@ -97,10 +84,6 @@ class TestCpuModel:
         proc = env.process(worker(env))
         env.run()
         assert proc.value == 0
-
-    def test_invalid_core_count(self):
-        with pytest.raises(ValueError):
-            Cpu(Environment(), cores=0)
 
     def test_cpu_scale_halves_utilization(self):
         from repro.experiments import run_filecopy

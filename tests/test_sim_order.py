@@ -20,7 +20,6 @@ from repro.sim import (
     Interrupt,
     SimError,
     StopSimulation,
-    UtilizationMeter,
 )
 
 INF = float("inf")
@@ -45,7 +44,7 @@ class HeapOnlyEnvironment(Environment):
     def step(self):
         if not self._queue:
             raise SimError("step() on an empty event queue")
-        self._now, _seq, event = heapq.heappop(self._queue)
+        self.now, _seq, event = heapq.heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -56,7 +55,7 @@ class HeapOnlyEnvironment(Environment):
         if until is not None and not isinstance(until, Event):
             stop = Event(self)
             stop._ok, stop._value = True, None
-            self._schedule(stop, PRIORITY_URGENT, float(until) - self._now)
+            self._schedule(stop, PRIORITY_URGENT, float(until) - self.now)
             until = stop
         if until is not None:
             if until.processed:
@@ -104,7 +103,7 @@ def _execute(env, program, mode):
     log = []
     signals = []
     procs = []
-    slots = HoldQueue(env, 1, UtilizationMeter(env))
+    slots = HoldQueue(env)
 
     def logged(tag):
         def callback(event):

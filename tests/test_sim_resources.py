@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
@@ -254,11 +254,6 @@ def test_grants_are_freed_by_refcount(monkeypatch):
 # -- HoldQueue ------------------------------------------------------------------
 
 
-def _hold_queue(env, capacity=1):
-    meter = UtilizationMeter(env)
-    return HoldQueue(env, capacity, meter), meter
-
-
 def _holder(env, slots, log, name, seconds, arrive=0):
     if arrive:
         yield env.timeout(arrive)
@@ -270,42 +265,31 @@ def _holder(env, slots, log, name, seconds, arrive=0):
 
 def test_hold_queue_is_fifo_and_stamps_started():
     env = Environment()
-    slots, _meter = _hold_queue(env)
+    slots = HoldQueue(env)
     log = []
     for name, seconds in (("a", 2), ("b", 3), ("c", 1)):
         env.process(_holder(env, slots, log, name, seconds))
     env.run()
     assert log == [("a", 0, 2), ("b", 2, 5), ("c", 5, 6)]
-    assert slots.count == 0 and not slots.queue
-
-
-def test_hold_queue_capacity_two_overlaps():
-    env = Environment()
-    slots, meter = _hold_queue(env, capacity=2)
-    log = []
-    for name in "abc":
-        env.process(_holder(env, slots, log, name, 4))
-    env.run()
-    assert log == [("a", 0, 4), ("b", 0, 4), ("c", 4, 8)]
-    assert meter.busy_time == 8
-    assert meter.mean_concurrency() == pytest.approx(12 / 8)
+    assert not slots.busy and not slots.queue
+    assert slots.busy_time == 6
 
 
 def test_hold_queue_meter_counts_held_time_only():
     env = Environment()
-    slots, meter = _hold_queue(env)
+    slots = HoldQueue(env)
     log = []
     env.process(_holder(env, slots, log, "a", 2))
     env.process(_holder(env, slots, log, "b", 1, arrive=5))
     env.run()
     assert env.now == 6
-    assert meter.busy_time == 3
-    assert meter.utilization() == pytest.approx(0.5)
+    assert slots.busy_time == 3
+    assert slots.utilization() == pytest.approx(0.5)
 
 
 def test_hold_queue_abandon_queued_claim():
     env = Environment()
-    slots, meter = _hold_queue(env)
+    slots = HoldQueue(env)
     first = slots.hold(2)
     second = slots.hold(3)
     assert first.started == 0 and second.started is None
@@ -313,14 +297,14 @@ def test_hold_queue_abandon_queued_claim():
     assert not slots.queue
     env.run()
     slots.release()
-    assert slots.count == 0
+    assert not slots.busy
     assert second.started is None and not second.triggered
-    assert meter.busy_time == 2
+    assert slots.busy_time == 2
 
 
 def test_hold_queue_abandon_held_claim_hands_over():
     env = Environment()
-    slots, meter = _hold_queue(env)
+    slots = HoldQueue(env)
     log = []
 
     def victim(env):
@@ -340,48 +324,141 @@ def test_hold_queue_abandon_held_claim_hands_over():
     env.process(interrupter(env, process))
     env.run()
     assert log == [("abandoned", 4), ("next", 4, 5)]
-    assert meter.busy_time == 5
-    assert slots.count == 0
+    assert slots.busy_time == 5
+    assert not slots.busy
 
 
 def test_hold_queue_rejects_bad_arguments():
-    env = Environment()
-    with pytest.raises(SimError):
-        _hold_queue(env, capacity=0)
-    slots, _meter = _hold_queue(env)
+    slots = HoldQueue(Environment())
     with pytest.raises(SimError):
         slots.hold(-1)
 
 
 def test_handed_over_hold_keeps_its_grant_place():
     """A queued hold that starts at a release completes with the sequence
-    number its grant event would have had.  So among holds ending in one
-    instant, it sorts before an uncontended hold begun later in the
-    instant it started; in the ``request()`` + ``timeout`` form the waiter
-    only took its timer after that instant's earlier events."""
+    number its grant event would have had.  So among events due in one
+    instant, it sorts before a timer set later in the instant it started;
+    in the ``request()`` + ``timeout`` form the waiter only took its
+    timer after that instant's earlier events, so the timer came first."""
     env = Environment()
-    slots, _meter = _hold_queue(env, capacity=2)
+    slots = HoldQueue(env)
     log = []
     env.process(_holder(env, slots, log, "a", 1))
-    env.process(_holder(env, slots, log, "x", 1))
     env.process(_holder(env, slots, log, "b", 2))  # queued; starts at 1
 
     def late(env):
-        # Arrives at 1 on a timer set at 0.5, so it runs after a and x
-        # release, and finds x's slot free.
+        # Wakes at 1 on a timer set at 0.5, so after a's release has
+        # started b, then sets a timer due when b's hold ends.
         yield env.timeout(0.5)
-        yield from _holder(env, slots, log, "c", 2, arrive=0.5)
+        yield env.timeout(0.5)
+        yield env.timeout(2)
+        log.append(("late", 1, env.now))
 
     env.process(late(env))
     env.run()
-    assert log[2:] == [("b", 1, 3), ("c", 1, 3)]
+    assert log == [("a", 0, 1), ("b", 1, 3), ("late", 1, 3)]
 
 
-def _resource_form(capacity, users):
-    """The ``request()`` + ``timeout`` form a HoldQueue replaces."""
+class _ReferenceMeter:
+    """The busy meter a HoldQueue used to drive, as it was: ``begin``
+    when a hold starts, ``end`` when it is released."""
+
+    def __init__(self, env):
+        self.env = env
+        self._active = 0
+        self._busy_since = 0.0
+        self._busy_time = 0.0
+        self._start = env.now
+
+    def begin(self):
+        if self._active == 0:
+            self._busy_since = self.env.now
+        self._active += 1
+
+    def end(self):
+        self._active -= 1
+        if self._active == 0:
+            self._busy_time += self.env.now - self._busy_since
+
+    @property
+    def busy_time(self):
+        extra = self.env.now - self._busy_since if self._active else 0.0
+        return self._busy_time + extra
+
+    def utilization(self):
+        elapsed = self.env.now - self._start
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.busy_time / elapsed)
+
+    def reset(self):
+        self._busy_time = 0.0
+        self._start = self.env.now
+        if self._active:
+            self._busy_since = self.env.now
+
+
+_HOLD_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("hold"), st.floats(0.0, 5.0)),
+        st.tuples(st.just("release"), st.just(0)),
+        st.tuples(st.just("abandon"), st.integers(0, 7)),
+        st.tuples(st.just("reset"), st.just(0)),
+        st.tuples(st.just("advance"), st.floats(0.0, 3.0)),
+    ),
+    max_size=40,
+)
+
+
+@given(steps=_HOLD_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_property_hold_queue_busy_clock_matches_meter(steps):
+    """The one-slot queue's own busy clock reads, bit for bit, what the
+    meter it replaces read, over any order of holds, releases, abandons
+    and resets at any times."""
+    env = Environment()
+    slots = HoldQueue(env)
+    meter = _ReferenceMeter(env)
+    holder = None  # the claim with the slot
+    queued = []  # claims waiting, in order
+    for op, arg in steps:
+        if op == "hold":
+            claim = slots.hold(arg)
+            if holder is None:
+                holder = claim
+                meter.begin()
+            else:
+                queued.append(claim)
+        elif op == "advance":
+            env.run(until=env.now + arg)
+        elif op == "reset":
+            slots.reset()
+            meter.reset()
+        elif holder is not None:
+            if op == "abandon" and arg < len(queued):
+                # Give up a waiting claim: the slot is untouched.
+                slots.abandon(queued.pop(arg))
+            else:
+                # Release, or abandon the claim that has the slot.
+                if op == "release":
+                    slots.release()
+                else:
+                    slots.abandon(holder)
+                meter.end()
+                holder = queued.pop(0) if queued else None
+                if holder is not None:
+                    meter.begin()
+        assert (holder is not None) == slots.busy
+        assert list(slots.queue) == queued
+        assert slots.busy_time == meter.busy_time
+        assert slots.utilization() == meter.utilization()
+
+
+def _resource_form(users):
+    """The one-slot ``request()`` + ``timeout`` form a HoldQueue replaces."""
     env = Environment()
     meter = UtilizationMeter(env)
-    resource = Resource(env, capacity=capacity)
+    resource = Resource(env, capacity=1)
     trace = []
     held = [0] * len(users)
 
@@ -400,12 +477,12 @@ def _resource_form(capacity, users):
     for name, steps in enumerate(users):
         env.process(user(name, steps))
     env.run()
-    return trace, meter.busy_time, meter.mean_concurrency(), held
+    return trace, meter.busy_time, held
 
 
-def _hold_form(capacity, users):
+def _hold_form(users):
     env = Environment()
-    slots, meter = _hold_queue(env, capacity)
+    slots = HoldQueue(env)
     trace = []
     held = [0] * len(users)
 
@@ -421,62 +498,34 @@ def _hold_form(capacity, users):
     for name, steps in enumerate(users):
         env.process(user(name, steps))
     env.run()
-    return trace, meter.busy_time, meter.mean_concurrency(), held
+    return trace, slots.busy_time, held
 
 
 @given(
-    capacity=st.integers(1, 3),
     users=st.lists(
         st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=4),
         min_size=1,
         max_size=6,
     ),
 )
-@example(
-    # Users 2 and 4 swap in the instant t=12, so each starts its next hold
-    # from the other's place in the queue and their last holds end at 15
-    # and 16 the other way round.
-    capacity=3,
-    users=[
-        [(0, 1), (1, 4), (0, 2)],
-        [(0, 4), (3, 2), (0, 1), (0, 2)],
-        [(2, 4), (0, 2), (2, 2), (2, 1)],
-        [(2, 4), (0, 3), (0, 3)],
-        [(2, 3), (0, 2), (2, 1)],
-    ],
-)
-@example(
-    # Users 4 and 5 swap in the instant t=7; two holds that ended at 10
-    # and 10 then end at 9 and 11.
-    capacity=3,
-    users=[
-        [(3, 3)],
-        [(2, 4)],
-        [(3, 1), (2, 2), (1, 1), (2, 4)],
-        [(3, 1), (2, 4), (0, 2)],
-        [(1, 1), (1, 1), (1, 1)],
-        [(2, 2), (2, 1), (1, 2)],
-    ],
-)
 @settings(max_examples=100, deadline=None)
-def test_property_hold_queue_matches_resource_form(capacity, users):
-    """A HoldQueue runs the same schedule as the ``request()`` +
+def test_property_hold_queue_matches_resource_form(users):
+    """A HoldQueue runs the same schedule as the one-slot ``request()`` +
     ``timeout`` form up to the first same-instant swap.
 
     A handed-over hold's completion sorts ahead of events scheduled later
     in the instant it started (``test_handed_over_hold_keeps_its_grant_place``),
-    so two holds ending in one instant may complete in the other order.
-    The traces agree up to the first place they differ, and in that
-    instant the same users complete.  A swapped user then queues its next
-    hold from the other's place, so later completions, their times and
-    the meter may all differ; without a swap the meter integrates the same
-    busy time and concurrency.  Swap or not, every user completes each of
-    its holds once, holding for exactly the seconds it asked.  When each
-    user holds once nobody queues again, and everything matches."""
-    expected_trace, expected_busy, expected_concurrency, expected_held = _resource_form(
-        capacity, users
-    )
-    trace, busy, concurrency, held = _hold_form(capacity, users)
+    so a hold's end and another user's timer due in one instant may run
+    in the other order.  The traces agree up to the first place they
+    differ, and in that instant the same users complete.  A swapped user
+    then queues its next hold from the other's place, so later
+    completions, their times and the busy time may all differ; without a
+    swap the busy time is the same.  Swap or not, every user completes
+    each of its holds once, holding for exactly the seconds it asked.
+    When each user holds once nobody queues again, and everything
+    matches."""
+    expected_trace, expected_busy, expected_held = _resource_form(users)
+    trace, busy, held = _hold_form(users)
     assert Counter(name for _, name in trace) == Counter(name for _, name in expected_trace)
     asked = [sum(seconds for _, seconds in steps) for steps in users]
     assert held == expected_held == asked
@@ -490,9 +539,8 @@ def test_property_hold_queue_matches_resource_form(capacity, users):
             break
     else:
         assert busy == expected_busy
-        assert concurrency == expected_concurrency
     single = [steps[:1] for steps in users]
-    assert _hold_form(capacity, single) == _resource_form(capacity, single)
+    assert _hold_form(single) == _resource_form(single)
 
 
 class _TrackedHold(resources.Hold):
@@ -504,7 +552,7 @@ def test_holds_are_freed_by_refcount(monkeypatch):
     reference, with the cycle collector off."""
     monkeypatch.setattr(resources, "Hold", _TrackedHold)
     env = Environment()
-    slots, _meter = _hold_queue(env)
+    slots = HoldQueue(env)
     refs = []
 
     def user(env):
